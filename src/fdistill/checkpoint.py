@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic            4 bytes  b"FDST"
-    version          u32      currently 1
+    version          u32      2 (written); 1 is still read
     config echo      u32 length + UTF-8 JSON of the run config
     iteration        u64
     network count    u32
@@ -14,14 +14,21 @@ Layout (all integers little-endian):
         params       f64[param count]
         adam state   u64 step; f64 lr, beta1, beta2, eps, weight_decay;
                      f64[param count] m; f64[param count] v
-    checksum         u64 FNV-1a over every preceding byte
+    checksum         u64 over every preceding byte: CRC-32 (zlib.crc32,
+                     zero-extended) in version 2, FNV-1a 64 in version 1
 
-Round trips are bitwise lossless; loads reject bad magic, unknown versions,
-truncation, and checksum mismatches.
+Versions 1 and 2 differ only in the checksum. Round trips are bitwise
+lossless; loads reject bad magic, unknown versions, truncation, and checksum
+mismatches. A save writes a hidden temporary file in the target directory and
+renames it over the target, so a reader never sees a partial checkpoint.
 """
 
+import contextlib
 import json
+import os
 import struct
+import uuid
+import zlib
 
 import numpy as np
 
@@ -31,7 +38,7 @@ from .nets import AdamState
 __all__ = ["MAGIC", "VERSION", "NetworkPayload", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"FDST"
-VERSION = 1
+VERSION = 2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -44,6 +51,9 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+_CHECKSUMS = {1: fnv1a64, 2: zlib.crc32}   # version -> checksum of the body
 
 
 class NetworkPayload:
@@ -81,9 +91,20 @@ def save_checkpoint(path, config_dict: dict, iteration: int, networks) -> None:
         parts.append(_pack_array(a.m))
         parts.append(_pack_array(a.v))
     body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<Q", fnv1a64(body)))
+    path = os.fspath(path)
+    # hidden name in the same directory: never matches checkpoint_*.fdst
+    tmp = os.path.join(
+        os.path.dirname(path), f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp"
+    )
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(body)
+            fh.write(struct.pack("<Q", _CHECKSUMS[VERSION](body)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:
@@ -115,17 +136,18 @@ def load_checkpoint(path):
     if len(data) < len(MAGIC) + 4 + 8:
         raise CheckpointError("truncated checkpoint file")
     body, checksum_bytes = data[:-8], data[-8:]
-    expected = struct.unpack("<Q", checksum_bytes)[0]
-    if fnv1a64(body) != expected:
-        raise CheckpointError("checksum mismatch: checkpoint is corrupt")
     reader = _Reader(body)
     if reader.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
     version = reader.u32()
-    if version != VERSION:
+    if version not in _CHECKSUMS:
         raise CheckpointError(
-            f"unsupported checkpoint version {version} (reader supports {VERSION})"
+            f"unsupported checkpoint version {version} "
+            f"(reader supports {', '.join(map(str, _CHECKSUMS))})"
         )
+    expected = struct.unpack("<Q", checksum_bytes)[0]
+    if _CHECKSUMS[version](body) != expected:
+        raise CheckpointError("checksum mismatch: checkpoint is corrupt")
     config_dict = json.loads(reader.take(reader.u32()).decode("utf-8"))
     iteration = reader.u64()
     networks = []

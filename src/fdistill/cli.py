@@ -9,10 +9,13 @@ Subcommands:
     modes      mode-coverage report for a checkpointed generator -> modes.json
 
 All take --config <json> and --out <dir>; --seed/--divergence/--iters override
-config keys. Exit codes: 0 success, 1 gate failure, 2 malformed config or
-usage, 3 numerical abort.
+config keys. Exit codes: 0 success, 1 gate failure, 2 malformed config,
+usage or unreadable checkpoint, 3 numerical abort.
 
-FDISTILL_THREADS caps the BLAS worker pool (default: machine parallelism).
+FDISTILL_THREADS caps the BLAS worker pool (default: machine parallelism). The
+cap is set through the BLAS environment variables, which numpy reads when it
+is first imported; the `fdistill` script and `python -m fdistill.cli` apply it
+before that happens.
 """
 
 import argparse
@@ -35,13 +38,14 @@ def _apply_thread_cap():
     except ValueError:
         print(f"error: FDISTILL_THREADS={raw!r} is not an integer", file=sys.stderr)
         raise SystemExit(2)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(n)
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
+        return
+    # also caps pools that are already running (numpy imported earlier)
+    threadpoolctl.threadpool_limits(limits=n)
 
 
 def _fmt(value) -> str:
@@ -276,7 +280,12 @@ def _cmd_modes(cfg, sections, out_dir: Path, checkpoint_path) -> int:
     if checkpoint_path is None:
         raise ConfigError("--checkpoint", "the modes command needs a checkpoint file")
     params = _section(sections, "modes", {"n_samples": 100000})
-    config_echo, iteration, payloads = load_checkpoint(checkpoint_path)
+    try:
+        config_echo, iteration, payloads = load_checkpoint(checkpoint_path)
+    except OSError as exc:
+        raise ConfigError(
+            "--checkpoint", f"cannot read {checkpoint_path}: {exc.strerror or exc}"
+        ) from exc
     saved_cfg = RunConfig.from_dict(config_echo)
     state = restore_state(saved_cfg, iteration, payloads)
     teacher = make_teacher(saved_cfg.teacher)
@@ -328,7 +337,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    from .errors import ConfigError, TrainingDiverged
+    from .errors import CheckpointError, ConfigError, TrainingDiverged
 
     try:
         overrides = {
@@ -353,7 +362,7 @@ def main(argv=None) -> int:
             return _cmd_modes(cfg, sections, out_dir, args.checkpoint)
         parser.print_usage(sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

@@ -30,7 +30,7 @@ import numpy as np
 from . import rng as rngmod
 from .divergence import KINDS, DivergenceSpec, catalog, weight_h
 from .errors import ConfigError, DomainError, NumericsError, TrainingDiverged
-from .nets import Adam, FeedForwardNet, backward, forward, init_net
+from .nets import Adam, FeedForwardNet, backward, forward, init_net, predict
 from .ratio_gan import (
     Discriminator,
     RatioClip,
@@ -38,7 +38,6 @@ from .ratio_gan import (
     disc_init,
     disc_update,
     gan_generator_grad,
-    logit,
 )
 from .scorematch import Denoiser, denoiser_init, dsm_update, fake_score
 from .teacher import (
@@ -184,6 +183,10 @@ class RunConfig:
                 "exact clean-sample ratios need an analytic student (affine generator); "
                 "the particle density estimate is undefined at sigma=0",
             )
+        try:
+            make_teacher(self.teacher)
+        except DomainError as exc:
+            raise ConfigError("teacher", str(exc)) from exc
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ConfigError("latent_dim", "must be >= 1 when given")
         for name in ("oracle_ratio_particles", "metrics_samples", "metrics_centers"):
@@ -263,10 +266,10 @@ class MLPGenerator:
         return forward(self.net, z)
 
     def forward(self, z):
-        return forward(self.net, z)[0]
+        return predict(self.net, z)
 
     def backward(self, ctx, out_grad):
-        pgrad, _ = backward(self.net, ctx, out_grad)
+        pgrad, _ = backward(self.net, ctx, out_grad, input_grad=False)
         return pgrad
 
     def exact_law(self):
@@ -588,11 +591,10 @@ def generator_step(state: TrainState, cfg: RunConfig,
         eps2 = rngmod.stream(cfg.seed, it, rngmod.STEP_GAN_NOISE).standard_normal(
             (n, teacher.dim)
         )
-        gg = gan_generator_grad(
+        gg, ell = gan_generator_grad(
             state.discriminator, y, batch.sigma, eps2, form=cfg.gan_loss_form
         )
         out_grad = out_grad + cfg.gan_weight * gg
-        ell = logit(state.discriminator, y + batch.sigma[:, None] * eps2, batch.sigma)
         if cfg.gan_loss_form == "nonsaturating":
             gan_loss = float(np.mean(np.logaddexp(0.0, -ell)))
         else:
@@ -620,7 +622,7 @@ def auxiliary_step(state: TrainState, cfg: RunConfig,
     """The other branch: one DSM step and one discriminator step."""
     it = state.iteration
     n = cfg.batch_size
-    y, _ = state.generator.forward_cached(batch.z)
+    y = state.generator.forward(batch.z)
 
     eps_dsm = rngmod.stream(cfg.seed, it, rngmod.STEP_DSM_NOISE).standard_normal(y.shape)
     dsm_loss = dsm_update(

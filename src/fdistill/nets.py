@@ -6,6 +6,11 @@ Gradients are closed-form reverse mode for the scalar objective
 sum_batch output . output_grad; there is no autodiff graph. A second-order
 routine (`input_grad_param_grad`) differentiates the input gradient with
 respect to the parameters, which is what the R1 penalty needs.
+
+`forward` keeps what the backward passes reuse (layer inputs,
+pre-activations, the activation's shared intermediate and, once asked for,
+its derivatives); `predict` computes the same output without keeping any of
+it, for callers that only read the output.
 """
 
 from dataclasses import dataclass, replace
@@ -22,6 +27,7 @@ __all__ = [
     "param_count",
     "init_net",
     "forward",
+    "predict",
     "backward",
     "input_grad_param_grad",
     "adam_init",
@@ -37,41 +43,49 @@ EMBED_DIM = 16
 _EMBED_FREQS = np.geomspace(0.2, 3.0, EMBED_DIM // 2)
 
 
-def _tanh(z):
-    return np.tanh(z)
-
-
-def _tanh_d1(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
-def _tanh_d2(z):
-    t = np.tanh(z)
-    return -2.0 * t * (1.0 - t * t)
+# Each activation is written in terms of one shared intermediate s computed
+# once per pre-activation z: tanh(z) for tanh, sigmoid(z) for silu. The value
+# and both derivatives reuse it, so a forward pass plus any number of backward
+# passes evaluate the transcendental once per layer.
 
 
 def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    # 0.5 * (1 + tanh(z / 2)), evaluated in one buffer
+    s = np.multiply(z, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
-def _silu(z):
-    return z * _sigmoid(z)
+def _tanh_value(z, t, out=None):
+    return t
 
 
-def _silu_d1(z):
-    s = _sigmoid(z)
+def _tanh_d1(z, t):
+    return 1.0 - t * t
+
+
+def _tanh_d2(z, t):
+    return -2.0 * t * (1.0 - t * t)
+
+
+def _silu_value(z, s, out=None):
+    return np.multiply(z, s, out=out)
+
+
+def _silu_d1(z, s):
     return s * (1.0 + z * (1.0 - s))
 
 
-def _silu_d2(z):
-    s = _sigmoid(z)
+def _silu_d2(z, s):
     return s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))
 
 
+# name -> (shared intermediate, value, first derivative, second derivative)
 _ACTIVATIONS = {
-    "tanh": (_tanh, _tanh_d1, _tanh_d2),
-    "silu": (_silu, _silu_d1, _silu_d2),
+    "tanh": (np.tanh, _tanh_value, _tanh_d1, _tanh_d2),
+    "silu": (_sigmoid, _silu_value, _silu_d1, _silu_d2),
 }
 
 
@@ -103,14 +117,21 @@ class FeedForwardNet:
             raise DomainError("parameters must be finite")
 
     def layers(self):
-        """Yield (W, b) views into the flat parameter vector."""
-        offset = 0
-        for win, wout in zip(self.widths[:-1], self.widths[1:]):
-            w = self.params[offset : offset + win * wout].reshape(wout, win)
-            offset += win * wout
-            b = self.params[offset : offset + wout]
-            offset += wout
-            yield w, b
+        """(W, b) views into the flat parameter vector, one pair per layer."""
+        return _layer_views(self.widths, self.params)
+
+
+def _layer_views(widths, flat):
+    """(W (out, in), b (out,)) views into a flat vector laid out like params."""
+    views = []
+    offset = 0
+    for win, wout in zip(widths[:-1], widths[1:]):
+        w = flat[offset : offset + win * wout].reshape(wout, win)
+        offset += win * wout
+        b = flat[offset : offset + wout]
+        offset += wout
+        views.append((w, b))
+    return views
 
 
 def init_net(widths, activation, gen: np.random.Generator, final="he") -> FeedForwardNet:
@@ -135,34 +156,101 @@ def init_net(widths, activation, gen: np.random.Generator, final="he") -> FeedFo
 @dataclass
 class ForwardCache:
     params_ref: np.ndarray      # identity-checked against net.params in backward
+    activation: str
     inputs: list                # a_{l-1} per layer
     preacts: list               # z_l per layer
+    shared: list                # per hidden layer: tanh(z) for tanh, sigmoid(z) for silu
+    d1: list = None             # per hidden layer, filled on first use
+    d2: list = None
+
+    def __post_init__(self):
+        if self.d1 is None:
+            self.d1 = [None] * len(self.shared)
+        if self.d2 is None:
+            self.d2 = [None] * len(self.shared)
+
+    def act_d1(self, l):
+        """First activation derivative at hidden layer l, computed once."""
+        if self.d1[l] is None:
+            self.d1[l] = _ACTIVATIONS[self.activation][2](self.preacts[l], self.shared[l])
+        return self.d1[l]
+
+    def act_d2(self, l):
+        """Second activation derivative at hidden layer l, computed once."""
+        if self.d2[l] is None:
+            self.d2[l] = _ACTIVATIONS[self.activation][3](self.preacts[l], self.shared[l])
+        return self.d2[l]
+
+    def rows(self, stop: int) -> "ForwardCache":
+        """The cache of the first `stop` batch rows, as views; derivatives
+        already computed carry over."""
+        def head(arrays):
+            return [None if a is None else a[:stop] for a in arrays]
+
+        return ForwardCache(
+            params_ref=self.params_ref, activation=self.activation,
+            inputs=head(self.inputs), preacts=head(self.preacts),
+            shared=head(self.shared), d1=head(self.d1), d2=head(self.d2),
+        )
 
 
-def forward(net: FeedForwardNet, x: np.ndarray):
-    """Batched forward pass; returns (output (B, out), cache for backward)."""
+def _check_input(net: FeedForwardNet, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.widths[0]:
         raise DomainError(
             f"input must have shape (batch, {net.widths[0]}), got {x.shape}"
         )
-    act, _, _ = _ACTIVATIONS[net.activation]
-    n_layers = len(net.widths) - 1
-    a = x
-    inputs, preacts = [], []
-    for i, (w, b) in enumerate(net.layers()):
+    return x
+
+
+def forward(net: FeedForwardNet, x: np.ndarray):
+    """Batched forward pass; returns (output (B, out), cache for backward)."""
+    a = _check_input(net, x)
+    shared_fn, value, _, _ = _ACTIVATIONS[net.activation]
+    layers = net.layers()
+    inputs, preacts, shared = [], [], []
+    for i, (w, b) in enumerate(layers):
         inputs.append(a)
         z = a @ w.T + b
         preacts.append(z)
-        a = act(z) if i < n_layers - 1 else z
-    return a, ForwardCache(params_ref=net.params, inputs=inputs, preacts=preacts)
+        if i < len(layers) - 1:
+            s = shared_fn(z)
+            shared.append(s)
+            a = value(z, s)
+        else:
+            a = z
+    cache = ForwardCache(params_ref=net.params, activation=net.activation,
+                         inputs=inputs, preacts=preacts, shared=shared)
+    return a, cache
 
 
-def backward(net: FeedForwardNet, cache: ForwardCache, out_grad: np.ndarray):
+def predict(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
+    """forward(net, x)[0] bit for bit, without a cache.
+
+    Each layer's arrays are released once the next layer's exist, so a large
+    batch holds about two layer activations at a time instead of all of them.
+    """
+    a = _check_input(net, x)
+    shared_fn, value, _, _ = _ACTIVATIONS[net.activation]
+    layers = net.layers()
+    for i, (w, b) in enumerate(layers):
+        a = a @ w.T
+        a += b
+        if i < len(layers) - 1:
+            a = value(a, shared_fn(a), out=a)
+    return a
+
+
+def backward(net: FeedForwardNet, cache: ForwardCache, out_grad: np.ndarray,
+             param_grad: bool = True, input_grad: bool = True, split=None):
     """Exact gradients of sum_batch output . out_grad.
 
-    Returns (param_grad flat, input_grad (B, in)). The cache must come from a
-    forward pass on the current parameters.
+    Returns (param_grad flat, input_grad (B, in)); a gradient switched off
+    with `param_grad=False` or `input_grad=False` is not computed and comes
+    back as None. The cache must come from a forward pass on the current
+    parameters. With `split = k`, each parameter gradient is summed as the
+    rows-[0, k) product plus the rows-[k, B) product: bit for bit what two
+    backward calls on the two row blocks give when their results are added.
     """
     if cache.params_ref is not net.params:
         raise DomainError("stale forward cache: parameters changed since forward()")
@@ -171,75 +259,81 @@ def backward(net: FeedForwardNet, cache: ForwardCache, out_grad: np.ndarray):
         raise DomainError(
             f"out_grad shape {gy.shape} does not match output {cache.preacts[-1].shape}"
         )
-    _, act_d1, _ = _ACTIVATIONS[net.activation]
     weights = [w for w, _ in net.layers()]
-    grads = [None] * len(weights)
+    flat = np.empty(net.params.size) if param_grad else None
+    grads = _layer_views(net.widths, flat) if param_grad else None
     delta = gy
     for l in reversed(range(len(weights))):
-        gw = delta.T @ cache.inputs[l]
-        gb = delta.sum(axis=0)
-        grads[l] = (gw, gb)
+        if param_grad:
+            gw, gb = grads[l]
+            a = cache.inputs[l]
+            if split is None:
+                np.matmul(delta.T, a, out=gw)
+                np.sum(delta, axis=0, out=gb)
+            else:
+                np.matmul(delta[:split].T, a[:split], out=gw)
+                gw += delta[split:].T @ a[split:]
+                np.sum(delta[:split], axis=0, out=gb)
+                gb += delta[split:].sum(axis=0)
+        if l == 0 and not input_grad:
+            return flat, None
         delta = delta @ weights[l]
         if l > 0:
-            delta = delta * act_d1(cache.preacts[l - 1])
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+            delta = delta * cache.act_d1(l - 1)
     return flat, delta
 
 
-def input_grad_param_grad(net: FeedForwardNet, x: np.ndarray, v: np.ndarray):
+def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarray):
     """Parameter gradient of J = sum_i v_i . grad_x out(x_i), out scalar.
 
-    v is treated as constant. Runs a forward-mode pass with tangent v, then
-    reverse mode over the combined primal/tangent graph; needs the second
-    derivative of the activation. Returns (per-sample v_i . grad_x out_i,
-    flat parameter gradient of J).
+    `cache` is forward(net, x)'s and supplies the primal pass; v is treated as
+    constant. Runs a forward-mode pass with tangent v, then reverse mode over
+    the combined primal/tangent graph; needs the second derivative of the
+    activation. Returns (per-sample v_i . grad_x out_i, flat parameter
+    gradient of J).
     """
     if net.widths[-1] != 1:
         raise DomainError("input_grad_param_grad requires a scalar-output net")
-    x = np.asarray(x, dtype=float)
+    if cache.params_ref is not net.params:
+        raise DomainError("stale forward cache: parameters changed since forward()")
     v = np.asarray(v, dtype=float)
-    if v.shape != x.shape:
-        raise DomainError(f"tangent shape {v.shape} must match input shape {x.shape}")
-    act, act_d1, act_d2 = _ACTIVATIONS[net.activation]
+    if v.shape != cache.inputs[0].shape:
+        raise DomainError(
+            f"tangent shape {v.shape} must match input shape {cache.inputs[0].shape}"
+        )
     weights = [w for w, _ in net.layers()]
     n_layers = len(weights)
 
-    # Primal and tangent forward passes.
-    a, u = x, v
-    inputs, preacts, tangents_in, tangents_pre = [], [], [], []
-    for i, (w, b) in enumerate(net.layers()):
-        inputs.append(a)
+    # Tangent forward pass; the primal one is in the cache.
+    u = v
+    tangents_in, tangents_pre = [], []
+    for l, w in enumerate(weights):
         tangents_in.append(u)
-        z = a @ w.T + b
         t = u @ w.T
-        preacts.append(z)
         tangents_pre.append(t)
-        if i < n_layers - 1:
-            a = act(z)
-            u = act_d1(z) * t
-        else:
-            a = z
-            u = t
+        u = cache.act_d1(l) * t if l < n_layers - 1 else t
     dots = u[:, 0].copy()
 
     # Reverse over the combined graph.
     du = np.ones_like(u)
-    da = np.zeros_like(a)
-    grads = [None] * n_layers
+    da = np.zeros_like(u)
+    flat = np.empty(net.params.size)
+    grads = _layer_views(net.widths, flat)
     for l in reversed(range(n_layers)):
         if l == n_layers - 1:
             dt = du
             dz = da
         else:
-            phi1 = act_d1(preacts[l])
+            phi1 = cache.act_d1(l)
             dt = phi1 * du
-            dz = act_d2(preacts[l]) * tangents_pre[l] * du + phi1 * da
-        gw = dt.T @ tangents_in[l] + dz.T @ inputs[l]
-        gb = dz.sum(axis=0)
-        grads[l] = (gw, gb)
-        du = dt @ weights[l]
-        da = dz @ weights[l]
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+            dz = cache.act_d2(l) * tangents_pre[l] * du + phi1 * da
+        gw, gb = grads[l]
+        np.matmul(dt.T, tangents_in[l], out=gw)
+        gw += dz.T @ cache.inputs[l]
+        np.sum(dz, axis=0, out=gb)
+        if l > 0:
+            du = dt @ weights[l]
+            da = dz @ weights[l]
     return dots, flat
 
 
@@ -288,14 +382,23 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
             f"non-finite gradient at index {int(np.argmax(bad))}"
         )
     step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
-    update = m_hat / (np.sqrt(v_hat) + state.eps)
+    # The textbook expressions evaluated op for op in a few buffers.
+    tmp = np.multiply(grads, 1.0 - state.beta1)
+    m = np.multiply(state.m, state.beta1)
+    m += tmp                                    # m = b1 m + (1 - b1) g
+    np.square(grads, out=tmp)
+    tmp *= 1.0 - state.beta2
+    v = np.multiply(state.v, state.beta2)
+    v += tmp                                    # v = b2 v + (1 - b2) g^2
+    update = np.divide(v, 1.0 - state.beta2**step)
+    np.sqrt(update, out=update)
+    update += state.eps
+    np.divide(m, 1.0 - state.beta1**step, out=tmp)
+    np.divide(tmp, update, out=update)          # m_hat / (sqrt(v_hat) + eps)
     if state.weight_decay:
-        update = update + state.weight_decay * params
-    new_params = params - state.lr * update
+        update += np.multiply(params, state.weight_decay)
+    update *= state.lr
+    new_params = np.subtract(params, update, out=update)
     return new_params, replace(state, m=m, v=v, step=step)
 
 

@@ -26,6 +26,7 @@ from .nets import (
     forward,
     init_net,
     input_grad_param_grad,
+    predict,
     sigma_embedding,
 )
 
@@ -101,9 +102,14 @@ def _c_in(disc: Discriminator, sig: np.ndarray):
     return 1.0 / np.sqrt(sig**2 + disc.sigma_data**2)
 
 
-def _logit_cached(disc: Discriminator, x: np.ndarray, sig: np.ndarray):
+def _disc_input(disc: Discriminator, x: np.ndarray, sig: np.ndarray):
+    """Network input [c_in x, embedding(sigma)] and the whitening c_in."""
     c_in = _c_in(disc, sig)
-    inp = np.concatenate([c_in[:, None] * x, sigma_embedding(sig)], axis=1)
+    return np.concatenate([c_in[:, None] * x, sigma_embedding(sig)], axis=1), c_in
+
+
+def _logit_cached(disc: Discriminator, x: np.ndarray, sig: np.ndarray):
+    inp, c_in = _disc_input(disc, x, sig)
     out, cache = forward(disc.net, inp)
     return out[:, 0], inp, cache, c_in
 
@@ -112,8 +118,8 @@ def logit(disc: Discriminator, x, sigma) -> np.ndarray:
     """Raw logit of D(x, sigma), shape (B,)."""
     x = np.asarray(x, dtype=float)
     sig = _sigma_batch(sigma, x.shape[0])
-    ell, _, _, _ = _logit_cached(disc, x, sig)
-    return ell
+    inp, _ = _disc_input(disc, x, sig)
+    return predict(disc.net, inp)[:, 0]
 
 
 def clipped_log_ratio(disc: Discriminator, x, sigma, clip: RatioClip) -> np.ndarray:
@@ -138,37 +144,48 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
           + (gamma/2) mean ||grad_x l(real + sigma e1)||^2.
     Real and fake batches share the sigma batch but use independent noise.
     Returns the pre-step loss.
+
+    Both batches go through the network as one stacked batch (real rows
+    first). Every row of a matrix product is computed independently, and the
+    parameter gradients are summed as real-rows plus fake-rows products, so
+    the result is bit for bit that of separate real and fake passes.
     """
     real = np.asarray(real, dtype=float)
     fake = np.asarray(fake, dtype=float)
     if real.shape != fake.shape:
         raise DomainError("real and fake batches must have equal shapes")
-    n = real.shape[0]
+    if real.ndim != 2 or real.shape[1] != disc.dim:
+        raise DomainError(f"batches must have shape (batch, {disc.dim}), got {real.shape}")
+    n, dim = real.shape[0], disc.dim
     sig = _sigma_batch(sigma, n)
+    c_in = _c_in(disc, sig)
     x_real = real + sig[:, None] * np.asarray(noise_real, dtype=float)
     x_fake = fake + sig[:, None] * np.asarray(noise_fake, dtype=float)
+    inp = np.empty((2 * n, disc.net.widths[0]))
+    inp[:n, :dim] = c_in[:, None] * x_real
+    inp[n:, :dim] = c_in[:, None] * x_fake
+    inp[:n, dim:] = inp[n:, dim:] = sigma_embedding(sig)
 
-    ell_r, inp_r, cache_r, c_in = _logit_cached(disc, x_real, sig)
-    ell_f, _, cache_f, _ = _logit_cached(disc, x_fake, sig)
+    out, cache = forward(disc.net, inp)
+    ell_r, ell_f = out[:n, 0], out[n:, 0]
     loss = float(np.mean(_softplus(-ell_r)) + np.mean(_softplus(ell_f)))
 
-    g_real = (-_sigmoid(-ell_r) / n)[:, None]
-    g_fake = (_sigmoid(ell_f) / n)[:, None]
-    pgrad_r, _ = backward(disc.net, cache_r, g_real)
-    pgrad_f, _ = backward(disc.net, cache_f, g_fake)
-    pgrad = pgrad_r + pgrad_f
+    g = np.empty((2 * n, 1))
+    g[:n, 0] = -_sigmoid(-ell_r) / n
+    g[n:, 0] = _sigmoid(ell_f) / n
+    pgrad, _ = backward(disc.net, cache, g, input_grad=False, split=n)
 
     if r1_gamma > 0.0:
-        dim = disc.dim
-        _, input_grad = backward(disc.net, cache_r, np.ones((n, 1)))
+        cache_r = cache.rows(n)
+        _, input_grad = backward(disc.net, cache_r, np.ones((n, 1)), param_grad=False)
         g_net = input_grad[:, :dim]
         # ||grad_x l||^2 = c_in^2 ||grad_inp l||^2 because of input whitening
         sq = np.sum(g_net**2, axis=1) * c_in**2
         loss += float(0.5 * r1_gamma * np.mean(sq))
-        v = np.zeros_like(inp_r)
+        v = np.zeros_like(inp[:n])
         v[:, :dim] = (r1_gamma / n) * (c_in**2)[:, None] * g_net
-        _, pgrad_r1 = input_grad_param_grad(disc.net, inp_r, v)
-        pgrad = pgrad + pgrad_r1
+        _, pgrad_r1 = input_grad_param_grad(disc.net, cache_r, v)
+        pgrad += pgrad_r1
 
     if not np.isfinite(loss):
         raise NumericsError("non-finite discriminator loss")
@@ -177,11 +194,12 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
 
 
 def gan_generator_grad(disc: Discriminator, y, sigma, noise,
-                       form: str = "nonsaturating") -> np.ndarray:
+                       form: str = "nonsaturating"):
     """Gradient w.r.t. clean generator outputs y of the generator GAN loss.
 
     nonsaturating: mean -log D(y + sigma eps); minimax: mean log(1 - D(...)).
-    The discriminator is frozen; gradients flow through it only.
+    The discriminator is frozen; gradients flow through it only. Returns
+    (gradient (B, dim), the logits of the noised batch (B,)).
     """
     y = np.asarray(y, dtype=float)
     sig = _sigma_batch(sigma, y.shape[0])
@@ -194,5 +212,5 @@ def gan_generator_grad(disc: Discriminator, y, sigma, noise,
         dldell = -_sigmoid(ell) / n
     else:
         raise DomainError(f"unknown generator GAN loss form {form!r}")
-    _, input_grad = backward(disc.net, cache, dldell[:, None])
-    return input_grad[:, : disc.dim] * c_in[:, None]
+    _, input_grad = backward(disc.net, cache, dldell[:, None], param_grad=False)
+    return input_grad[:, : disc.dim] * c_in[:, None], ell

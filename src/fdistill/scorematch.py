@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .nets import EMBED_DIM, FeedForwardNet, backward, forward, init_net, sigma_embedding
+from .nets import (
+    EMBED_DIM,
+    FeedForwardNet,
+    backward,
+    forward,
+    init_net,
+    predict,
+    sigma_embedding,
+)
 
 __all__ = ["Denoiser", "denoiser_init", "denoise", "fake_score", "dsm_update"]
 
@@ -65,10 +73,15 @@ def _coeffs(den: Denoiser, sig: np.ndarray):
     return c_in, c_skip, c_out
 
 
-def _denoise_cached(den: Denoiser, x: np.ndarray, sig: np.ndarray):
+def _denoise(den: Denoiser, x: np.ndarray, sig: np.ndarray, cached: bool):
+    """x0_hat with (cache, c_out) for a backward pass when `cached`, else
+    with (None, c_out)."""
     c_in, c_skip, c_out = _coeffs(den, sig)
     inp = np.concatenate([c_in[:, None] * x, sigma_embedding(sig)], axis=1)
-    raw, cache = forward(den.net, inp)
+    if cached:
+        raw, cache = forward(den.net, inp)
+    else:
+        raw, cache = predict(den.net, inp), None
     x0_hat = c_skip[:, None] * x + c_out[:, None] * raw
     return x0_hat, cache, c_out
 
@@ -79,7 +92,7 @@ def denoise(den: Denoiser, x, sigma) -> np.ndarray:
     sig = _sigma_batch(sigma, x.shape[0])
     if np.any(sig <= 0.0):
         raise DomainError("denoiser conditioning requires sigma > 0")
-    x0_hat, _, _ = _denoise_cached(den, x, sig)
+    x0_hat, _, _ = _denoise(den, x, sig, cached=False)
     return x0_hat
 
 
@@ -117,7 +130,7 @@ def dsm_update(den: Denoiser, adam, x0, sigma, noise, sigma_cap: float = 0.002) 
     if np.any(sig <= 0.0):
         raise DomainError("DSM requires sigma > 0")
     x_noisy = x0 + sig[:, None] * noise
-    x0_hat, cache, c_out = _denoise_cached(den, x_noisy, sig)
+    x0_hat, cache, c_out = _denoise(den, x_noisy, sig, cached=True)
     w = np.minimum(sig**-2, float(sigma_cap) ** -2)
     resid = x0_hat - x0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -125,6 +138,6 @@ def dsm_update(den: Denoiser, adam, x0, sigma, noise, sigma_cap: float = 0.002) 
     if not np.isfinite(loss):
         raise NumericsError("non-finite DSM loss: training has diverged")
     out_grad = (2.0 / n) * (w * c_out)[:, None] * resid
-    pgrad, _ = backward(den.net, cache, out_grad)
+    pgrad, _ = backward(den.net, cache, out_grad, input_grad=False)
     den.net.params = adam.step(den.net.params, pgrad)
     return loss

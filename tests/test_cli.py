@@ -1,13 +1,16 @@
 """Command-line surface: config handling, outputs, checkpoint format."""
 
 import json
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdistill
 from fdistill import checkpoint as ckpt
 from fdistill import cli
 from fdistill.errors import CheckpointError
@@ -65,6 +68,14 @@ class TestConfigHandling:
         code = cli.main(["table", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "tau" in capsys.readouterr().err
+
+    def test_unknown_teacher_preset_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring9"})
+        code = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ring9" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_console_script_usage(self):
         proc = subprocess.run(
@@ -203,6 +214,29 @@ class TestModesCommand:
         code = cli.main(["modes", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_TRAIN)
+        code = cli.main(["modes", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--checkpoint", str(tmp_path / "nope.fdst")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.fdst" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_TRAIN)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out), "--iters", "1"]) == 0
+        path = out / "checkpoint_final.fdst"
+        path.write_bytes(path.read_bytes()[:-100])
+        capsys.readouterr()
+        code = cli.main(["modes", "--config", cfg, "--out", str(out),
+                         "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "checksum" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestCheckpointFormat:
     def _payload(self):
@@ -231,6 +265,43 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="checksum"):
             ckpt.load_checkpoint(path)
+
+    def test_version_1_file_still_loads(self, tmp_path):
+        """A version-1 file (FNV-1a checksum) reads back exactly, and a
+        corrupt byte in one still fails its checksum."""
+        path = tmp_path / "x.fdst"
+        nets = self._payload()
+        ckpt.save_checkpoint(path, {"seed": 1}, 42, nets)
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<I", data, 4)[0] == ckpt.VERSION == 2
+        struct.pack_into("<I", data, 4, 1)
+        data[-8:] = struct.pack("<Q", ckpt.fnv1a64(bytes(data[:-8])))
+        path.write_bytes(bytes(data))
+        config, iteration, loaded = ckpt.load_checkpoint(path)
+        assert (config, iteration) == ({"seed": 1}, 42)
+        np.testing.assert_array_equal(loaded[0].params, nets[0].params)
+        np.testing.assert_array_equal(loaded[0].adam.m, nets[0].adam.m)
+        data[30] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="checksum"):
+            ckpt.load_checkpoint(path)
+
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        """A failed save leaves the previous file whole and no temporary
+        file behind."""
+        path = tmp_path / "checkpoint_0000001.fdst"
+        ckpt.save_checkpoint(path, {"seed": 1}, 1, self._payload())
+        before = path.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+        def fail(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ckpt.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.save_checkpoint(path, {"seed": 2}, 2, self._payload())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "x.fdst"
@@ -261,3 +332,27 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="magic"):
             ckpt.load_checkpoint(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+class TestThreadCap:
+    def test_fdistill_threads_caps_blas_pool(self, tmp_path):
+        """FDISTILL_THREADS=1 alone, with no BLAS variable set, leaves the
+        process with one thread after a short training run."""
+        cfg = write_config(tmp_path, TINY_TRAIN)
+        env = {k: v for k, v in os.environ.items() if k not in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(fdistill.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["FDISTILL_THREADS"] = "1"
+        script = ("import os, sys\n"
+                  "from fdistill.cli import main\n"
+                  "rc = main(sys.argv[1:])\n"
+                  "print(rc, len(os.listdir('/proc/self/task')))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "train", "--config", cfg,
+             "--out", str(tmp_path / "o"), "--iters", "3"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 1"

@@ -17,6 +17,89 @@ def scalar_objective(net, x, gy):
     return float(np.sum(y * gy))
 
 
+# Plain references with the same arithmetic as the network core: every
+# activation derivative recomputed from z, gradients assembled by
+# concatenation, the primal forward re-run for the second-order pass. The
+# core reuses intermediates instead, which must not change a bit.
+def _ref_sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+REF_ACTIVATIONS = {
+    "tanh": (
+        np.tanh,
+        lambda z: 1.0 - np.tanh(z) * np.tanh(z),
+        lambda z: -2.0 * np.tanh(z) * (1.0 - np.tanh(z) * np.tanh(z)),
+    ),
+    "silu": (
+        lambda z: z * _ref_sigmoid(z),
+        lambda z: _ref_sigmoid(z) * (1.0 + z * (1.0 - _ref_sigmoid(z))),
+        lambda z: _ref_sigmoid(z) * (1.0 - _ref_sigmoid(z))
+        * (2.0 + z * (1.0 - 2.0 * _ref_sigmoid(z))),
+    ),
+}
+
+
+def ref_forward(net, x):
+    act = REF_ACTIVATIONS[net.activation][0]
+    layers = net.layers()
+    a, inputs, preacts = x, [], []
+    for i, (w, b) in enumerate(layers):
+        inputs.append(a)
+        z = a @ w.T + b
+        preacts.append(z)
+        a = act(z) if i < len(layers) - 1 else z
+    return a, inputs, preacts
+
+
+def ref_backward(net, x, gy):
+    _, act_d1, _ = REF_ACTIVATIONS[net.activation]
+    _, inputs, preacts = ref_forward(net, x)
+    weights = [w for w, _ in net.layers()]
+    grads = [None] * len(weights)
+    delta = gy
+    for l in reversed(range(len(weights))):
+        grads[l] = (delta.T @ inputs[l], delta.sum(axis=0))
+        delta = delta @ weights[l]
+        if l > 0:
+            delta = delta * act_d1(preacts[l - 1])
+    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    return flat, delta
+
+
+def ref_input_grad_param_grad(net, x, v):
+    act, act_d1, act_d2 = REF_ACTIVATIONS[net.activation]
+    weights = [w for w, _ in net.layers()]
+    n_layers = len(weights)
+    a, u = x, v
+    inputs, preacts, tangents_in, tangents_pre = [], [], [], []
+    for i, (w, b) in enumerate(net.layers()):
+        inputs.append(a)
+        tangents_in.append(u)
+        z = a @ w.T + b
+        t = u @ w.T
+        preacts.append(z)
+        tangents_pre.append(t)
+        if i < n_layers - 1:
+            a, u = act(z), act_d1(z) * t
+        else:
+            a, u = z, t
+    dots = u[:, 0].copy()
+    du, da = np.ones_like(u), np.zeros_like(a)
+    grads = [None] * n_layers
+    for l in reversed(range(n_layers)):
+        if l == n_layers - 1:
+            dt, dz = du, da
+        else:
+            phi1 = act_d1(preacts[l])
+            dt = phi1 * du
+            dz = act_d2(preacts[l]) * tangents_pre[l] * du + phi1 * da
+        grads[l] = (dt.T @ tangents_in[l] + dz.T @ inputs[l], dz.sum(axis=0))
+        du, da = dt @ weights[l], dz @ weights[l]
+    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    return dots, flat
+
+
 def fd_param_grad(net, x, gy, idx, step=1e-5):
     base = net.params.copy()
     out = []
@@ -56,7 +139,55 @@ class TestForward:
             nets.forward(net, np.zeros((3, 5)))
 
 
+class TestPredict:
+    @pytest.mark.parametrize("batch", [1, 128, 10000])
+    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    def test_equals_forward_output_bitwise(self, activation, batch):
+        gen = rngmod.stream(3, 20)
+        net = random_net(gen, (18, 128, 128, 2), activation)
+        x = gen.standard_normal((batch, 18))
+        x_before = x.copy()
+        out = nets.predict(net, x)
+        assert out.tobytes() == nets.forward(net, x)[0].tobytes()
+        assert out.tobytes() == ref_forward(net, x)[0].tobytes()
+        np.testing.assert_array_equal(x, x_before)
+
+    def test_bad_input_shape_rejected(self):
+        net = random_net(rngmod.stream(3, 21), (4, 3, 2), "tanh")
+        with pytest.raises(DomainError, match="shape"):
+            nets.predict(net, np.zeros((3, 5)))
+
+
 class TestBackward:
+    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    def test_matches_reference_bitwise(self, activation):
+        gen = rngmod.stream(3, 22)
+        net = random_net(gen, (18, 128, 128, 2), activation)
+        x = gen.standard_normal((128, 18))
+        gy = gen.standard_normal((128, 2))
+        _, cache = nets.forward(net, x)
+        pgrad, xgrad = nets.backward(net, cache, gy)
+        ref_pgrad, ref_xgrad = ref_backward(net, x, gy)
+        assert pgrad.tobytes() == ref_pgrad.tobytes()
+        assert xgrad.tobytes() == ref_xgrad.tobytes()
+        only_params, none = nets.backward(net, cache, gy, input_grad=False)
+        none2, only_input = nets.backward(net, cache, gy, param_grad=False)
+        assert none is None and none2 is None
+        assert only_params.tobytes() == ref_pgrad.tobytes()
+        assert only_input.tobytes() == ref_xgrad.tobytes()
+
+    def test_split_sums_two_row_blocks_bitwise(self):
+        gen = rngmod.stream(3, 23)
+        net = random_net(gen, (18, 128, 128, 1), "silu")
+        x = gen.standard_normal((256, 18))
+        gy = gen.standard_normal((256, 1))
+        _, cache = nets.forward(net, x)
+        pgrad, xgrad = nets.backward(net, cache, gy, split=128)
+        top, x_top = ref_backward(net, x[:128], gy[:128])
+        bottom, x_bottom = ref_backward(net, x[128:], gy[128:])
+        assert pgrad.tobytes() == (top + bottom).tobytes()
+        assert xgrad.tobytes() == np.concatenate([x_top, x_bottom]).tobytes()
+
     def test_zero_out_grad_gives_zero_grads(self):
         gen = rngmod.stream(3, 1)
         net = random_net(gen, (3, 10, 2), "silu")
@@ -137,11 +268,12 @@ class TestBackward:
         yj, cache_j = nets.forward(joined, x)
         pg_joined, xg_joined = nets.backward(joined, cache_j, gy)
 
+        shared, value, d1, _ = nets._ACTIVATIONS[act]
         y1, cache1 = nets.forward(net1, x)
-        a1 = nets._ACTIVATIONS[act][0](y1)
+        a1 = value(y1, shared(y1))
         y2, cache2 = nets.forward(net2, a1)
         pg2, ga1 = nets.backward(net2, cache2, gy)
-        gy1 = ga1 * nets._ACTIVATIONS[act][1](y1)
+        gy1 = ga1 * d1(y1, shared(y1))
         pg1, xg_stacked = nets.backward(net1, cache1, gy1)
 
         np.testing.assert_allclose(yj, y2, atol=1e-12)
@@ -167,7 +299,8 @@ class TestInputGradParamGrad:
             _, xgrad = nets.backward(probe, cache, np.ones((5, 1)))
             return float(np.sum(xgrad * v))
 
-        dots, pgrad = nets.input_grad_param_grad(net, x, v)
+        _, cache = nets.forward(net, x)
+        dots, pgrad = nets.input_grad_param_grad(net, cache, v)
         assert np.sum(dots) == pytest.approx(objective(net.params), rel=1e-12)
         step = 1e-6
         idxs = gen.integers(0, net.params.size, size=25)
@@ -178,11 +311,35 @@ class TestInputGradParamGrad:
             fd = (objective(plus) - objective(minus)) / (2 * step)
             assert pgrad[int(idx)] == pytest.approx(fd, rel=2e-4, abs=1e-7)
 
+    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    def test_matches_reference_bitwise(self, activation):
+        """The cache's primal pass and derivatives, reused, give the bits of
+        a pass that recomputes them; so does the cache of leading rows."""
+        gen = rngmod.stream(4, 3)
+        net = random_net(gen, (18, 128, 128, 1), activation)
+        x = gen.standard_normal((256, 18))
+        v = gen.standard_normal((128, 18))
+        _, cache = nets.forward(net, x)
+        nets.backward(net, cache, np.ones((256, 1)))  # memoises act_d1 on all rows
+        dots, pgrad = nets.input_grad_param_grad(net, cache.rows(128), v)
+        ref_dots, ref_pgrad = ref_input_grad_param_grad(net, x[:128], v)
+        assert dots.tobytes() == ref_dots.tobytes()
+        assert pgrad.tobytes() == ref_pgrad.tobytes()
+
+    def test_stale_cache_rejected(self):
+        gen = rngmod.stream(4, 4)
+        net = random_net(gen, (3, 6, 1), "silu")
+        _, cache = nets.forward(net, np.zeros((2, 3)))
+        net.params = net.params.copy()
+        with pytest.raises(DomainError, match="stale"):
+            nets.input_grad_param_grad(net, cache, np.zeros((2, 3)))
+
     def test_requires_scalar_head(self):
         gen = rngmod.stream(4, 2)
         net = random_net(gen, (3, 6, 2), "silu")
+        _, cache = nets.forward(net, np.zeros((2, 3)))
         with pytest.raises(DomainError):
-            nets.input_grad_param_grad(net, np.zeros((2, 3)), np.zeros((2, 3)))
+            nets.input_grad_param_grad(net, cache, np.zeros((2, 3)))
 
 
 class TestAdam:
@@ -207,6 +364,30 @@ class TestAdam:
         p1, _ = nets.adam_step(a1, params.copy(), grads.copy())
         p2, _ = nets.adam_step(a2, params.copy(), grads.copy())
         np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_textbook_update_bitwise(self, weight_decay):
+        gen = rngmod.stream(5, 2)
+        state = nets.adam_init(50, lr=2e-3, weight_decay=weight_decay)
+        params = gen.standard_normal(50)
+        for _ in range(3):
+            grads = gen.standard_normal(50)
+            b1, b2, step = state.beta1, state.beta2, state.step + 1
+            m = b1 * state.m + (1.0 - b1) * grads
+            v = b2 * state.v + (1.0 - b2) * grads**2
+            update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + state.eps)
+            if weight_decay:
+                update = update + weight_decay * params
+            expected = params - state.lr * update
+            old_m, old_v = state.m.copy(), state.v.copy()
+            new_params, new_state = nets.adam_step(state, params, grads)
+            assert new_params.tobytes() == expected.tobytes()
+            assert new_state.m.tobytes() == m.tobytes()
+            assert new_state.v.tobytes() == v.tobytes()
+            assert new_params is not params and new_state.m is not state.m
+            np.testing.assert_array_equal(state.m, old_m)
+            np.testing.assert_array_equal(state.v, old_v)
+            params, state = new_params, new_state
 
     def test_nonfinite_gradient_reports_index(self):
         state = nets.adam_init(3, lr=0.1)

@@ -183,7 +183,7 @@ class TestDiscUpdate:
         g_net = igrad[:, :2]
         v = np.zeros_like(inp_r)
         v[:, :2] = (gamma / 8) * (c_in**2)[:, None] * g_net
-        _, pg_r1 = nets.input_grad_param_grad(probe_disc.net, inp_r, v)
+        _, pg_r1 = nets.input_grad_param_grad(probe_disc.net, cache_r, v)
         analytic = pg_r + pg_f + pg_r1
 
         step = 1e-6
@@ -194,6 +194,54 @@ class TestDiscUpdate:
             minus[int(idx)] -= step
             fd = (loss_at(plus) - loss_at(minus)) / (2 * step)
             assert analytic[int(idx)] == pytest.approx(fd, rel=2e-4, abs=1e-8)
+
+
+class TestStackedDiscUpdate:
+    """disc_update runs real and fake rows as one stacked batch and reuses
+    the real rows' forward pass for R1; a reference built from separate
+    passes must give the same bits."""
+
+    @staticmethod
+    def reference_update(disc, adam, real, fake, sig, er, ef, r1_gamma):
+        n, dim = real.shape
+        ell_r, inp_r, cache_r, c_in = rg._logit_cached(disc, real + sig[:, None] * er, sig)
+        ell_f, _, cache_f, _ = rg._logit_cached(disc, fake + sig[:, None] * ef, sig)
+        loss = float(np.mean(np.logaddexp(0.0, -ell_r)) + np.mean(np.logaddexp(0.0, ell_f)))
+        pg_r, _ = nets.backward(disc.net, cache_r, (-rg._sigmoid(-ell_r) / n)[:, None])
+        pg_f, _ = nets.backward(disc.net, cache_f, (rg._sigmoid(ell_f) / n)[:, None])
+        pgrad = pg_r + pg_f
+        if r1_gamma > 0.0:
+            _, _, cache_r1, _ = rg._logit_cached(disc, real + sig[:, None] * er, sig)
+            _, igrad = nets.backward(disc.net, cache_r1, np.ones((n, 1)))
+            g_net = igrad[:, :dim]
+            loss += float(0.5 * r1_gamma * np.mean(np.sum(g_net**2, axis=1) * c_in**2))
+            v = np.zeros_like(inp_r)
+            v[:, :dim] = (r1_gamma / n) * (c_in**2)[:, None] * g_net
+            _, pg_r1 = nets.input_grad_param_grad(disc.net, cache_r1, v)
+            pgrad = pgrad + pg_r1
+        new_params, new_state = nets.adam_step(adam.state, disc.net.params, pgrad)
+        return loss, new_params, new_state
+
+    @pytest.mark.parametrize("r1_gamma", [0.0, 1.0])
+    def test_matches_separate_passes_bitwise(self, r1_gamma):
+        gen = rngmod.stream(2, 9)
+        disc = rg.disc_init(2, gen, sigma_data=1.0)
+        disc.net.params = 0.3 * gen.standard_normal(disc.net.params.size)
+        adam = nets.Adam(disc.net.params.size, lr=2e-3)
+        for _ in range(3):
+            real = gen.standard_normal((128, 2))
+            fake = gen.standard_normal((128, 2)) + 0.5
+            sig = np.exp(gen.uniform(np.log(0.002), np.log(80.0), 128))
+            er = gen.standard_normal((128, 2))
+            ef = gen.standard_normal((128, 2))
+            loss_ref, params_ref, state_ref = self.reference_update(
+                disc, adam, real, fake, sig, er, ef, r1_gamma
+            )
+            loss = rg.disc_update(disc, adam, real, fake, sig, er, ef, r1_gamma=r1_gamma)
+            assert loss == loss_ref
+            assert disc.net.params.tobytes() == params_ref.tobytes()
+            assert adam.state.m.tobytes() == state_ref.m.tobytes()
+            assert adam.state.v.tobytes() == state_ref.v.tobytes()
 
 
 class TestBayesOptimalRecovery:
@@ -228,12 +276,12 @@ class TestGeneratorGrad:
     def test_constant_half_discriminator_gives_zero_gradient(self):
         disc = rg.disc_init(2, rngmod.stream(4, 1), sigma_data=1.0)  # logit == 0
         y = rngmod.stream(4, 2).standard_normal((16, 2))
-        g = rg.gan_generator_grad(disc, y, np.full(16, 0.5), np.zeros((16, 2)))
+        g, _ = rg.gan_generator_grad(disc, y, np.full(16, 0.5), np.zeros((16, 2)))
         np.testing.assert_array_equal(g, np.zeros_like(y))
 
     def test_identity_logit_hand_value(self):
         disc = identity_logit_disc()
-        g = rg.gan_generator_grad(
+        g, _ = rg.gan_generator_grad(
             disc, np.zeros((1, 1)), np.full(1, 0.5), np.zeros((1, 1))
         )
         assert g[0, 0] == pytest.approx(-0.5)
@@ -246,7 +294,9 @@ class TestGeneratorGrad:
         sig = np.full(6, 0.7)
         noise = gen.standard_normal((6, 2))
         for form in ("nonsaturating", "minimax"):
-            g = rg.gan_generator_grad(disc, y, sig, noise, form=form)
+            g, ell = rg.gan_generator_grad(disc, y, sig, noise, form=form)
+            np.testing.assert_array_equal(
+                ell, rg.logit(disc, y + sig[:, None] * noise, sig))
 
             def loss_at(y_probe):
                 ell = rg.logit(disc, y_probe + sig[:, None] * noise, sig)
