@@ -32,6 +32,7 @@ import zlib
 
 import numpy as np
 
+from ._numerics import fnv1a64
 from .errors import CheckpointError
 from .nets import AdamState
 
@@ -39,19 +40,6 @@ __all__ = ["MAGIC", "VERSION", "NetworkPayload", "save_checkpoint", "load_checkp
 
 MAGIC = b"FDST"
 VERSION = 2
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
-
-
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
 
 _CHECKSUMS = {1: fnv1a64, 2: zlib.crc32}   # version -> checksum of the body
 

@@ -110,10 +110,8 @@ def _save_state(path, cfg, state):
 
 
 def _cmd_train(cfg, sections, out_dir: Path) -> int:
-    import numpy as np
-
     from . import rng as rngmod
-    from .distill import train
+    from .distill import REPORT_FIELDS, train
 
     def checkpoint_callback(state, iteration):
         _save_state(out_dir / f"checkpoint_{iteration:07d}.fdst", cfg, state)
@@ -121,8 +119,7 @@ def _cmd_train(cfg, sections, out_dir: Path) -> int:
     state, metrics = train(cfg, checkpoint_callback=checkpoint_callback)
 
     header = [
-        "iteration", "fdistill_loss", "gan_loss", "dsm_loss", "disc_loss",
-        "mean_h", "var_h", "mean_ratio", "forward_kl", "forward_kl_se",
+        "iteration", *REPORT_FIELDS, "forward_kl", "forward_kl_se",
         "reverse_kl", "reverse_kl_se", "modes_covered", "min_mode_mass",
     ]
     _write_csv(out_dir / "metrics.csv", header,

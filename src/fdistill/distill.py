@@ -12,7 +12,7 @@ makes a Gaussian student provably shrink its mean gap for every catalog
 divergence; see tests.)
 
 Ratios come from the discriminator logit or from an exact oracle (closed form
-for affine students, particle Monte one for MLP students), are clipped in log
+for affine students, particle Monte Carlo for MLP students), are clipped in log
 space, bin-normalized over noise levels (their expectation under the student
 is 1), passed through h, and batch-normalized again so the weighting keeps a
 stable scale relative to the GAN term.
@@ -22,6 +22,7 @@ denoiser plus discriminator, mirroring the two time-scale schedule.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple, Union
 
@@ -29,8 +30,9 @@ import numpy as np
 
 from . import rng as rngmod
 from .divergence import KINDS, DivergenceSpec, catalog, weight_h
-from .errors import ConfigError, DomainError, NumericsError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, DomainError, NumericsError, TrainingDiverged
 from .nets import Adam, FeedForwardNet, backward, forward, init_net, predict
+from .oracle import mode_coverage
 from .ratio_gan import (
     Discriminator,
     RatioClip,
@@ -44,7 +46,6 @@ from .teacher import (
     AffineGenerator,
     IsotropicGaussianMixture,
     NoiseSchedule,
-    affine_pushforward,
     log_density,
     make_teacher,
     particle_log_density,
@@ -58,7 +59,7 @@ __all__ = [
     "StepReport",
     "Batch",
     "MLPGenerator",
-    "AffineStudent",
+    "REPORT_FIELDS",
     "fdistill_generator_signal",
     "normalize_stage1",
     "normalize_stage2",
@@ -79,6 +80,23 @@ _ENUMS = {
     "generator_kind": ("mlp", "affine"),
     "gan_loss_form": ("nonsaturating", "minimax"),
 }
+
+# Field annotation -> (accepted types, description) for the typed run keys.
+# bool is an Integral, so it is rejected separately for int and float fields.
+_TYPES = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    bool: (bool, "true or false"),
+    Optional[int]: ((numbers.Integral, type(None)), "an integer or null"),
+}
+# Lower bounds of the numeric run keys: inclusive, then strictly positive.
+_AT_LEAST = {
+    **dict.fromkeys(("batch_size", "time_bins", "tau", "n_levels", "oracle_ratio_particles",
+                     "metrics_samples", "metrics_centers"), 1),
+    **dict.fromkeys(("total_iters", "gan_weight", "r1_gamma", "weight_decay",
+                     "metrics_interval", "checkpoint_interval"), 0),
+}
+_POSITIVE = ("lr_generator", "lr_denoiser", "lr_discriminator", "metrics_sigma", "coverage_k")
 
 
 @dataclass
@@ -128,6 +146,15 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            if f.type not in _TYPES:
+                continue
+            accepted, what = _TYPES[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, accepted) or (
+                isinstance(value, bool) and f.type is not bool
+            ):
+                raise ConfigError(f.name, f"must be {what}, got {value!r}")
         if isinstance(self.divergence, str):
             if self.divergence not in KINDS:
                 raise ConfigError(
@@ -135,37 +162,24 @@ class RunConfig:
                 )
         elif not isinstance(self.divergence, DivergenceSpec):
             raise ConfigError("divergence", "must be a catalog name or DivergenceSpec")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", "must be >= 1")
-        if self.time_bins < 1:
-            raise ConfigError("time_bins", "must be >= 1")
+        for name, lo in _AT_LEAST.items():
+            if getattr(self, name) < lo:
+                raise ConfigError(name, f"must be >= {lo}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(name, "must be > 0")
         if self.batch_size < 2 * self.time_bins:
             raise ConfigError(
                 "batch_size",
                 f"must average >= 2 samples per time bin ({2 * self.time_bins} for "
                 f"{self.time_bins} bins)",
             )
-        if self.tau < 1:
-            raise ConfigError("tau", "must be >= 1")
-        if self.total_iters < 0:
-            raise ConfigError("total_iters", "must be >= 0")
-        if self.gan_weight < 0.0:
-            raise ConfigError("gan_weight", "must be >= 0")
-        if self.r1_gamma < 0.0:
-            raise ConfigError("r1_gamma", "must be >= 0")
         try:
             RatioClip(self.r_min, self.r_max)
         except DomainError as exc:
             raise ConfigError("r_min", str(exc)) from exc
-        for name in ("lr_generator", "lr_denoiser", "lr_discriminator"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(name, "must be > 0")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay", "must be >= 0")
         if not (0.0 < self.sigma_min < self.sigma_max):
             raise ConfigError("sigma_min", "requires 0 < sigma_min < sigma_max")
-        if self.n_levels < 1:
-            raise ConfigError("n_levels", "must be >= 1")
         for name, allowed in _ENUMS.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(name, f"must be one of {allowed}")
@@ -189,17 +203,6 @@ class RunConfig:
             raise ConfigError("teacher", str(exc)) from exc
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ConfigError("latent_dim", "must be >= 1 when given")
-        for name in ("oracle_ratio_particles", "metrics_samples", "metrics_centers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be >= 1")
-        if self.metrics_interval < 0:
-            raise ConfigError("metrics_interval", "must be >= 0")
-        if self.checkpoint_interval < 0:
-            raise ConfigError("checkpoint_interval", "must be >= 0")
-        if self.metrics_sigma <= 0.0:
-            raise ConfigError("metrics_sigma", "must be > 0")
-        if self.coverage_k <= 0.0:
-            raise ConfigError("coverage_k", "must be > 0")
         if not (0.0 < self.coverage_threshold < 1.0):
             raise ConfigError("coverage_threshold", "must be in (0, 1)")
 
@@ -255,6 +258,10 @@ class MLPGenerator:
         return self.net.widths[-1]
 
     @property
+    def widths(self):
+        return self.net.widths
+
+    @property
     def params(self):
         return self.net.params
 
@@ -276,57 +283,9 @@ class MLPGenerator:
         return None
 
 
-class AffineStudent:
-    """Trainable isotropic affine student x = a z + b.
-
-    Restricting the matrix to a scalar multiple of the identity keeps the
-    pushforward law closed form throughout training, which is what the
-    exact-oracle ratio and score sources require.
-    """
-
-    def __init__(self, scale: float, bias: np.ndarray):
-        self.scale = float(scale)
-        self.bias = np.asarray(bias, dtype=float)
-
-    @property
-    def latent_dim(self):
-        return self.bias.shape[0]
-
-    @property
-    def dim(self):
-        return self.bias.shape[0]
-
-    @property
-    def params(self):
-        return np.concatenate([[self.scale], self.bias])
-
-    @params.setter
-    def params(self, value):
-        flat = np.asarray(value, dtype=float)
-        self.scale = float(flat[0])
-        self.bias = flat[1:].copy()
-
-    def forward_cached(self, z):
-        return self.scale * z + self.bias, z
-
-    def forward(self, z):
-        return self.scale * z + self.bias
-
-    def backward(self, ctx, out_grad):
-        z = ctx
-        return np.concatenate([[float(np.sum(out_grad * z))], out_grad.sum(axis=0)])
-
-    def exact_law(self) -> IsotropicGaussianMixture:
-        if self.scale == 0.0:
-            raise DomainError("affine student degenerated to zero scale")
-        return affine_pushforward(
-            AffineGenerator(matrix=self.scale * np.eye(self.dim), bias=self.bias), 0.0
-        )
-
-
 @dataclass
 class TrainState:
-    generator: Union[MLPGenerator, AffineStudent]
+    generator: Union[MLPGenerator, AffineGenerator]
     denoiser: Denoiser
     discriminator: Discriminator
     opt_generator: Adam
@@ -346,6 +305,11 @@ class StepReport:
     mean_h: Optional[float] = None
     var_h: Optional[float] = None
     mean_ratio: Optional[float] = None
+
+
+# The per-step statistics after `iteration` and `updated`: what `train` carries
+# forward between steps and what each metrics row reports.
+REPORT_FIELDS = tuple(f.name for f in fields(StepReport)[2:])
 
 
 @dataclass
@@ -468,7 +432,7 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
     if cfg.generator_kind == "affine":
         if latent != dim:
             raise ConfigError("latent_dim", "affine students require latent_dim == dim")
-        generator = AffineStudent(scale=1.0, bias=np.zeros(dim))
+        generator = AffineGenerator(matrix=np.eye(dim), bias=np.zeros(dim))
     else:
         net = init_net(
             (latent, *HIDDEN_WIDTHS, dim),
@@ -510,18 +474,15 @@ def draw_batch(cfg: RunConfig, schedule: NoiseSchedule, iteration: int,
     return Batch(t_idx=t_idx, sigma=sigma, z=z, eps=eps)
 
 
-def _oracle_log_ratio(state: TrainState, cfg: RunConfig,
-                      teacher: IsotropicGaussianMixture, points, sigma,
-                      iteration: int) -> np.ndarray:
+def _student_log_density(state: TrainState, points, sigma,
+                         stream: np.random.Generator, n_particles: int) -> np.ndarray:
+    """log q_sigma(points): exact for an affine student, otherwise estimated
+    from n_particles generator outputs drawn with `stream`."""
     law = state.generator.exact_law()
     if law is not None:
-        log_q = log_density(law, points, sigma)
-    else:
-        gen = rngmod.stream(cfg.seed, iteration, rngmod.STEP_PARTICLES)
-        z = gen.standard_normal((cfg.oracle_ratio_particles, state.generator.latent_dim))
-        centers = state.generator.forward(z)
-        log_q = particle_log_density(centers, points, sigma)
-    return log_density(teacher, points, sigma) - log_q
+        return log_density(law, points, sigma)
+    z = stream.standard_normal((n_particles, state.generator.latent_dim))
+    return particle_log_density(state.generator.forward(z), points, sigma)
 
 
 def _ratio_batch(state, cfg, teacher, y, x, sigma, iteration) -> np.ndarray:
@@ -533,7 +494,11 @@ def _ratio_batch(state, cfg, teacher, y, x, sigma, iteration) -> np.ndarray:
         log_r = clipped_log_ratio(state.discriminator, points, sigma, clip)
     else:
         ratio_sigma = 0.0 if cfg.ratio_at_clean else sigma
-        log_r = _oracle_log_ratio(state, cfg, teacher, points, ratio_sigma, iteration)
+        log_r = log_density(teacher, points, ratio_sigma) - _student_log_density(
+            state, points, ratio_sigma,
+            rngmod.stream(cfg.seed, iteration, rngmod.STEP_PARTICLES),
+            cfg.oracle_ratio_particles,
+        )
         lo, hi = clip.log_bounds
         log_r = np.clip(log_r, lo, hi)
     return np.exp(log_r)
@@ -545,14 +510,18 @@ def _fake_score_batch(state, cfg, x, sigma) -> np.ndarray:
     return fake_score(state.denoiser, x, sigma)
 
 
+def _trained_nets(state: TrainState):
+    """(name, parameter holder, optimizer) for each trained network."""
+    return (
+        ("generator", state.generator, state.opt_generator),
+        ("denoiser", state.denoiser.net, state.opt_denoiser),
+        ("discriminator", state.discriminator.net, state.opt_discriminator),
+    )
+
+
 def _check_finite_params(state: TrainState, names, report: StepReport):
-    nets = {
-        "generator": lambda: state.generator.params,
-        "denoiser": lambda: state.denoiser.net.params,
-        "discriminator": lambda: state.discriminator.net.params,
-    }
-    for name in names:
-        if not np.all(np.isfinite(nets[name]())):
+    for name, holder, _ in _trained_nets(state):
+        if name in names and not np.all(np.isfinite(holder.params)):
             raise TrainingDiverged(
                 f"non-finite {name} parameters at iteration {report.iteration}",
                 report=report,
@@ -673,24 +642,11 @@ def train_step(state: TrainState, cfg: RunConfig,
     return report
 
 
-def _student_log_density(state, cfg, points, sigma, center_stream):
-    law = state.generator.exact_law()
-    if law is not None:
-        return log_density(law, points, sigma)
-    z = center_stream.standard_normal(
-        (cfg.metrics_centers, state.generator.latent_dim)
-    )
-    centers = state.generator.forward(z)
-    return particle_log_density(centers, points, sigma)
-
-
 def compute_metrics(state: TrainState, cfg: RunConfig,
                     teacher: IsotropicGaussianMixture,
                     last: Optional[StepReport] = None) -> dict:
     """Monte-Carlo forward/reverse KL against the teacher at metrics_sigma,
     mode coverage of clean samples, and the latest weighting statistics."""
-    from .oracle import mode_coverage  # local import: oracle depends on teacher only
-
     it = state.iteration
     s = cfg.metrics_sigma
     n = cfg.metrics_samples
@@ -700,7 +656,7 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     ).standard_normal((n, teacher.dim))
     log_p = log_density(teacher, xs_p, s)
     log_q = _student_log_density(
-        state, cfg, xs_p, s, rngmod.stream(cfg.seed, it, rngmod.METRICS, 2)
+        state, xs_p, s, rngmod.stream(cfg.seed, it, rngmod.METRICS, 2), cfg.metrics_centers
     )
     fwd = log_p - log_q
     forward_kl = float(np.mean(fwd))
@@ -714,7 +670,7 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
         (n, teacher.dim)
     )
     log_q2 = _student_log_density(
-        state, cfg, xs_q, s, rngmod.stream(cfg.seed, it, rngmod.METRICS, 5)
+        state, xs_q, s, rngmod.stream(cfg.seed, it, rngmod.METRICS, 5), cfg.metrics_centers
     )
     rev = log_q2 - log_density(teacher, xs_q, s)
     reverse_kl = float(np.mean(rev))
@@ -737,72 +693,39 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
         "reverse_kl_se": reverse_kl_se,
         "modes_covered": modes_covered,
         "min_mode_mass": min_mode_mass,
-        "fdistill_loss": float("nan"),
-        "gan_loss": float("nan"),
-        "dsm_loss": float("nan"),
-        "disc_loss": float("nan"),
-        "mean_h": float("nan"),
-        "var_h": float("nan"),
-        "mean_ratio": float("nan"),
     }
-    if last is not None:
-        for key in ("fdistill_loss", "gan_loss", "dsm_loss", "disc_loss",
-                    "mean_h", "var_h", "mean_ratio"):
-            value = getattr(last, key, None)
-            if value is not None:
-                row[key] = value
+    for key in REPORT_FIELDS:
+        value = None if last is None else getattr(last, key)
+        row[key] = float("nan") if value is None else value
     return row
 
 
 def state_payloads(state: TrainState):
     """Serializable (name, widths, params, adam) tuples for checkpointing."""
-    from .checkpoint import NetworkPayload
+    from .checkpoint import NetworkPayload  # loaded at the first save, not before training
 
-    if isinstance(state.generator, AffineStudent):
-        gen_widths = (state.generator.latent_dim, state.generator.dim)
-    else:
-        gen_widths = state.generator.net.widths
-    return [
-        NetworkPayload("generator", gen_widths, state.generator.params,
-                       state.opt_generator.state),
-        NetworkPayload("denoiser", state.denoiser.net.widths,
-                       state.denoiser.net.params, state.opt_denoiser.state),
-        NetworkPayload("discriminator", state.discriminator.net.widths,
-                       state.discriminator.net.params, state.opt_discriminator.state),
-    ]
+    return [NetworkPayload(name, holder.widths, holder.params, opt.state)
+            for name, holder, opt in _trained_nets(state)]
 
 
 def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
     """Rebuild a TrainState from checkpoint payloads; exact inverse of
     state_payloads given the same config."""
-    from .errors import CheckpointError
-
     by_name = {p.name: p for p in payloads}
     missing = {"generator", "denoiser", "discriminator"} - set(by_name)
     if missing:
         raise CheckpointError(f"checkpoint missing networks: {sorted(missing)}")
     teacher = make_teacher(cfg.teacher)
     state = init_state(cfg, teacher)
-    for name, setter in (
-        ("generator", lambda p: setattr(state.generator, "params", p)),
-        ("denoiser", lambda p: setattr(state.denoiser.net, "params", p)),
-        ("discriminator", lambda p: setattr(state.discriminator.net, "params", p)),
-    ):
+    for name, holder, opt in _trained_nets(state):
         payload = by_name[name]
-        current = {
-            "generator": state.generator.params,
-            "denoiser": state.denoiser.net.params,
-            "discriminator": state.discriminator.net.params,
-        }[name]
-        if payload.params.shape != current.shape:
+        if payload.params.shape != holder.params.shape:
             raise CheckpointError(
                 f"checkpoint {name} has {payload.params.size} parameters, "
-                f"config implies {current.size}"
+                f"config implies {holder.params.size}"
             )
-        setter(payload.params.copy())
-    state.opt_generator.state = by_name["generator"].adam
-    state.opt_denoiser.state = by_name["denoiser"].adam
-    state.opt_discriminator.state = by_name["discriminator"].adam
+        holder.params = payload.params.copy()
+        opt.state = payload.adam
     state.iteration = int(iteration)
     return state
 
@@ -821,11 +744,10 @@ def train(cfg: RunConfig, checkpoint_callback=None):
     merged = StepReport(iteration=0, updated=())
     for _ in range(cfg.total_iters):
         report = train_step(state, cfg, teacher, schedule)
-        for f in ("fdistill_loss", "gan_loss", "dsm_loss", "disc_loss",
-                  "mean_h", "var_h", "mean_ratio"):
-            value = getattr(report, f)
+        for key in REPORT_FIELDS:
+            value = getattr(report, key)
             if value is not None:
-                setattr(merged, f, value)
+                setattr(merged, key, value)
         done = state.iteration
         if cfg.metrics_interval > 0 and (
             done % cfg.metrics_interval == 0 or done == cfg.total_iters

@@ -29,6 +29,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._numerics import sigmoid, softplus
 from .errors import DomainError
 
 __all__ = [
@@ -53,15 +54,6 @@ KINDS = (
 )
 
 _LOG2 = np.log(2.0)
-
-
-def _softplus(x):
-    # log(1 + e^x), stable for large |x|
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
 
 
 def _as_float_array(x, name: str):
@@ -100,15 +92,6 @@ class DivergenceSpec:
     h: Optional[Callable] = None
     f_log: Optional[Callable] = None
     h_log: Optional[Callable] = None
-    mode_seeking: str = "high"          # high | medium | low
-    saturating: bool = False
-    variance_class: str = "none"        # none | low | high
-
-    def weight(self, r):
-        return weight_h(self, r)
-
-    def weight_log(self, log_r):
-        return weight_h_log(self, log_r)
 
 
 @dataclass(frozen=True)
@@ -150,16 +133,13 @@ def _row_reverse_kl():
         h=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         f_log=lambda u: -np.asarray(u, dtype=float),
         h_log=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        mode_seeking="high",
-        saturating=False,
-        variance_class="none",
     )
 
 
 def _row_softened_rkl():
     def f_log(u):
         u = np.asarray(u, dtype=float)
-        return (np.exp(u) + 1.0) * (_softplus(-u) - _LOG2)
+        return (np.exp(u) + 1.0) * (softplus(-u) - _LOG2)
 
     return DivergenceSpec(
         kind="softened-rkl",
@@ -170,10 +150,7 @@ def _row_softened_rkl():
         / (np.asarray(r, dtype=float) ** 2 * (np.asarray(r, dtype=float) + 1.0)),
         h=lambda r: 1.0 / (np.asarray(r, dtype=float) + 1.0),
         f_log=f_log,
-        h_log=lambda u: _sigmoid(-np.asarray(u, dtype=float)),
-        mode_seeking="high",
-        saturating=False,
-        variance_class="low",
+        h_log=lambda u: sigmoid(-np.asarray(u, dtype=float)),
     )
 
 
@@ -181,7 +158,7 @@ def _row_jensen_shannon():
     def f_log(u):
         u = np.asarray(u, dtype=float)
         r = np.exp(u)
-        return u * r - (r + 1.0) * (_softplus(u) - _LOG2)
+        return u * r - (r + 1.0) * (softplus(u) - _LOG2)
 
     return DivergenceSpec(
         kind="jensen-shannon",
@@ -193,10 +170,7 @@ def _row_jensen_shannon():
         / (np.asarray(r, dtype=float) * (np.asarray(r, dtype=float) + 1.0)),
         h=lambda r: np.asarray(r, dtype=float) / (np.asarray(r, dtype=float) + 1.0),
         f_log=f_log,
-        h_log=lambda u: _sigmoid(np.asarray(u, dtype=float)),
-        mode_seeking="medium",
-        saturating=True,
-        variance_class="low",
+        h_log=lambda u: sigmoid(np.asarray(u, dtype=float)),
     )
 
 
@@ -209,9 +183,6 @@ def _row_squared_hellinger():
         h=lambda r: 0.25 * np.sqrt(np.asarray(r, dtype=float)),
         f_log=lambda u: -np.expm1(0.5 * np.asarray(u, dtype=float)),
         h_log=lambda u: 0.25 * np.exp(0.5 * np.asarray(u, dtype=float)),
-        mode_seeking="medium",
-        saturating=True,
-        variance_class="low",
     )
 
 
@@ -224,9 +195,6 @@ def _row_forward_kl():
         h=lambda r: np.asarray(r, dtype=float),
         f_log=lambda u: np.asarray(u, dtype=float) * np.exp(u),
         h_log=lambda u: np.exp(np.asarray(u, dtype=float)),
-        mode_seeking="low",
-        saturating=False,
-        variance_class="high",
     )
 
 
@@ -241,9 +209,6 @@ def _row_jeffreys():
         h=lambda r: np.asarray(r, dtype=float) + 1.0,
         f_log=lambda u: np.expm1(u) * np.asarray(u, dtype=float),
         h_log=lambda u: np.exp(np.asarray(u, dtype=float)) + 1.0,
-        mode_seeking="low",
-        saturating=False,
-        variance_class="high",
     )
 
 
@@ -350,7 +315,4 @@ def make_custom(h: Callable, probe_grid=None) -> DivergenceSpec:
         kind="custom",
         h=h_checked,
         h_log=lambda u: h_checked(np.exp(np.asarray(u, dtype=float))),
-        mode_seeking="high",
-        saturating=False,
-        variance_class="none",
     )

@@ -18,6 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ._numerics import sigmoid
 from .errors import DomainError, NumericsError
 
 __all__ = [
@@ -49,15 +50,6 @@ _EMBED_FREQS = np.geomspace(0.2, 3.0, EMBED_DIM // 2)
 # passes evaluate the transcendental once per layer.
 
 
-def _sigmoid(z):
-    # 0.5 * (1 + tanh(z / 2)), evaluated in one buffer
-    s = np.multiply(z, 0.5)
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
-    return s
-
-
 def _tanh_value(z, t, out=None):
     return t
 
@@ -85,7 +77,7 @@ def _silu_d2(z, s):
 # name -> (shared intermediate, value, first derivative, second derivative)
 _ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_value, _tanh_d1, _tanh_d2),
-    "silu": (_sigmoid, _silu_value, _silu_d1, _silu_d2),
+    "silu": (sigmoid, _silu_value, _silu_d1, _silu_d2),
 }
 
 

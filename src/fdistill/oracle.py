@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import rng as rngmod
 from .divergence import DivergenceSpec, catalog, weight_h_log
@@ -22,6 +21,7 @@ from .teacher import (
     AffineGenerator,
     IsotropicGaussianMixture,
     affine_pushforward,
+    draw,
     log_density,
     perturb,
     score,
@@ -119,20 +119,14 @@ def mc_f_divergence(kind, sample_q: Callable, log_p: Callable, log_q: Callable,
 
 def mixture_sampler(gm: IsotropicGaussianMixture) -> Callable:
     """sample_q adapter drawing from a mixture with the provided stream."""
-
-    def draw(n, gen: np.random.Generator):
-        u = gen.random(n)
-        idx = np.searchsorted(np.cumsum(gm.weights), u, side="right")
-        idx = np.minimum(idx, gm.n_components - 1)
-        eps = gen.standard_normal((n, gm.dim))
-        return gm.means[idx] + np.sqrt(gm.variances[idx])[:, None] * eps
-
-    return draw
+    return lambda n, gen: draw(gm, n, gen)
 
 
 def quadrature_f_divergence_1d(kind, p: IsotropicGaussianMixture,
                                q: IsotropicGaussianMixture) -> float:
     """Adaptive quadrature of q(x) f(p(x)/q(x)) for 1-D mixtures."""
+    from scipy import integrate  # only this oracle needs it; keeps it off `train`
+
     spec = catalog(kind)
     if p.dim != 1 or q.dim != 1:
         raise DomainError("quadrature oracle is one-dimensional")

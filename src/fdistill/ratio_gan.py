@@ -6,7 +6,8 @@ The scalar head output is interpreted as a logit, so D = sigmoid(logit) and
 
 is the density-ratio estimate; at the Bayes optimum the logit converges to
 log p_sigma(x) - log q_sigma(x). Ratios are clipped in log space before any
-exponentiation.
+exponentiation. Every network input passes `nets.sigma_embedding`, which
+rejects sigma <= 0 before any parameter changes.
 
 The discriminator objective is the noised logistic GAN loss plus an R1
 gradient penalty on real inputs. The generator side defaults to the
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import sigma_batch, sigmoid, softplus
 from .errors import DomainError, NumericsError
 from .nets import (
     EMBED_DIM,
@@ -40,14 +42,6 @@ __all__ = [
     "disc_update",
     "gan_generator_grad",
 ]
-
-
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass(frozen=True)
@@ -85,17 +79,6 @@ def disc_init(dim, gen, sigma_data=1.0, hidden=(128, 128), activation="silu",
     return Discriminator(net=net, sigma_data=float(sigma_data), precondition=precondition)
 
 
-def _sigma_batch(sigma, n):
-    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sig.shape == (1,):
-        sig = np.full(n, sig[0])
-    if sig.shape != (n,):
-        raise DomainError(f"sigma batch must have shape ({n},), got {sig.shape}")
-    if np.any(sig <= 0.0):
-        raise DomainError("discriminator conditioning requires sigma > 0")
-    return sig
-
-
 def _c_in(disc: Discriminator, sig: np.ndarray):
     if not disc.precondition:
         return np.ones_like(sig)
@@ -117,7 +100,7 @@ def _logit_cached(disc: Discriminator, x: np.ndarray, sig: np.ndarray):
 def logit(disc: Discriminator, x, sigma) -> np.ndarray:
     """Raw logit of D(x, sigma), shape (B,)."""
     x = np.asarray(x, dtype=float)
-    sig = _sigma_batch(sigma, x.shape[0])
+    sig = sigma_batch(sigma, x.shape[0])
     inp, _ = _disc_input(disc, x, sig)
     return predict(disc.net, inp)[:, 0]
 
@@ -157,7 +140,7 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
     if real.ndim != 2 or real.shape[1] != disc.dim:
         raise DomainError(f"batches must have shape (batch, {disc.dim}), got {real.shape}")
     n, dim = real.shape[0], disc.dim
-    sig = _sigma_batch(sigma, n)
+    sig = sigma_batch(sigma, n)
     c_in = _c_in(disc, sig)
     x_real = real + sig[:, None] * np.asarray(noise_real, dtype=float)
     x_fake = fake + sig[:, None] * np.asarray(noise_fake, dtype=float)
@@ -168,11 +151,11 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
 
     out, cache = forward(disc.net, inp)
     ell_r, ell_f = out[:n, 0], out[n:, 0]
-    loss = float(np.mean(_softplus(-ell_r)) + np.mean(_softplus(ell_f)))
+    loss = float(np.mean(softplus(-ell_r)) + np.mean(softplus(ell_f)))
 
     g = np.empty((2 * n, 1))
-    g[:n, 0] = -_sigmoid(-ell_r) / n
-    g[n:, 0] = _sigmoid(ell_f) / n
+    g[:n, 0] = -sigmoid(-ell_r) / n
+    g[n:, 0] = sigmoid(ell_f) / n
     pgrad, _ = backward(disc.net, cache, g, input_grad=False, split=n)
 
     if r1_gamma > 0.0:
@@ -202,14 +185,14 @@ def gan_generator_grad(disc: Discriminator, y, sigma, noise,
     (gradient (B, dim), the logits of the noised batch (B,)).
     """
     y = np.asarray(y, dtype=float)
-    sig = _sigma_batch(sigma, y.shape[0])
+    sig = sigma_batch(sigma, y.shape[0])
     x = y + sig[:, None] * np.asarray(noise, dtype=float)
     ell, _, cache, c_in = _logit_cached(disc, x, sig)
     n = y.shape[0]
     if form == "nonsaturating":
-        dldell = -_sigmoid(-ell) / n
+        dldell = -sigmoid(-ell) / n
     elif form == "minimax":
-        dldell = -_sigmoid(ell) / n
+        dldell = -sigmoid(ell) / n
     else:
         raise DomainError(f"unknown generator GAN loss form {form!r}")
     _, input_grad = backward(disc.net, cache, dldell[:, None], param_grad=False)

@@ -10,9 +10,7 @@ keyed by i, never a shared cursor.
 
 import numpy as np
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+from ._numerics import MASK64, fnv1a64
 
 # Stream purposes. Values are part of the determinism contract: changing them
 # changes every run's random numbers.
@@ -24,22 +22,14 @@ STEP_LATENT = 11
 STEP_NOISE = 12
 STEP_GAN_NOISE = 13
 STEP_DSM_NOISE = 14
-STEP_REAL = 15
 STEP_REAL_NOISE = 16
 STEP_FAKE_NOISE = 17
 STEP_PARTICLES = 18
 METRICS = 20
 
 
-def _mix(path) -> int:
-    h = _FNV_OFFSET
-    for v in path:
-        h ^= int(v) & _MASK64
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream for the given (seed, path) coordinates."""
-    key = np.array([int(seed) & _MASK64, _mix(path)], dtype=np.uint64)
+    key = np.array([int(seed) & MASK64, fnv1a64(int(v) & MASK64 for v in path)],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import sigma_batch
 from .errors import DomainError, NumericsError
 from .nets import (
     EMBED_DIM,
@@ -47,15 +48,6 @@ def denoiser_init(dim, gen, sigma_data=1.0, hidden=(128, 128), activation="silu"
     # zero-initialized head: the initial score is that of N(0, (sigma_data^2+sigma^2) I)
     net = init_net((dim + EMBED_DIM, *hidden, dim), activation, gen, final="zero")
     return Denoiser(net=net, sigma_data=float(sigma_data), precondition=precondition)
-
-
-def _sigma_batch(sigma, n):
-    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sig.shape == (1,):
-        sig = np.full(n, sig[0])
-    if sig.shape != (n,):
-        raise DomainError(f"sigma batch must have shape ({n},), got {sig.shape}")
-    return sig
 
 
 def _coeffs(den: Denoiser, sig: np.ndarray):
@@ -89,7 +81,7 @@ def _denoise(den: Denoiser, x: np.ndarray, sig: np.ndarray, cached: bool):
 def denoise(den: Denoiser, x, sigma) -> np.ndarray:
     """Predicted clean samples x0_hat(x, sigma)."""
     x = np.asarray(x, dtype=float)
-    sig = _sigma_batch(sigma, x.shape[0])
+    sig = sigma_batch(sigma, x.shape[0])
     if np.any(sig <= 0.0):
         raise DomainError("denoiser conditioning requires sigma > 0")
     x0_hat, _, _ = _denoise(den, x, sig, cached=False)
@@ -103,7 +95,7 @@ def fake_score(den, x, sigma) -> np.ndarray:
     denoisers in tests) in addition to Denoiser.
     """
     x = np.asarray(x, dtype=float)
-    sig = _sigma_batch(sigma, x.shape[0])
+    sig = sigma_batch(sigma, x.shape[0])
     if np.any(sig == 0.0):
         raise DomainError("score undefined at zero noise for denoiser parameterization")
     if np.any(sig < 0.0):
@@ -126,7 +118,7 @@ def dsm_update(den: Denoiser, adam, x0, sigma, noise, sigma_cap: float = 0.002) 
     if noise.shape != x0.shape:
         raise DomainError(f"noise shape {noise.shape} must match x0 {x0.shape}")
     n = x0.shape[0]
-    sig = _sigma_batch(sigma, n)
+    sig = sigma_batch(sigma, n)
     if np.any(sig <= 0.0):
         raise DomainError("DSM requires sigma > 0")
     x_noisy = x0 + sig[:, None] * noise

@@ -5,13 +5,16 @@ noise perturbation p_sigma = p * N(0, sigma^2 I) are all closed form, so any
 quantity the training loop approximates (ratios, scores, divergences) can be
 checked against this module exactly.
 
-`AffineGenerator` is the oracle-side student: pushing a standard normal
-latent through x = A z + b gives an exactly Gaussian output law, which keeps
-the student's perturbed density and score in closed form too.
+`AffineGenerator` is the package's one affine student: pushing a standard
+normal latent through x = A z + b gives an exactly Gaussian output law, which
+keeps the student's perturbed density and score in closed form too. With
+A = a I it is also a trainable generator (flat parameters [a, *b]) for the
+exact-oracle ratio and score sources; a general A serves the oracles.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -29,6 +32,7 @@ __all__ = [
     "score",
     "perturb",
     "sample",
+    "draw",
     "affine_pushforward",
     "particle_log_density",
     "ring8",
@@ -165,7 +169,11 @@ def sample(gm: IsotropicGaussianMixture, n: int, seed: int, counter: int = 0) ->
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    gen = rngmod.stream(seed, counter, 0xFD)
+    return draw(gm, n, rngmod.stream(seed, counter, 0xFD))
+
+
+def draw(gm: IsotropicGaussianMixture, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n draws from the given stream: component by inverse CDF, then noise."""
     u = gen.random(n)
     idx = np.searchsorted(np.cumsum(gm.weights), u, side="right")
     idx = np.minimum(idx, gm.n_components - 1)
@@ -187,9 +195,12 @@ class NoiseSchedule:
         if self.n_levels < 1:
             raise DomainError("schedule requires n_levels >= 1")
 
-    @property
+    @cached_property
     def levels(self) -> np.ndarray:
-        return np.geomspace(self.sigma_min, self.sigma_max, self.n_levels)
+        """The sigma ladder, built once per schedule and read-only."""
+        ladder = np.geomspace(self.sigma_min, self.sigma_max, self.n_levels)
+        ladder.flags.writeable = False
+        return ladder
 
     def time_weight(self, sigma):
         return np.asarray(sigma, dtype=float) ** 2
@@ -243,8 +254,10 @@ class AffineGenerator:
     """Student map x = A z + b with standard normal latent z.
 
     The pushforward is exactly N(b, A A^T), so perturbed densities, scores
-    and ratios against an analytic teacher stay closed form. Training paths
-    require isotropic A = a I; anything else is oracle-only.
+    and ratios against an analytic teacher stay closed form. The training
+    interface (`params`, `forward_cached`, `backward`, `exact_law`) is the
+    isotropic student A = a I with flat parameters [a, *b]; any other A is
+    oracle-only.
     """
 
     matrix: np.ndarray
@@ -266,35 +279,56 @@ class AffineGenerator:
     def latent_dim(self) -> int:
         return self.matrix.shape[1]
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return z @ self.matrix.T + self.bias
+    @property
+    def widths(self):
+        return (self.latent_dim, self.dim)
 
     def isotropic_scale(self) -> Optional[float]:
         """a such that A = a I, or None if A is not an isotropic square map."""
         if self.matrix.shape[0] != self.matrix.shape[1]:
             return None
         a = self.matrix[0, 0]
-        if np.allclose(self.matrix, a * np.eye(self.dim), rtol=0.0, atol=1e-12):
+        # equal_nan: a non-finite a set through `params` stays readable, so the
+        # training loop reports it as divergence rather than a domain error
+        if np.allclose(self.matrix, a * np.eye(self.dim), rtol=0.0, atol=1e-12,
+                       equal_nan=True):
             return float(a)
         return None
 
-    # Flat parameter interface used by the training loop.
+    @property
+    def scale(self) -> float:
+        """a of the isotropic student A = a I."""
+        a = self.isotropic_scale()
+        if a is None:
+            raise DomainError("the affine training interface needs A = a I")
+        return a
+
+    def forward(self, z: np.ndarray) -> np.ndarray:
+        # a z for A = a I: the trained student's outputs depend on these bits
+        a = self.isotropic_scale()
+        return (z @ self.matrix.T if a is None else a * z) + self.bias
+
+    def forward_cached(self, z: np.ndarray):
+        return self.forward(z), z
+
     @property
     def params(self) -> np.ndarray:
-        return np.concatenate([self.matrix.ravel(), self.bias])
+        return np.concatenate([[self.scale], self.bias])
 
     @params.setter
-    def params(self, flat: np.ndarray):
-        flat = np.asarray(flat, dtype=float)
-        n = self.matrix.size
-        self.matrix = flat[:n].reshape(self.matrix.shape)
-        self.bias = flat[n:].copy()
+    def params(self, value):
+        flat = np.asarray(value, dtype=float)
+        self.matrix = float(flat[0]) * np.eye(flat.size - 1)
+        self.bias = flat[1:].copy()
 
-    def param_grad(self, z: np.ndarray, out_grad: np.ndarray) -> np.ndarray:
-        """Gradient of sum_i out_grad_i . x_i with respect to (A, b)."""
-        g_a = out_grad.T @ z
-        g_b = out_grad.sum(axis=0)
-        return np.concatenate([g_a.ravel(), g_b])
+    def backward(self, z: np.ndarray, out_grad: np.ndarray) -> np.ndarray:
+        """Gradient of sum_i out_grad_i . x_i with respect to [a, *b]."""
+        return np.concatenate([[float(np.sum(out_grad * z))], out_grad.sum(axis=0)])
+
+    def exact_law(self) -> IsotropicGaussianMixture:
+        if self.scale == 0.0:
+            raise DomainError("affine student degenerated to zero scale")
+        return affine_pushforward(self, 0.0)
 
 
 def affine_pushforward(

@@ -69,6 +69,20 @@ class TestConfigHandling:
         assert code == 2
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 32.5),      # float on an int field
+        ("total_iters", 3.0),      # integral float on an int field
+        ("seed", True),            # bool on an int field
+        ("gan_weight", "x"),       # string on a float field
+    ])
+    def test_mistyped_value_exits_2_with_one_line(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {**TINY_TRAIN, key: value})
+        code = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{key}'")
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_teacher_preset_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring9"})
         code = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])

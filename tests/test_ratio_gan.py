@@ -5,6 +5,7 @@ import pytest
 
 from fdistill import nets, ratio_gan as rg
 from fdistill import rng as rngmod
+from fdistill._numerics import sigmoid
 from fdistill.errors import DomainError
 
 CLIP = rg.RatioClip(1e-3, 1e3)
@@ -175,8 +176,8 @@ class TestDiscUpdate:
         xf = fake + sig[:, None] * ef
         ell_r, inp_r, cache_r, c_in = rg._logit_cached(probe_disc, xr, sig)
         ell_f, _, cache_f, _ = rg._logit_cached(probe_disc, xf, sig)
-        g_real = (-rg._sigmoid(-ell_r) / 8)[:, None]
-        g_fake = (rg._sigmoid(ell_f) / 8)[:, None]
+        g_real = (-sigmoid(-ell_r) / 8)[:, None]
+        g_fake = (sigmoid(ell_f) / 8)[:, None]
         pg_r, _ = nets.backward(probe_disc.net, cache_r, g_real)
         pg_f, _ = nets.backward(probe_disc.net, cache_f, g_fake)
         _, igrad = nets.backward(probe_disc.net, cache_r, np.ones((8, 1)))
@@ -207,8 +208,8 @@ class TestStackedDiscUpdate:
         ell_r, inp_r, cache_r, c_in = rg._logit_cached(disc, real + sig[:, None] * er, sig)
         ell_f, _, cache_f, _ = rg._logit_cached(disc, fake + sig[:, None] * ef, sig)
         loss = float(np.mean(np.logaddexp(0.0, -ell_r)) + np.mean(np.logaddexp(0.0, ell_f)))
-        pg_r, _ = nets.backward(disc.net, cache_r, (-rg._sigmoid(-ell_r) / n)[:, None])
-        pg_f, _ = nets.backward(disc.net, cache_f, (rg._sigmoid(ell_f) / n)[:, None])
+        pg_r, _ = nets.backward(disc.net, cache_r, (-sigmoid(-ell_r) / n)[:, None])
+        pg_f, _ = nets.backward(disc.net, cache_f, (sigmoid(ell_f) / n)[:, None])
         pgrad = pg_r + pg_f
         if r1_gamma > 0.0:
             _, _, cache_r1, _ = rg._logit_cached(disc, real + sig[:, None] * er, sig)
@@ -244,6 +245,7 @@ class TestStackedDiscUpdate:
             assert adam.state.v.tobytes() == state_ref.v.tobytes()
 
 
+@pytest.mark.slow
 class TestBayesOptimalRecovery:
     SIGMA = 0.05
 

@@ -256,6 +256,67 @@ class TestAffinePushforward:
         np.testing.assert_allclose(xs.var(axis=0), law.variances[0], rtol=0.02)
 
 
+def ref_student(a, b):
+    """The trainable isotropic student x = a z + b, written out directly."""
+
+    def forward(z):
+        return a * z + b
+
+    def backward(z, g):
+        return np.concatenate([[float(np.sum(g * z))], g.sum(axis=0)])
+
+    return forward, backward
+
+
+class TestAffineTrainingInterface:
+    @pytest.mark.parametrize("a", [1.0, 0.37, -1.25])
+    @pytest.mark.parametrize("batch", [1, 7, 128])
+    def test_matches_direct_arithmetic_bitwise(self, a, batch):
+        b = np.array([0.3, -1.7])
+        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.zeros(2))
+        gen.params = np.concatenate([[a], b])
+        stream = rngmod.stream(11, batch)
+        z = stream.standard_normal((batch, 2))
+        g = stream.standard_normal((batch, 2))
+        forward, backward = ref_student(a, b)
+        assert gen.forward(z).tobytes() == forward(z).tobytes()
+        y, ctx = gen.forward_cached(z)
+        assert y.tobytes() == forward(z).tobytes()
+        assert gen.backward(ctx, g).tobytes() == backward(z, g).tobytes()
+
+    def test_params_round_trip(self):
+        gen = tc.AffineGenerator(matrix=np.eye(3), bias=np.zeros(3))
+        flat = np.array([-0.8, 1.0, 2.5, -3.0])
+        gen.params = flat
+        assert gen.params.tobytes() == flat.tobytes()
+        np.testing.assert_array_equal(gen.matrix, -0.8 * np.eye(3))
+        assert gen.widths == (3, 3)
+
+    def test_exact_law(self):
+        gen = tc.AffineGenerator(matrix=-1.5 * np.eye(2), bias=np.array([0.5, 1.0]))
+        law = gen.exact_law()
+        assert law.variances.tolist() == [2.25]
+        assert law.means.tolist() == [[0.5, 1.0]]
+
+    def test_zero_scale_rejected(self):
+        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.zeros(2))
+        gen.params = np.zeros(3)
+        with pytest.raises(DomainError, match="zero scale"):
+            gen.exact_law()
+
+    def test_non_isotropic_matrix_has_no_training_params(self):
+        gen = tc.AffineGenerator(matrix=np.array([[1.0, 0.5], [0.0, 1.0]]), bias=np.zeros(2))
+        with pytest.raises(DomainError):
+            gen.params
+        z = rngmod.stream(12, 1).standard_normal((5, 2))
+        np.testing.assert_array_equal(gen.forward(z), z @ gen.matrix.T)
+
+    def test_non_finite_scale_stays_readable(self):
+        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.zeros(2))
+        gen.params = np.array([np.nan, 0.0, 1.0])
+        assert np.isnan(gen.params[0]) and gen.params[2] == 1.0
+
+
 class TestParticleDensity:
     def test_matches_exact_law_for_affine(self):
         gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.array([0.5, 0.5]))
@@ -281,6 +342,19 @@ class TestSchedule:
         assert levels[-1] == pytest.approx(80.0)
         ratios = levels[1:] / levels[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
+
+    def test_levels_built_once_read_only_and_bitwise_geomspace(self, monkeypatch):
+        sched = tc.NoiseSchedule(sigma_min=0.01, sigma_max=50.0, n_levels=40)
+        levels = sched.levels
+        assert levels.tobytes() == np.geomspace(0.01, 50.0, 40).tobytes()
+        assert not levels.flags.writeable
+        calls = []
+        real = np.geomspace
+        monkeypatch.setattr(np, "geomspace", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for i in range(3):
+            idx, sig = sched.draw_levels(rngmod.stream(0, i), 16)
+            assert sig.tobytes() == levels[idx].tobytes()
+        assert calls == [] and sched.levels is levels
 
     def test_weights_positive_finite(self):
         sched = tc.NoiseSchedule()
