@@ -1,7 +1,7 @@
 """Helpers shared across the package, defined once so that every caller
-performs the same IEEE operations: sigmoid, softplus, the sigma-batch
-broadcast, and the FNV-1a 64 hash behind the random-stream keys and
-version-1 checkpoint checksums."""
+performs the same IEEE operations: sigmoid, softplus, the row-wise
+log-sum-exp, the sigma-batch broadcast, and the FNV-1a 64 hash behind the
+random-stream keys and version-1 checkpoint checksums."""
 
 import numpy as np
 
@@ -24,6 +24,41 @@ def sigmoid(z):
 def softplus(x):
     """log(1 + e^x), stable for large |x|."""
     return np.logaddexp(0.0, x)
+
+
+def logsumexp(a, keepdims=False, overwrite_a=False):
+    """log(sum(exp(a), axis=1)) of a 2-D float array, bit for bit equal to
+    SciPy's `special.logsumexp(a, axis=1)`.
+
+    Performs SciPy's IEEE operations in its order: the row max is split out
+    of the sum as its tie count m, the other terms are summed as
+    exp(a - max), and the result is log1p(s / m) + log(m) + max. A row whose
+    max is not finite (a NaN, a +inf, or all -inf) takes SciPy's fallback
+    log(sum(exp(a))). With `overwrite_a` the caller's float64 array is the
+    scratch buffer and holds garbage afterwards.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise DomainError(f"logsumexp needs a 2-D array with columns, got shape {a.shape}")
+    top = a.max(axis=1, keepdims=True)
+    ties = a == top
+    m = ties.sum(axis=1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bad = ~np.isfinite(top[:, 0])
+        # read before `a` is overwritten; a finite max gives a finite result
+        # (log1p(s) + log(m) is below 2 log(1 + columns))
+        fallback = np.log(np.exp(a[bad]).sum(axis=1, keepdims=True)) if bad.any() else None
+        e = np.subtract(a, top, out=a if overwrite_a else None)
+        np.exp(e, out=e)
+        e -= ties   # SciPy sets the ties to -inf first; exp(0) - 1 is the same +0
+        s = e.sum(axis=1, keepdims=True)
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s)
+        out += np.log(m)
+        out += top
+    if fallback is not None:
+        out[bad] = fallback
+    return out if keepdims else out[:, 0]
 
 
 def sigma_batch(sigma, n: int) -> np.ndarray:

@@ -18,9 +18,11 @@ Layout (all integers little-endian):
                      zero-extended) in version 2, FNV-1a 64 in version 1
 
 Versions 1 and 2 differ only in the checksum. Round trips are bitwise
-lossless; loads reject bad magic, unknown versions, truncation, and checksum
-mismatches. A save writes a hidden temporary file in the target directory and
-renames it over the target, so a reader never sees a partial checkpoint.
+lossless; loads reject bad magic, unknown versions, truncation, checksum
+mismatches, text fields that are not UTF-8 and a config echo that is not a
+JSON object, each with `CheckpointError`. A save writes a hidden temporary
+file in the target directory and renames it over the target, so a reader
+never sees a partial checkpoint.
 """
 
 import contextlib
@@ -116,6 +118,15 @@ class _Reader:
     def f64s(self, n: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * n), dtype="<f8").astype(float)
 
+    def text(self, what: str) -> str:
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{what} is not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from exc
+
 
 def load_checkpoint(path):
     """Returns (config_dict, iteration, [NetworkPayload...])."""
@@ -136,11 +147,16 @@ def load_checkpoint(path):
     expected = struct.unpack("<Q", checksum_bytes)[0]
     if _CHECKSUMS[version](body) != expected:
         raise CheckpointError("checksum mismatch: checkpoint is corrupt")
-    config_dict = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    try:
+        config_dict = json.loads(reader.text("config echo"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"config echo is not JSON ({exc})") from exc
+    if not isinstance(config_dict, dict):
+        raise CheckpointError("config echo is not a JSON object")
     iteration = reader.u64()
     networks = []
     for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8")
+        name = reader.text("network name")
         widths = tuple(reader.u32() for _ in range(reader.u32()))
         n_params = reader.u64()
         params = reader.f64s(n_params)

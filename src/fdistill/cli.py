@@ -181,13 +181,18 @@ def _cmd_gradcheck(cfg, sections, out_dir: Path) -> int:
 
 def _cmd_variance(cfg, sections, out_dir: Path) -> int:
     from .divergence import KINDS
+    from .errors import ConfigError
     from .oracle import normalized_variance_curve
 
     params = _section(sections, "variance", {
         "n": 1000000, "gaps": [0.25, 0.5, 1.0, 1.5, 2.0], "kinds": list(KINDS),
     })
+    kinds = params["kinds"]
+    if not isinstance(kinds, list) or any(k not in KINDS for k in kinds):
+        raise ConfigError("variance.kinds", f"must be a list of divergence names "
+                          f"(known: {', '.join(KINDS)}), got {kinds!r}")
     rows = []
-    for kind in params["kinds"]:
+    for kind in kinds:
         estimates = normalized_variance_curve(
             kind, params["gaps"], n=int(params["n"]), seed=cfg.seed
         )
@@ -228,13 +233,17 @@ def _cmd_table(cfg, sections, out_dir: Path) -> int:
 def _cmd_weightmap(cfg, sections, out_dir: Path) -> int:
     import numpy as np
 
-    from .errors import ConfigError
+    from .errors import ConfigError, DomainError
     from .oracle import weight_score_map
     from .teacher import IsotropicGaussianMixture, make_teacher
 
     params = _section(sections, "weightmap", {
         "sigma": 0.5, "bound": 6.0, "resolution": 64, "student": None,
     })
+    sigma = params["sigma"]
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) \
+            or not 0.0 <= sigma < float("inf"):
+        raise ConfigError("weightmap.sigma", f"must be a finite number >= 0, got {sigma!r}")
     teacher = make_teacher(cfg.teacher)
     if teacher.dim != 2:
         raise ConfigError("teacher", "weightmap requires a 2-D teacher")
@@ -246,15 +255,18 @@ def _cmd_weightmap(cfg, sections, out_dir: Path) -> int:
             weights=np.array([1.0]), means=mean[None, :], variances=np.array([var])
         )
     else:
-        student = make_teacher(params["student"])
+        try:
+            student = make_teacher(params["student"])
+        except DomainError as exc:
+            raise ConfigError("weightmap.student", str(exc)) from exc
+        if student.dim != 2:
+            raise ConfigError("weightmap.student", "weightmap requires a 2-D student")
     bound = float(params["bound"])
     res = int(params["resolution"])
     axis = np.linspace(-bound, bound, res)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    score_diff, h = weight_score_map(
-        cfg.divergence, teacher, student, float(params["sigma"]), grid
-    )
+    score_diff, h = weight_score_map(cfg.divergence, teacher, student, float(sigma), grid)
     rows = [
         [grid[i, 0], grid[i, 1], float(score_diff[i]), float(h[i])]
         for i in range(grid.shape[0])

@@ -3,7 +3,9 @@
 Teachers are isotropic Gaussian mixtures: density, score, sampling, and the
 noise perturbation p_sigma = p * N(0, sigma^2 I) are all closed form, so any
 quantity the training loop approximates (ratios, scores, divergences) can be
-checked against this module exactly.
+checked against this module exactly. Mixture and particle log-densities
+reduce their (n, K) component matrices with `_numerics.logsumexp`, which
+equals SciPy's `logsumexp` bit for bit, so the training path loads numpy only.
 
 `AffineGenerator` is the package's one affine student: pushing a standard
 normal latent through x = A z + b gives an exactly Gaussian output law, which
@@ -18,9 +20,9 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng as rngmod
+from ._numerics import logsumexp
 from .errors import DomainError
 
 __all__ = [
@@ -112,38 +114,53 @@ def _check_points(gm_dim: int, x) -> tuple:
     return a, single
 
 
-def _component_logs(gm: IsotropicGaussianMixture, x: np.ndarray, sigma) -> np.ndarray:
-    """Per-component log joint log(w_k) + log N(x; mu_k, (v_k + sigma^2) I), shape (n, K)."""
+def _perturbed_variances(gm: IsotropicGaussianMixture, sigma) -> np.ndarray:
+    """v_k + sigma^2, shape (1, K), or (n, K) for a per-point sigma."""
     sig = np.asarray(sigma, dtype=float)
     if np.any(sig < 0.0) or not np.all(np.isfinite(sig)):
         raise DomainError("sigma must be finite and >= 0")
-    var = gm.variances[None, :] + (sig**2).reshape(-1, 1) if sig.ndim else gm.variances[None, :] + sig**2
-    sq = (
-        np.sum(x**2, axis=1, keepdims=True)
-        - 2.0 * x @ gm.means.T
-        + np.sum(gm.means**2, axis=1)[None, :]
-    )
-    d = gm.dim
+    if sig.ndim:
+        return gm.variances[None, :] + (sig**2).reshape(-1, 1)
+    return gm.variances[None, :] + sig**2
+
+
+def _gaussian_logs(const, x: np.ndarray, centers: np.ndarray, var) -> np.ndarray:
+    """const - 0.5 * |x_i - c_j|^2 / var, shape (n, K), built in one buffer.
+
+    The square is expanded as |x|^2 - (2 x) . c + |c|^2; every step keeps the
+    operand order of the unfused expression, so the result is bitwise equal.
+    """
+    out = (2.0 * x) @ centers.T
+    np.subtract(np.sum(x**2, axis=1, keepdims=True), out, out=out)
+    out += np.sum(centers**2, axis=1)[None, :]
+    out *= 0.5
+    out /= var
+    return np.subtract(const, out, out=out)
+
+
+def _component_logs(gm: IsotropicGaussianMixture, x: np.ndarray, var) -> np.ndarray:
+    """Per-component log joint log(w_k) + log N(x; mu_k, var_k I), shape (n, K)."""
     with np.errstate(divide="ignore"):
         logw = np.log(gm.weights)[None, :]
-    return logw - 0.5 * d * (_LOG_2PI + np.log(var)) - 0.5 * sq / var
+    const = logw - 0.5 * gm.dim * (_LOG_2PI + np.log(var))
+    return _gaussian_logs(const, x, gm.means, var)
 
 
 def log_density(gm: IsotropicGaussianMixture, x, sigma=0.0):
     """log p_sigma(x); `sigma` may be a scalar or per-point array."""
     pts, single = _check_points(gm.dim, x)
-    comp = _component_logs(gm, pts, sigma)
-    out = logsumexp(comp, axis=1)
+    comp = _component_logs(gm, pts, _perturbed_variances(gm, sigma))
+    out = logsumexp(comp, overwrite_a=True)
     return float(out[0]) if single else out
 
 
 def score(gm: IsotropicGaussianMixture, x, sigma=0.0):
     """grad_x log p_sigma(x): responsibility-weighted pull towards the means."""
     pts, single = _check_points(gm.dim, x)
-    sig = np.asarray(sigma, dtype=float)
-    comp = _component_logs(gm, pts, sigma)
-    resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
-    var = gm.variances[None, :] + (sig**2).reshape(-1, 1) if sig.ndim else gm.variances[None, :] + sig**2
+    var = _perturbed_variances(gm, sigma)
+    comp = _component_logs(gm, pts, var)
+    comp -= logsumexp(comp, keepdims=True)
+    resp = np.exp(comp, out=comp)
     pull = (gm.means[None, :, :] - pts[:, None, :]) / var[..., None]
     out = np.einsum("nk,nkd->nd", resp, pull)
     return out[0] if single else out
@@ -367,14 +384,11 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     if np.any(sig <= 0.0):
         raise DomainError("particle density estimate requires sigma > 0")
     m, d = centers.shape
-    sq = (
-        np.sum(pts**2, axis=1, keepdims=True)
-        - 2.0 * pts @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
     var = (sig**2).reshape(-1, 1) if sig.ndim else np.full((1, 1), sig**2)
-    comp = -0.5 * d * (_LOG_2PI + np.log(var)) - 0.5 * sq / var
-    return logsumexp(comp, axis=1) - math.log(m)
+    comp = _gaussian_logs(-0.5 * d * (_LOG_2PI + np.log(var)), pts, centers, var)
+    out = logsumexp(comp, overwrite_a=True)
+    out -= math.log(m)
+    return out
 
 
 def ring8(radius: float = 4.0, variance: float = 0.09) -> IsotropicGaussianMixture:

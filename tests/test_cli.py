@@ -5,10 +5,13 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fdistill
 from fdistill import checkpoint as ckpt
@@ -89,6 +92,24 @@ class TestConfigHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "ring9" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, section, field", [
+        ("weightmap", {"student": "nope"}, "weightmap.student"),
+        ("weightmap", {"student": {"weights": [1.0], "means": [[0.0, 0.0, 0.0]],
+                                   "variances": [1.0]}}, "weightmap.student"),
+        ("weightmap", {"sigma": -1}, "weightmap.sigma"),
+        ("weightmap", {"sigma": "x"}, "weightmap.sigma"),
+        ("variance", {"kinds": ["bogus"]}, "variance.kinds"),
+        ("variance", {"kinds": "reverse-kl"}, "variance.kinds"),
+    ])
+    def test_bad_command_section_value_exits_2(self, tmp_path, capsys, command, section,
+                                               field):
+        cfg = write_config(tmp_path, {"teacher": "ring8", command: section})
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}'")
         assert len(err.strip().splitlines()) == 1
 
     def test_console_script_usage(self):
@@ -252,6 +273,121 @@ class TestModesCommand:
         assert len(err.strip().splitlines()) == 1
 
 
+def with_valid_checksum(body: bytes) -> bytes:
+    """Version-2 file bytes for a body: the CRC-32 zero-extended to a u64."""
+    return body + struct.pack("<Q", zlib.crc32(body))
+
+
+def with_config_echo(data: bytes, echo: bytes) -> bytes:
+    """The checkpoint `data` with its config echo replaced and a valid checksum."""
+    n = struct.unpack_from("<I", data, 8)[0]
+    return with_valid_checksum(
+        data[:8] + struct.pack("<I", len(echo)) + echo + data[12 + n:-8]
+    )
+
+
+def with_first_network_name(data: bytes, name: bytes) -> bytes:
+    n = struct.unpack_from("<I", data, 8)[0]
+    pos = 12 + n + 8 + 4            # past the echo, the iteration and the count
+    k = struct.unpack_from("<I", data, pos)[0]
+    return with_valid_checksum(
+        data[:pos] + struct.pack("<I", len(name)) + name + data[pos + 4 + k:-8]
+    )
+
+
+UNDECODABLE = {
+    "echo_not_json": (lambda d: with_config_echo(d, b"{not json"), "not JSON"),
+    "echo_not_utf8": (lambda d: with_config_echo(d, b'{"seed": "\xff\xfe"}'), "not UTF-8"),
+    "echo_not_object": (lambda d: with_config_echo(d, b"[1, 2]"), "JSON object"),
+    "name_not_utf8": (lambda d: with_first_network_name(d, b"gen\xc3"), "not UTF-8"),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """Bytes of a real `checkpoint_final.fdst` and the config that wrote it."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_config(root, TINY_TRAIN)
+    out = root / "o"
+    assert cli.main(["train", "--config", cfg, "--out", str(out), "--iters", "2"]) == 0
+    return (out / "checkpoint_final.fdst").read_bytes(), cfg
+
+
+class TestUndecodableCheckpoint:
+    """Files whose checksum holds but whose text fields do not decode."""
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_load_raises_checkpoint_error(self, tmp_path, trained_checkpoint, case):
+        craft, message = UNDECODABLE[case]
+        path = tmp_path / "x.fdst"
+        path.write_bytes(craft(trained_checkpoint[0]))
+        with pytest.raises(CheckpointError, match=message):
+            ckpt.load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_modes_exits_2_with_one_line(self, tmp_path, capsys, trained_checkpoint, case):
+        data, cfg = trained_checkpoint
+        path = tmp_path / "x.fdst"
+        path.write_bytes(UNDECODABLE[case][0](data))
+        code = cli.main(["modes", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+def _load_bytes(path, data: bytes):
+    path.write_bytes(data)
+    return ckpt.load_checkpoint(path)
+
+
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCheckpointFuzz:
+    """Damaged copies of a real checkpoint fail only with `CheckpointError`."""
+
+    @_FUZZ
+    @given(cut=st.integers(min_value=0, max_value=10**9))
+    def test_truncation(self, tmp_path, trained_checkpoint, cut):
+        data = trained_checkpoint[0]
+        with pytest.raises(CheckpointError):
+            _load_bytes(tmp_path / "x.fdst", data[:cut % len(data)])
+
+    @_FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)),
+                          min_size=1, max_size=4))
+    def test_byte_flips(self, tmp_path, trained_checkpoint, flips):
+        data = bytearray(trained_checkpoint[0])
+        for pos, mask in flips:
+            data[pos % len(data)] ^= mask
+        if bytes(data) == trained_checkpoint[0]:   # flips that cancel out
+            return
+        with pytest.raises(CheckpointError):
+            _load_bytes(tmp_path / "x.fdst", bytes(data))
+
+    @_FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)),
+                          min_size=1, max_size=4),
+           cut=st.integers(min_value=0))
+    def test_damaged_body_with_valid_checksum(self, tmp_path, trained_checkpoint, flips, cut):
+        """Past the checksum, the parser either reads the file or rejects it
+        with `CheckpointError`; it never fails another way."""
+        body = bytearray(trained_checkpoint[0][:-8])
+        for pos, mask in flips:
+            body[pos % len(body)] ^= mask
+        body = body[:len(body) - cut % 64]
+        try:
+            config, _, networks = _load_bytes(tmp_path / "x.fdst",
+                                              with_valid_checksum(bytes(body)))
+        except CheckpointError:
+            return
+        assert isinstance(config, dict)
+        assert all(isinstance(net.name, str) for net in networks)
+
+
 class TestCheckpointFormat:
     def _payload(self):
         gen = np.random.default_rng(1)
@@ -348,6 +484,35 @@ class TestCheckpointFormat:
             ckpt.load_checkpoint(path)
 
 
+def run_python(script, args, env=None):
+    """Run `script` in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(fdistill.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+class TestStartupImports:
+    def test_train_modes_and_gradcheck_load_no_scipy(self, tmp_path):
+        """SciPy adds about 0.2 s and 24 MB to a training start; only the
+        quadrature oracle and the tests use it, so these commands must not
+        load it."""
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "gradcheck": {"n": 2000, "sigmas": [0.5]}})
+        out = str(tmp_path / "o")
+        script = ("import sys\n"
+                  "from fdistill.cli import main\n"
+                  "cfg, out = sys.argv[1:]\n"
+                  "codes = [main(['train', '--config', cfg, '--out', out, '--iters', '3']),\n"
+                  "         main(['modes', '--config', cfg, '--out', out,\n"
+                  "               '--checkpoint', out + '/checkpoint_final.fdst']),\n"
+                  "         main(['gradcheck', '--config', cfg, '--out', out])]\n"
+                  "print(codes[:2], sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = run_python(script, [cfg, out])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 class TestThreadCap:
     def test_fdistill_threads_caps_blas_pool(self, tmp_path):
@@ -356,17 +521,13 @@ class TestThreadCap:
         cfg = write_config(tmp_path, TINY_TRAIN)
         env = {k: v for k, v in os.environ.items() if k not in (
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        src = str(Path(fdistill.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         env["FDISTILL_THREADS"] = "1"
         script = ("import os, sys\n"
                   "from fdistill.cli import main\n"
                   "rc = main(sys.argv[1:])\n"
                   "print(rc, len(os.listdir('/proc/self/task')))\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "train", "--config", cfg,
-             "--out", str(tmp_path / "o"), "--iters", "3"],
-            env=env, capture_output=True, text=True, timeout=300,
+        proc = run_python(
+            script, ["train", "--config", cfg, "--out", str(tmp_path / "o"), "--iters", "3"], env
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "0 1"
