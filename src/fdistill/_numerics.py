@@ -1,7 +1,8 @@
 """Helpers shared across the package, defined once so that every caller
 performs the same IEEE operations: sigmoid, softplus, the row-wise
-log-sum-exp, the sigma-batch broadcast, and the FNV-1a 64 hash behind the
-random-stream keys and version-1 checkpoint checksums."""
+log-sum-exp, the sigma-batch broadcast, the FNV-1a 64 hash behind the
+random-stream keys and version-1 checkpoint checksums, and the row blocks
+that large batches are evaluated in."""
 
 import numpy as np
 
@@ -10,6 +11,10 @@ from .errors import DomainError
 MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# Fewest rows in a block of a large batch. OpenBLAS picks another kernel for
+# short GEMMs (a 512-row tail on a 2-column output layer changes the last
+# bits), so no block may be shorter than this.
+_BLOCK_ROWS = 1024
 
 
 def sigmoid(z):
@@ -78,3 +83,14 @@ def fnv1a64(words) -> int:
         h ^= w
         h = (h * _FNV_PRIME) & MASK64
     return h
+
+
+def row_blocks(n: int):
+    """(start, stop) row ranges that cover n rows in order.
+
+    Fewer than 2 * 1024 rows are one block; more are 1024-row blocks with
+    the remainder folded into the last one (1024 to 2047 rows), so every
+    block is long enough to take the same GEMM kernel as the whole batch.
+    """
+    starts = list(range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS))
+    return list(zip(starts, starts[1:] + [n]))

@@ -283,12 +283,13 @@ def _cmd_modes(cfg, sections, out_dir: Path, checkpoint_path) -> int:
     from .checkpoint import load_checkpoint
     from .distill import RunConfig, restore_state
     from .errors import ConfigError
-    from .oracle import mode_coverage
-    from .teacher import make_teacher
+    from .teacher import make_teacher, mode_coverage
 
     if checkpoint_path is None:
         raise ConfigError("--checkpoint", "the modes command needs a checkpoint file")
-    params = _section(sections, "modes", {"n_samples": 100000})
+    n_samples = _section(sections, "modes", {"n_samples": 100000})["n_samples"]
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
+        raise ConfigError("modes.n_samples", f"must be an integer >= 1, got {n_samples!r}")
     try:
         config_echo, iteration, payloads = load_checkpoint(checkpoint_path)
     except OSError as exc:
@@ -299,7 +300,7 @@ def _cmd_modes(cfg, sections, out_dir: Path, checkpoint_path) -> int:
     state = restore_state(saved_cfg, iteration, payloads)
     teacher = make_teacher(saved_cfg.teacher)
     z = rngmod.stream(saved_cfg.seed, iteration, rngmod.METRICS, 7).standard_normal(
-        (int(params["n_samples"]), state.generator.latent_dim)
+        (n_samples, state.generator.latent_dim)
     )
     samples = state.generator.forward(z)
     coverage = mode_coverage(
@@ -308,7 +309,7 @@ def _cmd_modes(cfg, sections, out_dir: Path, checkpoint_path) -> int:
     report = {
         "checkpoint": str(checkpoint_path),
         "iteration": iteration,
-        "n_samples": int(params["n_samples"]),
+        "n_samples": n_samples,
         "modes_covered": coverage.n_covered,
         "n_modes": len(coverage.per_mode_mass),
         "per_mode_mass": [float(m) for m in coverage.per_mode_mass],

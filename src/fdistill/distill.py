@@ -32,7 +32,6 @@ from . import rng as rngmod
 from .divergence import KINDS, DivergenceSpec, catalog, weight_h
 from .errors import CheckpointError, ConfigError, DomainError, NumericsError, TrainingDiverged
 from .nets import Adam, FeedForwardNet, backward, forward, init_net, predict
-from .oracle import mode_coverage
 from .ratio_gan import (
     Discriminator,
     RatioClip,
@@ -48,6 +47,7 @@ from .teacher import (
     NoiseSchedule,
     log_density,
     make_teacher,
+    mode_coverage,
     particle_log_density,
     sample,
     score,

@@ -10,7 +10,8 @@ respect to the parameters, which is what the R1 penalty needs.
 `forward` keeps what the backward passes reuse (layer inputs,
 pre-activations, the activation's shared intermediate and, once asked for,
 its derivatives); `predict` computes the same output without keeping any of
-it, for callers that only read the output.
+it, for callers that only read the output, and evaluates a large batch in
+row blocks so its memory stays bounded.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ._numerics import sigmoid
+from ._numerics import row_blocks, sigmoid
 from .errors import DomainError, NumericsError
 
 __all__ = [
@@ -219,10 +220,23 @@ def forward(net: FeedForwardNet, x: np.ndarray):
 def predict(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
     """forward(net, x)[0] bit for bit, without a cache.
 
-    Each layer's arrays are released once the next layer's exist, so a large
-    batch holds about two layer activations at a time instead of all of them.
+    A batch of 2048 rows or more runs as consecutive blocks of 1024 to 2047
+    rows written into one output array, so the working set is one block's
+    activations whatever the batch size; smaller batches run in one pass.
     """
-    a = _check_input(net, x)
+    x = _check_input(net, x)
+    blocks = row_blocks(x.shape[0])
+    if len(blocks) == 1:
+        return _predict_rows(net, x)
+    out = np.empty((x.shape[0], net.widths[-1]))
+    for start, stop in blocks:
+        out[start:stop] = _predict_rows(net, x[start:stop])
+    return out
+
+
+def _predict_rows(net: FeedForwardNet, a: np.ndarray) -> np.ndarray:
+    """The forward output of one block; each layer's arrays are released
+    once the next layer's exist."""
     shared_fn, value, _, _ = _ACTIVATIONS[net.activation]
     layers = net.layers()
     for i, (w, b) in enumerate(layers):

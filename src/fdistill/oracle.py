@@ -6,6 +6,9 @@ f(p/q) under q (or 1-D adaptive quadrature), and the analytic
 score-difference gradient is compared against central finite differences of
 the divergence itself, on common random numbers so the comparison is sharp
 at feasible sample sizes.
+
+`ModeCoverage` and `mode_coverage` are defined in `teacher`, next to the
+mixtures they measure, and re-exported here.
 """
 
 import math
@@ -20,9 +23,11 @@ from .errors import DomainError, NumericsError
 from .teacher import (
     AffineGenerator,
     IsotropicGaussianMixture,
+    ModeCoverage,
     affine_pushforward,
     draw,
     log_density,
+    mode_coverage,
     perturb,
     score,
 )
@@ -306,43 +311,3 @@ def gradcheck_cases():
         "single": (single, AffineGenerator(matrix=eye, bias=np.array([1.2, 1.0]))),
         "bimodal": (bimodal, AffineGenerator(matrix=1.3 * eye, bias=np.array([0.9, -0.8]))),
     }
-
-
-@dataclass(frozen=True)
-class ModeCoverage:
-    per_mode_mass: np.ndarray
-    covered: np.ndarray
-    n_covered: int
-
-
-def mode_coverage(samples, teacher: IsotropicGaussianMixture, k: float = 3.0,
-                  threshold: float = 0.02) -> ModeCoverage:
-    """Fraction of samples within k sqrt(v) of each component mean.
-
-    A mode counts as covered when its fraction reaches `threshold`. Requires
-    well-separated components (pairwise mean distance > 2 k sqrt(v)),
-    otherwise ball membership is ambiguous.
-    """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise DomainError("mode coverage needs a non-empty (n, dim) sample set")
-    if pts.shape[1] != teacher.dim:
-        raise DomainError("sample dimension does not match the teacher")
-    radii = k * np.sqrt(teacher.variances)
-    mu = teacher.means
-    for i in range(teacher.n_components):
-        for j in range(i + 1, teacher.n_components):
-            if np.linalg.norm(mu[i] - mu[j]) <= 2.0 * k * math.sqrt(
-                max(teacher.variances[i], teacher.variances[j])
-            ):
-                raise DomainError(
-                    "coverage undefined: teacher components "
-                    f"{i} and {j} overlap at k={k}"
-                )
-    dist = np.linalg.norm(pts[:, None, :] - mu[None, :, :], axis=2)
-    inside = dist <= radii[None, :]
-    mass = inside.mean(axis=0)
-    covered = mass >= threshold
-    return ModeCoverage(
-        per_mode_mass=mass, covered=covered, n_covered=int(covered.sum())
-    )

@@ -6,6 +6,8 @@ quantity the training loop approximates (ratios, scores, divergences) can be
 checked against this module exactly. Mixture and particle log-densities
 reduce their (n, K) component matrices with `_numerics.logsumexp`, which
 equals SciPy's `logsumexp` bit for bit, so the training path loads numpy only.
+`mode_coverage` measures how much of a sample set falls in each component's
+ball, counting over row blocks so that a 1e5-sample check stays small.
 
 `AffineGenerator` is the package's one affine student: pushing a standard
 normal latent through x = A z + b gives an exactly Gaussian output law, which
@@ -22,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng as rngmod
-from ._numerics import logsumexp
+from ._numerics import logsumexp, row_blocks
 from .errors import DomainError
 
 __all__ = [
@@ -37,6 +39,8 @@ __all__ = [
     "draw",
     "affine_pushforward",
     "particle_log_density",
+    "ModeCoverage",
+    "mode_coverage",
     "ring8",
     "grid25",
     "make_teacher",
@@ -389,6 +393,50 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     out = logsumexp(comp, overwrite_a=True)
     out -= math.log(m)
     return out
+
+
+@dataclass(frozen=True)
+class ModeCoverage:
+    per_mode_mass: np.ndarray
+    covered: np.ndarray
+    n_covered: int
+
+
+def mode_coverage(samples, teacher: IsotropicGaussianMixture, k: float = 3.0,
+                  threshold: float = 0.02) -> ModeCoverage:
+    """Fraction of samples within k sqrt(v) of each component mean.
+
+    A mode counts as covered when its fraction reaches `threshold`. Requires
+    well-separated components (pairwise mean distance > 2 k sqrt(v)),
+    otherwise ball membership is ambiguous. Ball counts are taken over row
+    blocks, so memory stays bounded for any sample count; the mass
+    count / n equals the mean of the 0/1 memberships bit for bit.
+    """
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise DomainError("mode coverage needs a non-empty (n, dim) sample set")
+    if pts.shape[1] != teacher.dim:
+        raise DomainError("sample dimension does not match the teacher")
+    radii = k * np.sqrt(teacher.variances)
+    mu = teacher.means
+    for i in range(teacher.n_components):
+        for j in range(i + 1, teacher.n_components):
+            if np.linalg.norm(mu[i] - mu[j]) <= 2.0 * k * math.sqrt(
+                max(teacher.variances[i], teacher.variances[j])
+            ):
+                raise DomainError(
+                    "coverage undefined: teacher components "
+                    f"{i} and {j} overlap at k={k}"
+                )
+    counts = np.zeros(teacher.n_components, dtype=np.int64)
+    for start, stop in row_blocks(pts.shape[0]):
+        dist = np.linalg.norm(pts[start:stop, None, :] - mu[None, :, :], axis=2)
+        counts += np.count_nonzero(dist <= radii[None, :], axis=0)
+    mass = counts / pts.shape[0]
+    covered = mass >= threshold
+    return ModeCoverage(
+        per_mode_mass=mass, covered=covered, n_covered=int(covered.sum())
+    )
 
 
 def ring8(radius: float = 4.0, variance: float = 0.09) -> IsotropicGaussianMixture:

@@ -272,6 +272,19 @@ class TestModesCommand:
         assert err.startswith("error: ") and "checksum" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("value", [-5, 0, 2.5, "x", True])
+    def test_bad_n_samples_exits_2_with_one_line(self, tmp_path, capsys, trained_checkpoint,
+                                                 value):
+        path = tmp_path / "c.fdst"
+        path.write_bytes(trained_checkpoint[0])
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "modes": {"n_samples": value}})
+        code = cli.main(["modes", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'modes.n_samples'")
+        assert len(err.strip().splitlines()) == 1
+
 
 def with_valid_checksum(body: bytes) -> bytes:
     """Version-2 file bytes for a body: the CRC-32 zero-extended to a u64."""
@@ -484,13 +497,16 @@ class TestCheckpointFormat:
             ckpt.load_checkpoint(path)
 
 
-def run_python(script, args, env=None):
-    """Run `script` in a fresh interpreter that imports this checkout's package."""
+def run_python(script, args, env=None, via_shell=False):
+    """Run `script` in a fresh interpreter that imports this checkout's package;
+    `via_shell` starts it as the child of a shell rather than of this process."""
     env = dict(os.environ if env is None else env)
     src = str(Path(fdistill.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script, *args],
-                          env=env, capture_output=True, text=True, timeout=300)
+    argv = [sys.executable, "-c", script, *args]
+    if via_shell:   # not the shell's last command, so it forks rather than execs
+        argv = ["sh", "-c", '"$@"; exit $?', "sh", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
 
 
 class TestStartupImports:
@@ -511,6 +527,51 @@ class TestStartupImports:
         proc = run_python(script, [cfg, out])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+    def test_train_and_modes_load_no_oracle(self, tmp_path):
+        """Mode coverage lives in `teacher`; the training loop and `modes`
+        need nothing else from `oracle`, so neither loads it."""
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring8"})
+        out = str(tmp_path / "o")
+        script = ("import sys\n"
+                  "from fdistill.cli import main\n"
+                  "cfg, out = sys.argv[1:]\n"
+                  "codes = [main(['train', '--config', cfg, '--out', out, '--iters', '3'])]\n"
+                  "print(codes, 'fdistill.oracle' in sys.modules)\n"
+                  "codes.append(main(['modes', '--config', cfg, '--out', out,\n"
+                  "                   '--checkpoint', out + '/checkpoint_final.fdst']))\n"
+                  "print(codes, 'fdistill.oracle' in sys.modules)\n")
+        proc = run_python(script, [cfg, out])
+        assert proc.returncode == 0, proc.stderr
+        printed = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+        assert printed == ["[0] False", "[0, 0] False"]
+
+
+class TestModesMemory:
+    def test_default_modes_peak_rss_stays_small(self, tmp_path):
+        """`modes` on its default 100k samples evaluates the generator and
+        the coverage balls in row blocks; a one-shot batch would hold
+        100k x 128 hidden activations (about 100 MB each) and peak above
+        200 MB."""
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring8"})
+        out = str(tmp_path / "o")
+        script = ("import json, resource, sys\n"
+                  "from fdistill.cli import main\n"
+                  "cfg, out = sys.argv[1:]\n"
+                  "codes = [main(['train', '--config', cfg, '--out', out, '--iters', '3']),\n"
+                  "         main(['modes', '--config', cfg, '--out', out,\n"
+                  "               '--checkpoint', out + '/checkpoint_final.fdst'])]\n"
+                  "n = json.load(open(out + '/modes.json'))['n_samples']\n"
+                  "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "print(codes, n, kb)\n")
+        # A process's ru_maxrss starts from the resident size of the process
+        # that forked it, here the test runner (often above 200 MB); started
+        # from a shell, the child reports its own peak.
+        proc = run_python(script, [cfg, out], via_shell=True)
+        assert proc.returncode == 0, proc.stderr
+        codes, n, kb = proc.stdout.strip().splitlines()[-1].rsplit(" ", 2)
+        assert (codes, n) == ("[0, 0]", "100000")
+        assert int(kb) / 1024 < 120.0, f"peak RSS {int(kb) / 1024:.1f} MB"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")

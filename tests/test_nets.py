@@ -157,6 +157,31 @@ class TestPredict:
         with pytest.raises(DomainError, match="shape"):
             nets.predict(net, np.zeros((3, 5)))
 
+    # Generator (2-D latent, 2 outputs) and discriminator (data plus sigma
+    # embedding in, 1 output) shapes; the 100001-row case runs on the
+    # generator only, where one full hidden activation is 100 MB.
+    @pytest.mark.parametrize("widths, batch", [
+        *[((2, 128, 128, 2), n) for n in (1, 128, 2047, 2048, 2049, 3071, 10000, 100001)],
+        *[((18, 128, 128, 1), n) for n in (1, 128, 2047, 2048, 2049, 3071, 10000)],
+    ])
+    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    def test_blocked_equals_one_shot_bitwise(self, activation, widths, batch):
+        """A batch evaluated in row blocks gives the bits of one pass over
+        the whole batch, at and around the block boundaries."""
+        net = random_net(rngmod.stream(3, 23), widths, activation)
+        x = rngmod.stream(3, 24, batch).standard_normal((batch, widths[0]))
+        shared_fn, value, _, _ = nets._ACTIVATIONS[activation]
+        layers = net.layers()
+        expected = x
+        for i, (w, b) in enumerate(layers):     # the single-pass loop
+            expected = expected @ w.T
+            expected += b
+            if i < len(layers) - 1:
+                expected = value(expected, shared_fn(expected), out=expected)
+        out = nets.predict(net, x)
+        assert out.shape == (batch, widths[-1])
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestBackward:
     @pytest.mark.parametrize("activation", ["tanh", "silu"])

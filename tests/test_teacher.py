@@ -393,3 +393,35 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
             tc.make_teacher("ring9")
+
+
+class TestModeCoverage:
+    @pytest.mark.parametrize("preset", ["ring8", "grid25"])
+    @pytest.mark.parametrize("n", [1, 4097, 100000])
+    def test_blocked_counts_equal_one_shot_bitwise(self, preset, n):
+        """Ball counts taken over row blocks give the mass, flags and count of
+        the mean over one (n, K) membership matrix, bit for bit."""
+        gm = tc.make_teacher(preset)
+        # skewed weights and widened components: some modes fall below the
+        # threshold and some samples land outside every ball
+        weights = 0.7 ** np.arange(gm.n_components)
+        spread = tc.IsotropicGaussianMixture(
+            weights=weights / weights.sum(), means=gm.means, variances=4.0 * gm.variances)
+        samples = tc.sample(spread, n, seed=41)
+        cov = tc.mode_coverage(samples, gm, k=3.0, threshold=0.02)
+
+        dist = np.linalg.norm(samples[:, None, :] - gm.means[None, :, :], axis=2)
+        mass = (dist <= 3.0 * np.sqrt(gm.variances)[None, :]).mean(axis=0)
+        covered = mass >= 0.02
+        assert cov.per_mode_mass.tobytes() == mass.tobytes()
+        assert cov.covered.tobytes() == covered.tobytes()
+        assert cov.n_covered == int(covered.sum())
+        if n == 100000:
+            assert 0 < cov.n_covered < gm.n_components
+            assert mass.sum() < 1.0
+
+    def test_oracle_reexports_the_same_objects(self):
+        from fdistill import oracle
+
+        assert oracle.mode_coverage is tc.mode_coverage
+        assert oracle.ModeCoverage is tc.ModeCoverage
