@@ -547,6 +547,7 @@ class TestStartupImports:
         assert printed == ["[0] False", "[0, 0] False"]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 class TestModesMemory:
     def test_default_modes_peak_rss_stays_small(self, tmp_path):
         """`modes` on its default 100k samples evaluates the generator and
