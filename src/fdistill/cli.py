@@ -62,6 +62,13 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _float_rows(a) -> str:
+    """The rows of a 2-D float array as CSV lines, each value as `_fmt`
+    writes it, formatted by one template instead of one call per value."""
+    line = ",".join(["%.17g"] * a.shape[1]) + "\n"
+    return (line * a.shape[0]) % tuple(a.ravel().tolist())
+
+
 def _load_config(path, overrides):
     from .distill import RunConfig
     from .errors import ConfigError
@@ -102,6 +109,18 @@ def _section(sections, name, defaults):
     return out
 
 
+def _section_int(params, section: str, key: str, minimum: int) -> int:
+    """params[key] checked to be an integer >= minimum; bools and floats are
+    rejected."""
+    from .errors import ConfigError
+
+    value = params[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{section}.{key}",
+                          f"must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _save_state(path, cfg, state):
     from .checkpoint import save_checkpoint
     from .distill import state_payloads
@@ -130,9 +149,9 @@ def _cmd_train(cfg, sections, out_dir: Path) -> int:
         (n_samples, state.generator.latent_dim)
     )
     samples = state.generator.forward(z)
-    _write_csv(out_dir / "samples.csv",
-               [f"x{i}" for i in range(samples.shape[1])],
-               samples.tolist())
+    with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(f"x{i}" for i in range(samples.shape[1])) + "\n")
+        fh.write(_float_rows(samples))
 
     _save_state(out_dir / "checkpoint_final.fdst", cfg, state)
     print(f"train: {state.iteration} iterations, outputs in {out_dir}")
@@ -191,11 +210,10 @@ def _cmd_variance(cfg, sections, out_dir: Path) -> int:
     if not isinstance(kinds, list) or any(k not in KINDS for k in kinds):
         raise ConfigError("variance.kinds", f"must be a list of divergence names "
                           f"(known: {', '.join(KINDS)}), got {kinds!r}")
+    n = _section_int(params, "variance", "n", 2)
     rows = []
     for kind in kinds:
-        estimates = normalized_variance_curve(
-            kind, params["gaps"], n=int(params["n"]), seed=cfg.seed
-        )
+        estimates = normalized_variance_curve(kind, params["gaps"], n=n, seed=cfg.seed)
         for gap, est in zip(params["gaps"], estimates):
             rows.append([kind, float(gap), est.value, est.se])
     _write_csv(out_dir / "variance.csv", ["kind", "d", "estimate", "se"], rows)
@@ -261,8 +279,8 @@ def _cmd_weightmap(cfg, sections, out_dir: Path) -> int:
             raise ConfigError("weightmap.student", str(exc)) from exc
         if student.dim != 2:
             raise ConfigError("weightmap.student", "weightmap requires a 2-D student")
+    res = _section_int(params, "weightmap", "resolution", 1)
     bound = float(params["bound"])
-    res = int(params["resolution"])
     axis = np.linspace(-bound, bound, res)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
@@ -287,9 +305,8 @@ def _cmd_modes(cfg, sections, out_dir: Path, checkpoint_path) -> int:
 
     if checkpoint_path is None:
         raise ConfigError("--checkpoint", "the modes command needs a checkpoint file")
-    n_samples = _section(sections, "modes", {"n_samples": 100000})["n_samples"]
-    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
-        raise ConfigError("modes.n_samples", f"must be an integer >= 1, got {n_samples!r}")
+    n_samples = _section_int(_section(sections, "modes", {"n_samples": 100000}),
+                             "modes", "n_samples", 1)
     try:
         config_echo, iteration, payloads = load_checkpoint(checkpoint_path)
     except OSError as exc:

@@ -9,12 +9,22 @@ respect to the parameters, which is what the R1 penalty needs.
 
 `forward` keeps what the backward passes reuse (layer inputs,
 pre-activations, the activation's shared intermediate and, once asked for,
-its derivatives); `predict` computes the same output without keeping any of
-it, for callers that only read the output, and evaluates a large batch in
-row blocks so its memory stays bounded.
+its derivatives and the reverse chain from a unit output gradient);
+`predict` computes the same output without keeping any of it, for callers
+that only read the output, and evaluates a large batch in row blocks so its
+memory stays bounded.
+
+The R1 penalty needs the input gradient of a scalar head and then its
+parameter gradient. Both walk back the same chain from out_grad = ones, so
+the chain is computed once per cache and shared: `scalar_input_grad` reads
+the input gradient from it and `input_grad_param_grad` reuses it. Activation
+derivatives and backward deltas are each computed in one buffer, with the
+IEEE operations of the textbook expressions in their order, and a product
+with a one-row weight (the scalar head) is a broadcast multiply that gives
+the bits of the matrix product.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 import numpy as np
@@ -31,6 +41,7 @@ __all__ = [
     "forward",
     "predict",
     "backward",
+    "scalar_input_grad",
     "input_grad_param_grad",
     "adam_init",
     "adam_step",
@@ -48,7 +59,10 @@ _EMBED_FREQS = np.geomspace(0.2, 3.0, EMBED_DIM // 2)
 # Each activation is written in terms of one shared intermediate s computed
 # once per pre-activation z: tanh(z) for tanh, sigmoid(z) for silu. The value
 # and both derivatives reuse it, so a forward pass plus any number of backward
-# passes evaluate the transcendental once per layer.
+# passes evaluate the transcendental once per layer. Each derivative performs
+# the operations of the expression in its comment, in that order, in as few
+# buffers as that order allows (IEEE + and * commute, so operand order within
+# one operation does not matter).
 
 
 def _tanh_value(z, t, out=None):
@@ -56,11 +70,17 @@ def _tanh_value(z, t, out=None):
 
 
 def _tanh_d1(z, t):
-    return 1.0 - t * t
+    # 1.0 - t * t
+    d = np.multiply(t, t)
+    np.subtract(1.0, d, out=d)
+    return d
 
 
 def _tanh_d2(z, t):
-    return -2.0 * t * (1.0 - t * t)
+    # -2.0 * t * (1.0 - t * t)
+    d = np.multiply(t, -2.0)
+    d *= _tanh_d1(z, t)
+    return d
 
 
 def _silu_value(z, s, out=None):
@@ -68,11 +88,36 @@ def _silu_value(z, s, out=None):
 
 
 def _silu_d1(z, s):
-    return s * (1.0 + z * (1.0 - s))
+    # s * (1.0 + z * (1.0 - s))
+    d = np.subtract(1.0, s)
+    d *= z
+    d += 1.0
+    d *= s
+    return d
 
 
 def _silu_d2(z, s):
-    return s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))
+    # s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))
+    d = np.multiply(s, 2.0)
+    np.subtract(1.0, d, out=d)
+    d *= z
+    d += 2.0
+    head = np.subtract(1.0, s)
+    head *= s
+    d *= head
+    return d
+
+
+def _product(a, w):
+    """a @ w, bit for bit; a one-row w (inner dimension 1) takes a broadcast
+    multiply. numpy runs that shape through its non-BLAS loop, which
+    computes 0 + a*b per entry, and adding +0.0 to the broadcast product
+    turns its -0 into that +0; every other value is unchanged."""
+    if w.shape[0] != 1:
+        return a @ w
+    out = np.multiply(a, w)
+    out += 0.0
+    return out
 
 
 # name -> (shared intermediate, value, first derivative, second derivative)
@@ -93,6 +138,7 @@ class FeedForwardNet:
     widths: Tuple[int, ...]
     activation: str
     params: np.ndarray
+    _views: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
@@ -110,8 +156,11 @@ class FeedForwardNet:
             raise DomainError("parameters must be finite")
 
     def layers(self):
-        """(W, b) views into the flat parameter vector, one pair per layer."""
-        return _layer_views(self.widths, self.params)
+        """(W, b) views into the flat parameter vector, one pair per layer;
+        built once per assignment of `params`."""
+        if self._views is None or self._views[0] is not self.params:
+            self._views = (self.params, tuple(_layer_views(self.widths, self.params)))
+        return self._views[1]
 
 
 def _layer_views(widths, flat):
@@ -155,6 +204,7 @@ class ForwardCache:
     shared: list                # per hidden layer: tanh(z) for tanh, sigmoid(z) for silu
     d1: list = None             # per hidden layer, filled on first use
     d2: list = None
+    chain: list = None          # per layer (du, dt) from out_grad = ones, see `_ones_chain`
 
     def __post_init__(self):
         if self.d1 is None:
@@ -176,7 +226,7 @@ class ForwardCache:
 
     def rows(self, stop: int) -> "ForwardCache":
         """The cache of the first `stop` batch rows, as views; derivatives
-        already computed carry over."""
+        already computed carry over, the reverse chain does not."""
         def head(arrays):
             return [None if a is None else a[:stop] for a in arrays]
 
@@ -204,7 +254,8 @@ def forward(net: FeedForwardNet, x: np.ndarray):
     inputs, preacts, shared = [], [], []
     for i, (w, b) in enumerate(layers):
         inputs.append(a)
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         preacts.append(z)
         if i < len(layers) - 1:
             s = shared_fn(z)
@@ -283,10 +334,47 @@ def backward(net: FeedForwardNet, cache: ForwardCache, out_grad: np.ndarray,
                 gb += delta[split:].sum(axis=0)
         if l == 0 and not input_grad:
             return flat, None
-        delta = delta @ weights[l]
+        delta = _product(delta, weights[l])
         if l > 0:
-            delta = delta * cache.act_d1(l - 1)
+            delta *= cache.act_d1(l - 1)
     return flat, delta
+
+
+def _ones_chain(net: FeedForwardNet, cache: ForwardCache):
+    """The reverse pass of a scalar head from out_grad = ones, once per cache.
+
+    Entry l is (du, dt): the gradient at layer l's output and at its
+    pre-activation, with dt = du at the head and dt = du * act_d1(l) below
+    it; du of layer l - 1 is dt @ W_l. These are `backward`'s deltas for
+    out_grad = ones, operation for operation.
+    """
+    if cache.chain is None:
+        weights = [w for w, _ in net.layers()]
+        dt = np.ones_like(cache.preacts[-1])
+        chain = [(dt, dt)]
+        for l in reversed(range(1, len(weights))):
+            du = _product(dt, weights[l])
+            dt = du * cache.act_d1(l - 1)
+            chain.append((du, dt))
+        cache.chain = chain[::-1]
+    return cache.chain
+
+
+def _check_scalar_cache(net: FeedForwardNet, cache: ForwardCache, what: str):
+    if net.widths[-1] != 1:
+        raise DomainError(f"{what} requires a scalar-output net")
+    if cache.params_ref is not net.params:
+        raise DomainError("stale forward cache: parameters changed since forward()")
+
+
+def scalar_input_grad(net: FeedForwardNet, cache: ForwardCache) -> np.ndarray:
+    """Gradient of each row's scalar output with respect to its input, (B, in).
+
+    Bit for bit `backward(net, cache, ones, param_grad=False)[1]`; the
+    reverse chain it reads stays on the cache for `input_grad_param_grad`.
+    """
+    _check_scalar_cache(net, cache, "scalar_input_grad")
+    return _product(_ones_chain(net, cache)[0][1], net.layers()[0][0])
 
 
 def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarray):
@@ -298,10 +386,7 @@ def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarra
     activation. Returns (per-sample v_i . grad_x out_i, flat parameter
     gradient of J).
     """
-    if net.widths[-1] != 1:
-        raise DomainError("input_grad_param_grad requires a scalar-output net")
-    if cache.params_ref is not net.params:
-        raise DomainError("stale forward cache: parameters changed since forward()")
+    _check_scalar_cache(net, cache, "input_grad_param_grad")
     v = np.asarray(v, dtype=float)
     if v.shape != cache.inputs[0].shape:
         raise DomainError(
@@ -320,26 +405,29 @@ def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarra
         u = cache.act_d1(l) * t if l < n_layers - 1 else t
     dots = u[:, 0].copy()
 
-    # Reverse over the combined graph.
-    du = np.ones_like(u)
+    # Reverse over the combined graph. The primal-tangent adjoints (du, dt)
+    # are the chain from out_grad = ones; the tangent-primal adjoint da
+    # starts at zero, and its pre-activation adjoint is
+    # dz = act_d2 * t * du + act_d1 * da.
+    chain = _ones_chain(net, cache)
     da = np.zeros_like(u)
     flat = np.empty(net.params.size)
     grads = _layer_views(net.widths, flat)
     for l in reversed(range(n_layers)):
+        du, dt = chain[l]
         if l == n_layers - 1:
-            dt = du
             dz = da
         else:
-            phi1 = cache.act_d1(l)
-            dt = phi1 * du
-            dz = cache.act_d2(l) * tangents_pre[l] * du + phi1 * da
+            dz = np.multiply(cache.act_d2(l), tangents_pre[l])
+            dz *= du
+            da *= cache.act_d1(l)
+            dz += da
         gw, gb = grads[l]
         np.matmul(dt.T, tangents_in[l], out=gw)
         gw += dz.T @ cache.inputs[l]
         np.sum(dz, axis=0, out=gb)
         if l > 0:
-            du = dt @ weights[l]
-            da = dz @ weights[l]
+            da = _product(dz, weights[l])
     return dots, flat
 
 
@@ -382,10 +470,9 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise DomainError("params, grads and moments must have equal length")
-    bad = ~np.isfinite(grads)
-    if np.any(bad):
+    if not np.isfinite(grads).all():
         raise NumericsError(
-            f"non-finite gradient at index {int(np.argmax(bad))}"
+            f"non-finite gradient at index {int(np.argmin(np.isfinite(grads)))}"
         )
     step = state.step + 1
     # The textbook expressions evaluated op for op in a few buffers.

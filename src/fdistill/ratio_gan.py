@@ -29,6 +29,7 @@ from .nets import (
     init_net,
     input_grad_param_grad,
     predict,
+    scalar_input_grad,
     sigma_embedding,
 )
 
@@ -131,7 +132,9 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
     Both batches go through the network as one stacked batch (real rows
     first). Every row of a matrix product is computed independently, and the
     parameter gradients are summed as real-rows plus fake-rows products, so
-    the result is bit for bit that of separate real and fake passes.
+    the result is bit for bit that of separate real and fake passes. The R1
+    input gradient and the parameter gradient of the penalty share one
+    reverse chain on the real rows' cache (`nets.scalar_input_grad`).
     """
     real = np.asarray(real, dtype=float)
     fake = np.asarray(fake, dtype=float)
@@ -160,8 +163,7 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
 
     if r1_gamma > 0.0:
         cache_r = cache.rows(n)
-        _, input_grad = backward(disc.net, cache_r, np.ones((n, 1)), param_grad=False)
-        g_net = input_grad[:, :dim]
+        g_net = scalar_input_grad(disc.net, cache_r)[:, :dim]
         # ||grad_x l||^2 = c_in^2 ||grad_inp l||^2 because of input whitening
         sq = np.sum(g_net**2, axis=1) * c_in**2
         loss += float(0.5 * r1_gamma * np.mean(sq))

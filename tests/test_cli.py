@@ -102,6 +102,18 @@ class TestConfigHandling:
         ("weightmap", {"sigma": "x"}, "weightmap.sigma"),
         ("variance", {"kinds": ["bogus"]}, "variance.kinds"),
         ("variance", {"kinds": "reverse-kl"}, "variance.kinds"),
+        ("weightmap", {"resolution": "x"}, "weightmap.resolution"),
+        ("weightmap", {"resolution": -3}, "weightmap.resolution"),
+        ("weightmap", {"resolution": 0}, "weightmap.resolution"),
+        ("weightmap", {"resolution": 2.5}, "weightmap.resolution"),
+        ("weightmap", {"resolution": 8.0}, "weightmap.resolution"),
+        ("weightmap", {"resolution": True}, "weightmap.resolution"),
+        ("variance", {"n": "abc"}, "variance.n"),
+        ("variance", {"n": 1}, "variance.n"),
+        ("variance", {"n": 0}, "variance.n"),
+        ("variance", {"n": 2.5}, "variance.n"),
+        ("variance", {"n": 1000.0}, "variance.n"),
+        ("variance", {"n": True}, "variance.n"),
     ])
     def test_bad_command_section_value_exits_2(self, tmp_path, capsys, command, section,
                                                field):
@@ -162,6 +174,37 @@ class TestTrainCommand:
         samples = (out1 / "samples.csv").read_text().strip().splitlines()
         assert samples[0] == "x0,x1"
         assert len(samples) == 10001
+
+    def test_final_checkpoint_reproduces_samples_bitwise(self, tmp_path):
+        from fdistill import rng as rngmod
+        from fdistill.distill import RunConfig, restore_state
+
+        cfg = write_config(tmp_path, TINY_TRAIN)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+        config_echo, iteration, payloads = ckpt.load_checkpoint(out / "checkpoint_final.fdst")
+        saved = RunConfig.from_dict(config_echo)
+        state = restore_state(saved, iteration, payloads)
+        z = rngmod.stream(saved.seed, saved.total_iters, rngmod.METRICS, 99).standard_normal(
+            (10000, state.generator.latent_dim))
+        rows = cli._float_rows(state.generator.forward(z))
+        assert (out / "samples.csv").read_text() == "x0,x1\n" + rows
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_float_rows_match_per_value_format(self, columns):
+        """samples.csv's one-template formatting gives the bytes of `_fmt`
+        on every value, special values and strided views included."""
+        gen = np.random.default_rng(columns)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308 / 3, 1.7976931348623157e308, 1e-300, 0.1, -1.0]
+        values = np.concatenate([
+            special, gen.standard_normal(200) * 10.0 ** gen.integers(-300, 300, 200),
+        ])
+        values = values[: values.size // columns * columns].reshape(-1, columns)
+        strided = np.repeat(values, 2, axis=1)[::2, ::2]
+        for a in (values, strided):
+            expected = "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in a.tolist())
+            assert cli._float_rows(a) == expected
 
     def test_iters_override(self, tmp_path):
         cfg = write_config(tmp_path, TINY_TRAIN)

@@ -138,6 +138,18 @@ class TestForward:
         with pytest.raises(DomainError):
             nets.forward(net, np.zeros((3, 5)))
 
+    def test_layer_views_follow_params_assignment(self):
+        net = random_net(rngmod.stream(2, 3), (4, 8, 2), "tanh")
+        first = net.layers()
+        assert net.layers() is first
+        net.params = 2.0 * net.params
+        second = net.layers()
+        assert second is not first
+        for (w, b), (w0, b0) in zip(second, first):
+            assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+            np.testing.assert_array_equal(w, 2.0 * w0)
+            np.testing.assert_array_equal(b, 2.0 * b0)
+
 
 class TestPredict:
     @pytest.mark.parametrize("batch", [1, 128, 10000])
@@ -181,6 +193,70 @@ class TestPredict:
         out = nets.predict(net, x)
         assert out.shape == (batch, widths[-1])
         assert out.tobytes() == expected.tobytes()
+
+
+# Values where the order or buffer of an operation could show: signed zeros,
+# infinities, NaN, subnormals and magnitudes near overflow and underflow.
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                    2.2250738585072014e-308, -1e-200, 1e-200, 1e300, -1e300, 1.0, -1.0])
+
+
+def special_mix(gen, shape):
+    """Normals of random decimal magnitude, about a third replaced by SPECIAL."""
+    a = gen.standard_normal(shape) * 10.0 ** gen.integers(-200, 200, shape)
+    mask = gen.random(shape) < 0.3
+    a[mask] = gen.choice(SPECIAL, int(mask.sum()))
+    return a
+
+
+class TestHeadProduct:
+    """A product with a one-row weight runs as a broadcast multiply plus
+    +0.0, which must give the bits of numpy's matmul."""
+
+    def test_one_row_weight_matches_matmul_bitwise(self):
+        gen = np.random.default_rng(7)
+        for case in range(200):
+            n = int(gen.choice([1, 2, 3, 7, 128, 256]))
+            m = int(gen.choice([1, 2, 5, 128]))
+            a = special_mix(gen, (n, 1))
+            w = special_mix(gen, (1, m))
+            if case % 3 == 0:   # strided views of larger buffers
+                a = np.repeat(a, 3, axis=1)[:, 1:2]
+                w = np.repeat(w, 2, axis=0)[1:2].repeat(2, axis=1)[:, ::2]
+            with np.errstate(all="ignore"):
+                expected = a @ w
+                out = nets._product(a, w)
+            assert out.tobytes() == expected.tobytes(), (n, m)
+
+    def test_product_with_zero_weights_has_no_negative_zero(self):
+        a = np.array([[-1.0], [2.0], [-1e-200]])
+        out = nets._product(a, np.array([[0.0, -0.0, 1e-200]]))
+        assert out.tobytes() == (a @ np.array([[0.0, -0.0, 1e-200]])).tobytes()
+        assert not np.signbit(out[:, :2]).any()
+
+
+class TestActivationDerivatives:
+    """The one-buffer derivatives give the bits of the one-line expressions."""
+
+    ONE_LINE = {
+        "tanh": (lambda z, t: 1.0 - t * t,
+                 lambda z, t: -2.0 * t * (1.0 - t * t)),
+        "silu": (lambda z, s: s * (1.0 + z * (1.0 - s)),
+                 lambda z, s: s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))),
+    }
+
+    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    def test_match_one_line_expressions_bitwise(self, activation):
+        gen = np.random.default_rng(11)
+        shared_fn, _, d1, d2 = nets._ACTIVATIONS[activation]
+        one_d1, one_d2 = self.ONE_LINE[activation]
+        z = np.concatenate([SPECIAL, gen.standard_normal(2000) * 4.0,
+                            special_mix(gen, 2000)]).reshape(-1, 6)
+        for zz in (z, z[:, ::2]):
+            with np.errstate(all="ignore"):
+                s = shared_fn(zz)
+                assert d1(zz, s).tobytes() == one_d1(zz, s).tobytes()
+                assert d2(zz, s).tobytes() == one_d2(zz, s).tobytes()
 
 
 class TestBackward:
@@ -358,6 +434,8 @@ class TestInputGradParamGrad:
         net.params = net.params.copy()
         with pytest.raises(DomainError, match="stale"):
             nets.input_grad_param_grad(net, cache, np.zeros((2, 3)))
+        with pytest.raises(DomainError, match="stale"):
+            nets.scalar_input_grad(net, cache)
 
     def test_requires_scalar_head(self):
         gen = rngmod.stream(4, 2)
@@ -365,6 +443,34 @@ class TestInputGradParamGrad:
         _, cache = nets.forward(net, np.zeros((2, 3)))
         with pytest.raises(DomainError):
             nets.input_grad_param_grad(net, cache, np.zeros((2, 3)))
+        with pytest.raises(DomainError):
+            nets.scalar_input_grad(net, cache)
+
+    @pytest.mark.parametrize("head", ["random", "zero"])
+    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @pytest.mark.parametrize("input_grad_first", [True, False])
+    def test_shared_chain_matches_references_bitwise(self, activation, head,
+                                                      input_grad_first):
+        """The input gradient and the second-order pass share one reverse
+        chain on the cache; in either call order each gives the bits of its
+        reference, also with the zero-initialised head, whose products are
+        signed zeros."""
+        gen = rngmod.stream(4, 5)
+        net = nets.init_net((18, 128, 128, 1), activation, gen,
+                            final="zero" if head == "zero" else "he")
+        x = gen.standard_normal((128, 18))
+        v = gen.standard_normal((128, 18))
+        _, cache = nets.forward(net, x)
+        if input_grad_first:
+            xgrad = nets.scalar_input_grad(net, cache)
+            dots, pgrad = nets.input_grad_param_grad(net, cache, v)
+        else:
+            dots, pgrad = nets.input_grad_param_grad(net, cache, v)
+            xgrad = nets.scalar_input_grad(net, cache)
+        ref_dots, ref_pgrad = ref_input_grad_param_grad(net, x, v)
+        assert xgrad.tobytes() == ref_backward(net, x, np.ones((128, 1)))[1].tobytes()
+        assert dots.tobytes() == ref_dots.tobytes()
+        assert pgrad.tobytes() == ref_pgrad.tobytes()
 
 
 class TestAdam:
@@ -419,6 +525,12 @@ class TestAdam:
         grads = np.array([0.0, np.nan, 0.0])
         with pytest.raises(NumericsError, match="index 1"):
             nets.adam_step(state, np.zeros(3), grads)
+
+    def test_first_nonfinite_index_reported(self):
+        state = nets.adam_init(5, lr=0.1)
+        grads = np.array([1.0, 2.0, -np.inf, np.nan, np.inf])
+        with pytest.raises(NumericsError, match="index 2"):
+            nets.adam_step(state, np.zeros(5), grads)
 
     def test_decoupled_weight_decay_shrinks_params(self):
         state = nets.adam_init(1, lr=0.1, weight_decay=0.5)

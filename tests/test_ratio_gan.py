@@ -7,6 +7,7 @@ from fdistill import nets, ratio_gan as rg
 from fdistill import rng as rngmod
 from fdistill._numerics import sigmoid
 from fdistill.errors import DomainError
+from test_nets import ref_backward, ref_forward, ref_input_grad_param_grad
 
 CLIP = rg.RatioClip(1e-3, 1e3)
 
@@ -198,37 +199,48 @@ class TestDiscUpdate:
 
 
 class TestStackedDiscUpdate:
-    """disc_update runs real and fake rows as one stacked batch and reuses
-    the real rows' forward pass for R1; a reference built from separate
-    passes must give the same bits."""
+    """disc_update runs real and fake rows as one stacked batch and shares
+    the real rows' forward pass and reverse chain with R1; a reference built
+    from separate passes of the plain reference network code in
+    test_nets.py must give the same bits."""
 
     @staticmethod
     def reference_update(disc, adam, real, fake, sig, er, ef, r1_gamma):
         n, dim = real.shape
-        ell_r, inp_r, cache_r, c_in = rg._logit_cached(disc, real + sig[:, None] * er, sig)
-        ell_f, _, cache_f, _ = rg._logit_cached(disc, fake + sig[:, None] * ef, sig)
+        inp_r, c_in = rg._disc_input(disc, real + sig[:, None] * er, sig)
+        inp_f, _ = rg._disc_input(disc, fake + sig[:, None] * ef, sig)
+        ell_r = ref_forward(disc.net, inp_r)[0][:, 0]
+        ell_f = ref_forward(disc.net, inp_f)[0][:, 0]
         loss = float(np.mean(np.logaddexp(0.0, -ell_r)) + np.mean(np.logaddexp(0.0, ell_f)))
-        pg_r, _ = nets.backward(disc.net, cache_r, (-sigmoid(-ell_r) / n)[:, None])
-        pg_f, _ = nets.backward(disc.net, cache_f, (sigmoid(ell_f) / n)[:, None])
+        pg_r, _ = ref_backward(disc.net, inp_r, (-sigmoid(-ell_r) / n)[:, None])
+        pg_f, _ = ref_backward(disc.net, inp_f, (sigmoid(ell_f) / n)[:, None])
         pgrad = pg_r + pg_f
         if r1_gamma > 0.0:
-            _, _, cache_r1, _ = rg._logit_cached(disc, real + sig[:, None] * er, sig)
-            _, igrad = nets.backward(disc.net, cache_r1, np.ones((n, 1)))
+            _, igrad = ref_backward(disc.net, inp_r, np.ones((n, 1)))
             g_net = igrad[:, :dim]
             loss += float(0.5 * r1_gamma * np.mean(np.sum(g_net**2, axis=1) * c_in**2))
             v = np.zeros_like(inp_r)
             v[:, :dim] = (r1_gamma / n) * (c_in**2)[:, None] * g_net
-            _, pg_r1 = nets.input_grad_param_grad(disc.net, cache_r1, v)
+            _, pg_r1 = ref_input_grad_param_grad(disc.net, inp_r, v)
             pgrad = pgrad + pg_r1
         new_params, new_state = nets.adam_step(adam.state, disc.net.params, pgrad)
         return loss, new_params, new_state
 
+    # "zero" keeps disc_init's zero head, so the first step's head products
+    # are signed zeros. Its Adam moments start at -0.0: then m keeps the sign
+    # of a zero gradient entry (-0 + -0 = -0, -0 + +0 = +0) and a wrong sign
+    # shows in the compared bytes.
+    @pytest.mark.parametrize("head", ["random", "zero"])
     @pytest.mark.parametrize("r1_gamma", [0.0, 1.0])
-    def test_matches_separate_passes_bitwise(self, r1_gamma):
+    def test_matches_separate_passes_bitwise(self, r1_gamma, head):
         gen = rngmod.stream(2, 9)
         disc = rg.disc_init(2, gen, sigma_data=1.0)
-        disc.net.params = 0.3 * gen.standard_normal(disc.net.params.size)
         adam = nets.Adam(disc.net.params.size, lr=2e-3)
+        if head == "random":
+            disc.net.params = 0.3 * gen.standard_normal(disc.net.params.size)
+        else:
+            adam.state.m[:] = -0.0
+            adam.state.v[:] = -0.0
         for _ in range(3):
             real = gen.standard_normal((128, 2))
             fake = gen.standard_normal((128, 2)) + 0.5
