@@ -26,8 +26,6 @@ from pathlib import Path
 
 __all__ = ["main"]
 
-_KNOWN_SECTIONS = ("gradcheck", "variance", "table", "weightmap", "modes")
-
 
 def _apply_thread_cap():
     raw = os.environ.get("FDISTILL_THREADS")
@@ -69,8 +67,43 @@ def _float_rows(a) -> str:
     return (line * a.shape[0]) % tuple(a.ravel().tolist())
 
 
+def _section_keys():
+    """Each command section's keys: {section: {key: (default, rule)}}."""
+    from .distill import integer, list_of, number, one_of, optional, teacher_spec
+    from .divergence import KINDS
+
+    return {
+        "gradcheck": {
+            # pair_mean_se takes a ddof=1 standard error over n // 2 antithetic pairs
+            "n": (100000, integer(ge=4)),
+            "fd_step": (1e-3, number(gt=0)),
+            "sigmas": ([0.0, 0.5, 2.0], list_of(number(ge=0))),
+            "rel_tol": (0.05, number(gt=0)),
+        },
+        "variance": {
+            "n": (1000000, integer(ge=2)),
+            "gaps": ([0.25, 0.5, 1.0, 1.5, 2.0], list_of(number())),
+            "kinds": (list(KINDS), list_of(one_of(KINDS))),
+        },
+        "table": {
+            "r_min": (1e-2, number(gt=0)),
+            "r_max": (1e2, number(gt=0)),
+            "n_points": (200, integer(ge=1)),
+            "r_values": (None, optional(list_of(number(gt=0), nonempty=True))),
+        },
+        "weightmap": {
+            "sigma": (0.5, number(ge=0)),
+            "bound": (6.0, number(gt=0)),
+            "resolution": (64, integer(ge=1)),
+            "student": (None, optional(teacher_spec)),
+        },
+        "modes": {"n_samples": (100000, integer(ge=1))},
+    }
+
+
 def _load_config(path, overrides):
-    from .distill import RunConfig
+    """The run config and every command section, each key checked."""
+    from .distill import RunConfig, checked
     from .errors import ConfigError
 
     try:
@@ -82,43 +115,17 @@ def _load_config(path, overrides):
         raise ConfigError("<file>", f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
+    section_keys = _section_keys()
+    base = {k: v for k, v in data.items() if k not in section_keys}
+    base.update((k, v) for k, v in overrides.items() if v is not None)
+    cfg = RunConfig.from_dict(base)
     sections = {}
-    base = {}
-    for key, value in data.items():
-        if key in _KNOWN_SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(key, "command section must be an object")
-            sections[key] = value
-        else:
-            base[key] = value
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
-    return RunConfig.from_dict(base), sections
-
-
-def _section(sections, name, defaults):
-    from .errors import ConfigError
-
-    given = sections.get(name, {})
-    out = dict(defaults)
-    for key, value in given.items():
-        if key not in defaults:
-            raise ConfigError(f"{name}.{key}", "unknown config key")
-        out[key] = value
-    return out
-
-
-def _section_int(params, section: str, key: str, minimum: int) -> int:
-    """params[key] checked to be an integer >= minimum; bools and floats are
-    rejected."""
-    from .errors import ConfigError
-
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{section}.{key}",
-                          f"must be an integer >= {minimum}, got {value!r}")
-    return value
+    for name, keys in section_keys.items():
+        given = data.get(name, {})
+        if not isinstance(given, dict):
+            raise ConfigError(name, "command section must be an object")
+        sections[name] = checked(keys, given, f"{name}.")
+    return cfg, sections
 
 
 def _save_state(path, cfg, state):
@@ -128,7 +135,7 @@ def _save_state(path, cfg, state):
     save_checkpoint(path, cfg.to_dict(), state.iteration, state_payloads(state))
 
 
-def _cmd_train(cfg, sections, out_dir: Path) -> int:
+def _cmd_train(cfg, params, out_dir: Path) -> int:
     from . import rng as rngmod
     from .distill import REPORT_FIELDS, train
 
@@ -158,24 +165,21 @@ def _cmd_train(cfg, sections, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_gradcheck(cfg, sections, out_dir: Path) -> int:
+def _cmd_gradcheck(cfg, params, out_dir: Path) -> int:
     from .divergence import KINDS
     from .oracle import gradcheck_cases, theorem1_grad_check
 
-    params = _section(sections, "gradcheck", {
-        "n": 100000, "fd_step": 1e-3, "sigmas": [0.0, 0.5, 2.0], "rel_tol": 0.05,
-    })
     cases = []
     all_pass = True
     for teacher_name, (teacher, gen) in gradcheck_cases().items():
         for kind in KINDS:
             for sigma in params["sigmas"]:
                 reports = theorem1_grad_check(
-                    kind, teacher, gen, sigma, n=int(params["n"]), seed=cfg.seed,
-                    fd_step=float(params["fd_step"]),
+                    kind, teacher, gen, sigma, n=params["n"], seed=cfg.seed,
+                    fd_step=params["fd_step"],
                 )
                 for rep in reports:
-                    ok = rep.passes(rel_tol=float(params["rel_tol"]))
+                    ok = rep.passes(rel_tol=params["rel_tol"])
                     all_pass = all_pass and ok
                     cases.append({
                         "teacher": teacher_name,
@@ -189,7 +193,7 @@ def _cmd_gradcheck(cfg, sections, out_dir: Path) -> int:
                         "rel_error": rep.rel_error,
                         "pass": ok,
                     })
-    report = {"n": int(params["n"]), "fd_step": float(params["fd_step"]),
+    report = {"n": params["n"], "fd_step": params["fd_step"],
               "seed": cfg.seed, "all_pass": all_pass, "cases": cases}
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -198,42 +202,32 @@ def _cmd_gradcheck(cfg, sections, out_dir: Path) -> int:
     return 0 if all_pass else 1
 
 
-def _cmd_variance(cfg, sections, out_dir: Path) -> int:
-    from .divergence import KINDS
-    from .errors import ConfigError
+def _cmd_variance(cfg, params, out_dir: Path) -> int:
     from .oracle import normalized_variance_curve
 
-    params = _section(sections, "variance", {
-        "n": 1000000, "gaps": [0.25, 0.5, 1.0, 1.5, 2.0], "kinds": list(KINDS),
-    })
-    kinds = params["kinds"]
-    if not isinstance(kinds, list) or any(k not in KINDS for k in kinds):
-        raise ConfigError("variance.kinds", f"must be a list of divergence names "
-                          f"(known: {', '.join(KINDS)}), got {kinds!r}")
-    n = _section_int(params, "variance", "n", 2)
     rows = []
-    for kind in kinds:
-        estimates = normalized_variance_curve(kind, params["gaps"], n=n, seed=cfg.seed)
+    for kind in params["kinds"]:
+        estimates = normalized_variance_curve(kind, params["gaps"], n=params["n"],
+                                              seed=cfg.seed)
         for gap, est in zip(params["gaps"], estimates):
-            rows.append([kind, float(gap), est.value, est.se])
+            rows.append([kind, gap, est.value, est.se])
     _write_csv(out_dir / "variance.csv", ["kind", "d", "estimate", "se"], rows)
     print(f"variance: {len(rows)} rows")
     return 0
 
 
-def _cmd_table(cfg, sections, out_dir: Path) -> int:
+def _cmd_table(cfg, params, out_dir: Path) -> int:
     import numpy as np
 
     from .divergence import KINDS, catalog
+    from .errors import ConfigError
 
-    params = _section(sections, "table", {
-        "r_min": 1e-2, "r_max": 1e2, "n_points": 200, "r_values": None,
-    })
+    if not params["r_min"] < params["r_max"]:
+        raise ConfigError("table.r_min", f"must be < table.r_max, got {params['r_min']!r}")
     if params["r_values"] is not None:
-        grid = np.asarray(params["r_values"], dtype=float)
+        grid = np.asarray(params["r_values"])
     else:
-        grid = np.geomspace(float(params["r_min"]), float(params["r_max"]),
-                            int(params["n_points"]))
+        grid = np.geomspace(params["r_min"], params["r_max"], params["n_points"])
     rows = []
     for kind in KINDS:
         spec = catalog(kind)
@@ -248,20 +242,13 @@ def _cmd_table(cfg, sections, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_weightmap(cfg, sections, out_dir: Path) -> int:
+def _cmd_weightmap(cfg, params, out_dir: Path) -> int:
     import numpy as np
 
-    from .errors import ConfigError, DomainError
+    from .errors import ConfigError
     from .oracle import weight_score_map
     from .teacher import IsotropicGaussianMixture, make_teacher
 
-    params = _section(sections, "weightmap", {
-        "sigma": 0.5, "bound": 6.0, "resolution": 64, "student": None,
-    })
-    sigma = params["sigma"]
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) \
-            or not 0.0 <= sigma < float("inf"):
-        raise ConfigError("weightmap.sigma", f"must be a finite number >= 0, got {sigma!r}")
     teacher = make_teacher(cfg.teacher)
     if teacher.dim != 2:
         raise ConfigError("teacher", "weightmap requires a 2-D teacher")
@@ -273,18 +260,13 @@ def _cmd_weightmap(cfg, sections, out_dir: Path) -> int:
             weights=np.array([1.0]), means=mean[None, :], variances=np.array([var])
         )
     else:
-        try:
-            student = make_teacher(params["student"])
-        except DomainError as exc:
-            raise ConfigError("weightmap.student", str(exc)) from exc
+        student = make_teacher(params["student"])
         if student.dim != 2:
             raise ConfigError("weightmap.student", "weightmap requires a 2-D student")
-    res = _section_int(params, "weightmap", "resolution", 1)
-    bound = float(params["bound"])
-    axis = np.linspace(-bound, bound, res)
+    axis = np.linspace(-params["bound"], params["bound"], params["resolution"])
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    score_diff, h = weight_score_map(cfg.divergence, teacher, student, float(sigma), grid)
+    score_diff, h = weight_score_map(cfg.divergence, teacher, student, params["sigma"], grid)
     rows = [
         [grid[i, 0], grid[i, 1], float(score_diff[i]), float(h[i])]
         for i in range(grid.shape[0])
@@ -294,7 +276,7 @@ def _cmd_weightmap(cfg, sections, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_modes(cfg, sections, out_dir: Path, checkpoint_path) -> int:
+def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
     import numpy as np
 
     from . import rng as rngmod
@@ -305,8 +287,7 @@ def _cmd_modes(cfg, sections, out_dir: Path, checkpoint_path) -> int:
 
     if checkpoint_path is None:
         raise ConfigError("--checkpoint", "the modes command needs a checkpoint file")
-    n_samples = _section_int(_section(sections, "modes", {"n_samples": 100000}),
-                             "modes", "n_samples", 1)
+    n_samples = params["n_samples"]
     try:
         config_echo, iteration, payloads = load_checkpoint(checkpoint_path)
     except OSError as exc:
@@ -338,13 +319,17 @@ def _cmd_modes(cfg, sections, out_dir: Path, checkpoint_path) -> int:
     return 0
 
 
+_COMMANDS = {"train": _cmd_train, "gradcheck": _cmd_gradcheck, "variance": _cmd_variance,
+             "table": _cmd_table, "weightmap": _cmd_weightmap, "modes": _cmd_modes}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fdistill",
         description="Distillation of analytic teachers under selectable f-divergences.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in ("train", "gradcheck", "variance", "table", "weightmap", "modes"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output directory")
@@ -375,20 +360,10 @@ def main(argv=None) -> int:
         cfg, sections = _load_config(args.config, overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "train":
-            return _cmd_train(cfg, sections, out_dir)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(cfg, sections, out_dir)
-        if args.command == "variance":
-            return _cmd_variance(cfg, sections, out_dir)
-        if args.command == "table":
-            return _cmd_table(cfg, sections, out_dir)
-        if args.command == "weightmap":
-            return _cmd_weightmap(cfg, sections, out_dir)
+        params = sections.get(args.command)  # the command's checked section; train has none
         if args.command == "modes":
-            return _cmd_modes(cfg, sections, out_dir, args.checkpoint)
-        parser.print_usage(sys.stderr)
-        return 2
+            return _cmd_modes(cfg, params, out_dir, args.checkpoint)
+        return _COMMANDS[args.command](cfg, params, out_dir)
     except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

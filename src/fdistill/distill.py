@@ -23,7 +23,9 @@ denoiser plus discriminator, mirroring the two time-scale schedule.
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+import operator
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -73,116 +75,150 @@ __all__ = [
 HIDDEN_WIDTHS = (128, 128)
 ACTIVATION = "silu"
 
-_ENUMS = {
-    "stage1_mode": ("bin-mean", "batch-sum"),
-    "ratio_source": ("discriminator", "exact-oracle"),
-    "score_source": ("denoiser", "exact-oracle"),
-    "generator_kind": ("mlp", "affine"),
-    "gan_loss_form": ("nonsaturating", "minimax"),
-}
 
-# Field annotation -> (accepted types, description) for the typed run keys.
-# bool is an Integral, so it is rejected separately for int and float fields.
-_TYPES = {
-    int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a number"),
-    bool: (bool, "true or false"),
-    Optional[int]: ((numbers.Integral, type(None)), "an integer or null"),
-}
-# Lower bounds of the numeric run keys: inclusive, then strictly positive.
-_AT_LEAST = {
-    **dict.fromkeys(("batch_size", "time_bins", "tau", "n_levels", "oracle_ratio_particles",
-                     "metrics_samples", "metrics_centers"), 1),
-    **dict.fromkeys(("total_iters", "gan_weight", "r1_gamma", "weight_decay",
-                     "metrics_interval", "checkpoint_interval"), 0),
-}
-_POSITIVE = ("lr_generator", "lr_denoiser", "lr_discriminator", "metrics_sigma", "coverage_k")
+def _rule(what, ok, convert=lambda v: v):
+    """A config key's rule: it returns an accepted value through `convert` and
+    raises DomainError, saying `what` the value must be, for any other."""
+    def check(value):
+        if not ok(value):
+            raise DomainError(f"must be {what}, got {value!r}")
+        return convert(value)
+    return check
+
+
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
+           "le": ("<=", operator.le), "lt": ("<", operator.lt)}
+
+
+def _bounded(kind, is_kind, bounds, convert=lambda v: v):
+    what = " and ".join(f"{_BOUNDS[k][0]} {b}" for k, b in bounds.items())
+    return _rule(f"{kind} {what}".rstrip(),
+                 lambda v: not isinstance(v, bool) and is_kind(v)
+                 and all(_BOUNDS[k][1](v, b) for k, b in bounds.items()), convert)
+
+
+def integer(**bounds):
+    """An int within `bounds` (ge, gt, le, lt); bools and floats are rejected."""
+    return _bounded("an integer", lambda v: isinstance(v, numbers.Integral), bounds)
+
+
+def number(**bounds):
+    """A finite int or float within `bounds` (ge, gt, le, lt), returned as a float;
+    bools, NaN, infinities and ints beyond the float range are rejected."""
+    return _bounded("a finite number", lambda v: isinstance(v, numbers.Real)
+                    and abs(v) <= sys.float_info.max, bounds, float)
+
+
+def one_of(choices, also=()):
+    """A string from `choices`, or an instance of the types `also`."""
+    return _rule(f"one of {', '.join(choices)}",
+                 lambda v: isinstance(v, also) or (isinstance(v, str) and v in choices))
+
+
+def optional(rule):
+    """`rule`, or null."""
+    return lambda v: None if v is None else rule(v)
+
+
+def list_of(rule, nonempty=False):
+    """A list whose items each pass `rule`; at least one when `nonempty`."""
+    return _rule("a non-empty list" if nonempty else "a list",
+                 lambda v: isinstance(v, list) and (bool(v) or not nonempty),
+                 lambda v: [rule(x) for x in v])
+
+
+def teacher_spec(spec):
+    """A teacher preset name or {weights, means, variances} mixture."""
+    try:
+        make_teacher(spec)
+    except (TypeError, ValueError, OverflowError) as exc:  # also numpy's, on bad arrays
+        raise DomainError(str(exc)) from exc
+    return spec
+
+
+BOOL = _rule("true or false", lambda v: isinstance(v, bool))
+
+
+def checked(keys, given, prefix=""):
+    """Every key of the schema `keys`, {name: (default, rule)}, passed through
+    its rule, the value in `given` in place of the default. An unknown key or
+    a rejected value raises ConfigError naming '<prefix><key>'."""
+    for key in given:
+        if key not in keys:
+            raise ConfigError(prefix + key, "unknown config key")
+    out = {}
+    for name, (default, rule) in keys.items():
+        try:
+            out[name] = rule(given.get(name, default))
+        except DomainError as exc:
+            raise ConfigError(prefix + name, str(exc)) from exc
+    return out
+
+
+def _key(default, rule):
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass
 class RunConfig:
-    """Every hyperparameter of a training run. JSON round-trippable except
-    that `divergence` may also hold a custom DivergenceSpec when driven from
-    code."""
+    """Every hyperparameter of a training run, each declared with its default
+    and rule. JSON round-trippable except that `divergence` may also hold a
+    custom DivergenceSpec when driven from code."""
 
-    divergence: Union[str, DivergenceSpec] = "jensen-shannon"
-    batch_size: int = 128
-    total_iters: int = 20000
-    tau: int = 5
-    gan_weight: float = 1e-3
-    r_min: float = 1e-3
-    r_max: float = 1e3
-    time_bins: int = 8
-    normalize_stage1: bool = True
-    normalize_stage2: bool = True
-    stage1_mode: str = "bin-mean"
-    lr_generator: float = 2e-3
-    lr_denoiser: float = 2e-3
-    lr_discriminator: float = 2e-3
-    weight_decay: float = 0.0
-    r1_gamma: float = 1.0
-    seed: int = 0
-    teacher: Union[str, dict] = "ring8"
-    sigma_min: float = 0.002
-    sigma_max: float = 80.0
-    n_levels: int = 64
-    ratio_source: str = "discriminator"
-    score_source: str = "denoiser"
-    generator_kind: str = "mlp"
-    latent_dim: Optional[int] = None
-    gan_loss_form: str = "nonsaturating"
-    ratio_at_clean: bool = False
-    time_weight_rescale: bool = False
-    oracle_ratio_particles: int = 512
-    metrics_interval: int = 100
-    metrics_samples: int = 512
-    metrics_centers: int = 1024
-    metrics_sigma: float = 0.1
-    checkpoint_interval: int = 0
-    coverage_k: float = 3.0
-    coverage_threshold: float = 0.02
+    divergence: Union[str, DivergenceSpec] = _key("jensen-shannon",
+                                                  one_of(KINDS, DivergenceSpec))
+    batch_size: int = _key(128, integer(ge=1))
+    total_iters: int = _key(20000, integer(ge=0))
+    tau: int = _key(5, integer(ge=1))
+    gan_weight: float = _key(1e-3, number(ge=0))
+    r_min: float = _key(1e-3, number(gt=0, le=1))   # the ratio clip, see RatioClip
+    r_max: float = _key(1e3, number(ge=1))
+    time_bins: int = _key(8, integer(ge=1))
+    normalize_stage1: bool = _key(True, BOOL)
+    normalize_stage2: bool = _key(True, BOOL)
+    stage1_mode: str = _key("bin-mean", one_of(("bin-mean", "batch-sum")))
+    lr_generator: float = _key(2e-3, number(gt=0))
+    lr_denoiser: float = _key(2e-3, number(gt=0))
+    lr_discriminator: float = _key(2e-3, number(gt=0))
+    weight_decay: float = _key(0.0, number(ge=0))
+    r1_gamma: float = _key(1.0, number(ge=0))
+    seed: int = _key(0, integer())
+    teacher: Union[str, dict] = _key("ring8", teacher_spec)
+    sigma_min: float = _key(0.002, number(gt=0))
+    sigma_max: float = _key(80.0, number())
+    n_levels: int = _key(64, integer(ge=1))
+    ratio_source: str = _key("discriminator", one_of(("discriminator", "exact-oracle")))
+    score_source: str = _key("denoiser", one_of(("denoiser", "exact-oracle")))
+    generator_kind: str = _key("mlp", one_of(("mlp", "affine")))
+    latent_dim: Optional[int] = _key(None, optional(integer(ge=1)))
+    gan_loss_form: str = _key("nonsaturating", one_of(("nonsaturating", "minimax")))
+    ratio_at_clean: bool = _key(False, BOOL)
+    time_weight_rescale: bool = _key(False, BOOL)
+    oracle_ratio_particles: int = _key(512, integer(ge=1))
+    metrics_interval: int = _key(100, integer(ge=0))
+    metrics_samples: int = _key(512, integer(ge=1))
+    metrics_centers: int = _key(1024, integer(ge=1))
+    metrics_sigma: float = _key(0.1, number(gt=0))
+    checkpoint_interval: int = _key(0, integer(ge=0))
+    coverage_k: float = _key(3.0, number(gt=0))
+    coverage_threshold: float = _key(0.02, number(gt=0, lt=1))
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
-        for f in fields(self):
-            if f.type not in _TYPES:
-                continue
-            accepted, what = _TYPES[f.type]
-            value = getattr(self, f.name)
-            if not isinstance(value, accepted) or (
-                isinstance(value, bool) and f.type is not bool
-            ):
-                raise ConfigError(f.name, f"must be {what}, got {value!r}")
-        if isinstance(self.divergence, str):
-            if self.divergence not in KINDS:
-                raise ConfigError(
-                    "divergence", f"unknown kind {self.divergence!r} (known: {', '.join(KINDS)})"
-                )
-        elif not isinstance(self.divergence, DivergenceSpec):
-            raise ConfigError("divergence", "must be a catalog name or DivergenceSpec")
-        for name, lo in _AT_LEAST.items():
-            if getattr(self, name) < lo:
-                raise ConfigError(name, f"must be >= {lo}")
-        for name in _POSITIVE:
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(name, "must be > 0")
+        """Each key against its rule, then the checks that span keys. Values
+        are kept as given (an int stays an int on a number key), so the
+        config echo a checkpoint stores is the config's own."""
+        checked(_RUN_KEYS, vars(self))
         if self.batch_size < 2 * self.time_bins:
             raise ConfigError(
                 "batch_size",
                 f"must average >= 2 samples per time bin ({2 * self.time_bins} for "
                 f"{self.time_bins} bins)",
             )
-        try:
-            RatioClip(self.r_min, self.r_max)
-        except DomainError as exc:
-            raise ConfigError("r_min", str(exc)) from exc
-        if not (0.0 < self.sigma_min < self.sigma_max):
+        if not self.sigma_min < self.sigma_max:
             raise ConfigError("sigma_min", "requires 0 < sigma_min < sigma_max")
-        for name, allowed in _ENUMS.items():
-            if getattr(self, name) not in allowed:
-                raise ConfigError(name, f"must be one of {allowed}")
         if self.score_source == "exact-oracle" and self.generator_kind != "affine":
             raise ConfigError(
                 "score_source", "exact-oracle fake scores require an affine generator"
@@ -197,38 +233,19 @@ class RunConfig:
                 "exact clean-sample ratios need an analytic student (affine generator); "
                 "the particle density estimate is undefined at sigma=0",
             )
-        try:
-            make_teacher(self.teacher)
-        except DomainError as exc:
-            raise ConfigError("teacher", str(exc)) from exc
-        if self.latent_dim is not None and self.latent_dim < 1:
-            raise ConfigError("latent_dim", "must be >= 1 when given")
-        if not (0.0 < self.coverage_threshold < 1.0):
-            raise ConfigError("coverage_threshold", "must be in (0, 1)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Strict construction: unknown keys are rejected, not ignored."""
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                raise ConfigError(key, "unknown config key")
-            kwargs[key] = value
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError("<root>", str(exc)) from exc
+        checked(_RUN_KEYS, data)
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, DivergenceSpec):
-                value = value.kind
-            out[f.name] = value
+        out = dict(vars(self))
+        if isinstance(self.divergence, DivergenceSpec):
+            out["divergence"] = self.divergence.kind
         return out
 
     def divergence_spec(self) -> DivergenceSpec:
@@ -241,6 +258,9 @@ class RunConfig:
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.sigma_min, self.sigma_max, self.n_levels)
+
+
+_RUN_KEYS = {f.name: (f.default, f.metadata["rule"]) for f in fields(RunConfig)}
 
 
 class MLPGenerator:

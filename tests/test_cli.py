@@ -1,11 +1,13 @@
 """Command-line surface: config handling, outputs, checkpoint format."""
 
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 import fdistill
 from fdistill import checkpoint as ckpt
 from fdistill import cli
-from fdistill.errors import CheckpointError
+from fdistill.distill import RunConfig, checked
+from fdistill.divergence import KINDS
+from fdistill.errors import CheckpointError, ConfigError
 from fdistill.nets import adam_init
 
 TINY_TRAIN = {
@@ -31,6 +35,9 @@ TINY_TRAIN = {
     "metrics_centers": 64,
     "seed": 5,
 }
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -77,6 +84,14 @@ class TestConfigHandling:
         ("total_iters", 3.0),      # integral float on an int field
         ("seed", True),            # bool on an int field
         ("gan_weight", "x"),       # string on a float field
+        # JSON NaN and Infinity on number keys
+        ("gan_weight", float("nan")),
+        ("coverage_k", float("inf")),
+        ("metrics_sigma", float("nan")),
+        ("sigma_max", float("inf")),
+        ("lr_generator", float("nan")),
+        ("weight_decay", float("nan")),
+        ("r1_gamma", float("inf")),
     ])
     def test_mistyped_value_exits_2_with_one_line(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {**TINY_TRAIN, key: value})
@@ -114,6 +129,27 @@ class TestConfigHandling:
         ("variance", {"n": 2.5}, "variance.n"),
         ("variance", {"n": 1000.0}, "variance.n"),
         ("variance", {"n": True}, "variance.n"),
+        ("weightmap", {"bound": "x"}, "weightmap.bound"),
+        ("table", {"n_points": "x"}, "table.n_points"),
+        ("table", {"r_min": "x"}, "table.r_min"),
+        ("variance", {"gaps": "x"}, "variance.gaps"),
+        ("gradcheck", {"n": "x"}, "gradcheck.n"),
+        ("gradcheck", {"sigmas": "x"}, "gradcheck.sigmas"),
+        ("table", {"r_min": 0.0}, "table.r_min"),
+        ("table", {"r_min": 5.0, "r_max": 2.0}, "table.r_min"),
+        ("table", {"n_points": 0}, "table.n_points"),
+        ("table", {"r_values": [-1.0, 2.0]}, "table.r_values"),
+        ("table", {"r_values": []}, "table.r_values"),
+        ("table", {"r_values": [2.0, float("inf")]}, "table.r_values"),
+        ("gradcheck", {"n": 3}, "gradcheck.n"),
+        ("gradcheck", {"fd_step": -1}, "gradcheck.fd_step"),
+        ("gradcheck", {"fd_step": 0.0}, "gradcheck.fd_step"),
+        ("gradcheck", {"rel_tol": 0}, "gradcheck.rel_tol"),
+        ("gradcheck", {"sigmas": [0.5, -0.5]}, "gradcheck.sigmas"),
+        ("gradcheck", {"sigmas": [float("nan")]}, "gradcheck.sigmas"),
+        ("weightmap", {"bound": 0}, "weightmap.bound"),
+        ("weightmap", {"bound": -1.0}, "weightmap.bound"),
+        ("variance", {"gaps": [1.0, float("inf")]}, "variance.gaps"),
     ])
     def test_bad_command_section_value_exits_2(self, tmp_path, capsys, command, section,
                                                field):
@@ -124,6 +160,13 @@ class TestConfigHandling:
         assert err.startswith(f"error: config field '{field}'")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_config_validates(self, path):
+        """Run keys and every command section, at its defaults, pass the schema."""
+        cfg, sections = cli._load_config(path, {})
+        assert cfg.to_dict() == {**RunConfig().to_dict(), **json.loads(path.read_text())}
+        assert set(sections) == set(cli._section_keys())
+
     def test_console_script_usage(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fdistill.cli"],
@@ -131,6 +174,67 @@ class TestConfigHandling:
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
+
+
+SECTION_KEYS = cli._section_keys()
+KEY_PATHS = (
+    [f.name for f in fields(RunConfig)] + list(SECTION_KEYS) + ["bogus", "table.bogus"]
+    + [f"{name}.{key}" for name, keys in SECTION_KEYS.items() for key in keys]
+)
+# JSON values of every kind; NaN, infinities and ints beyond the float range
+# are drawn often, and so are the names that string keys take
+EDGES = st.sampled_from([math.inf, -math.inf, math.nan, 10 ** 400, -(10 ** 400), 0, 0.5, 4,
+                         True, None, "x"])
+SCALARS = (EDGES | st.integers() | st.floats() | st.text(max_size=4)
+           | st.sampled_from(KINDS + ("ring8", "grid25", "mlp", "affine", "exact-oracle",
+                                      "bin-mean", "minimax", "discriminator", "denoiser")))
+VALUES = (EDGES | SCALARS | st.lists(SCALARS, max_size=4)
+          | st.lists(st.lists(SCALARS, max_size=2), max_size=2)
+          | st.dictionaries(st.text(max_size=4), SCALARS, max_size=3))
+MIXTURE_ARRAYS = st.lists(SCALARS | st.lists(SCALARS, min_size=1, max_size=2), min_size=1,
+                          max_size=3)
+MIXTURES = st.fixed_dictionaries(dict.fromkeys(("weights", "means", "variances"),
+                                               MIXTURE_ARRAYS))
+
+
+def all_floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from all_floats(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from all_floats(item)
+
+
+class TestConfigFuzz:
+    """Random values for run keys and section keys, through config loading and
+    section validation only: each ends in checked values or ConfigError."""
+
+    def load(self, tmp_path, path, value):
+        section, _, key = path.rpartition(".")
+        data = {**TINY_TRAIN, **({section: {key: value}} if section else {key: value})}
+        try:
+            cfg, sections = cli._load_config(write_config(tmp_path, data), {})
+        except ConfigError:
+            return
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        for name, keys in SECTION_KEYS.items():
+            assert checked(keys, sections[name], f"{name}.") == sections[name]
+        assert all(math.isfinite(v) for v in all_floats([cfg.to_dict(), sections]))
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(KEY_PATHS), value=VALUES)
+    def test_values_end_checked_or_config_error(self, tmp_path, path, value):
+        self.load(tmp_path, path, value)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(["teacher", "weightmap.student"]), mixture=MIXTURES)
+    def test_mixtures_end_checked_or_config_error(self, tmp_path, path, mixture):
+        self.load(tmp_path, path, mixture)
 
 
 class TestTableCommand:
