@@ -10,7 +10,8 @@ Subcommands:
 
 All take --config <json> and --out <dir>; --seed/--divergence/--iters override
 config keys. Exit codes: 0 success, 1 gate failure, 2 malformed config,
-usage or unreadable checkpoint, 3 numerical abort.
+usage, unreadable checkpoint or a value outside a command's domain
+(DomainError), 3 numerical abort (NumericsError).
 
 FDISTILL_THREADS caps the BLAS worker pool (default: machine parallelism). The
 cap is set through the BLAS environment variables, which numpy reads when it
@@ -349,7 +350,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    from .errors import CheckpointError, ConfigError, TrainingDiverged
+    from .errors import CheckpointError, ConfigError, DomainError, NumericsError
 
     try:
         overrides = {
@@ -364,12 +365,12 @@ def main(argv=None) -> int:
         if args.command == "modes":
             return _cmd_modes(cfg, params, out_dir, args.checkpoint)
         return _COMMANDS[args.command](cfg, params, out_dir)
-    except (ConfigError, CheckpointError) as exc:
+    except (ConfigError, CheckpointError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TrainingDiverged as exc:
+    except NumericsError as exc:    # TrainingDiverged also carries its step report
         print(f"numerical abort: {exc}", file=sys.stderr)
-        if exc.report is not None:
+        if getattr(exc, "report", None) is not None:
             print(f"step report: {exc.report}", file=sys.stderr)
         return 3
 

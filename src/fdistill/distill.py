@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 HIDDEN_WIDTHS = (128, 128)
-ACTIVATION = "silu"
 
 
 def _rule(what, ok, convert=lambda v: v):
@@ -452,23 +451,15 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
     if cfg.generator_kind == "affine":
         if latent != dim:
             raise ConfigError("latent_dim", "affine students require latent_dim == dim")
-        generator = AffineGenerator(matrix=np.eye(dim), bias=np.zeros(dim))
+        generator = AffineGenerator(scale=1.0, bias=np.zeros(dim))
     else:
-        net = init_net(
-            (latent, *HIDDEN_WIDTHS, dim),
-            ACTIVATION,
-            rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR),
-            final=0.1,
-        )
+        net = init_net((latent, *HIDDEN_WIDTHS, dim),
+                       rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR), final=0.1)
         generator = MLPGenerator(net)
-    denoiser = denoiser_init(
-        dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER), sigma_data=sigma_data,
-        hidden=HIDDEN_WIDTHS, activation=ACTIVATION,
-    )
-    disc = disc_init(
-        dim, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR), sigma_data=sigma_data,
-        hidden=HIDDEN_WIDTHS, activation=ACTIVATION,
-    )
+    denoiser = denoiser_init(dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER),
+                             sigma_data=sigma_data, hidden=HIDDEN_WIDTHS)
+    disc = disc_init(dim, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR),
+                     sigma_data=sigma_data, hidden=HIDDEN_WIDTHS)
     wd = cfg.weight_decay
     return TrainState(
         generator=generator,

@@ -58,8 +58,10 @@ _LOG2 = np.log(2.0)
 
 def _as_float_array(x, name: str):
     a = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
+    bad = ~np.isfinite(a)
+    if bad.any():   # one line, whatever the array's size
+        raise DomainError(f"{name} must be finite, got {float(a[bad][0])!r} "
+                          f"({int(bad.sum())} of {a.size} values)")
     return a
 
 

@@ -1,15 +1,16 @@
 """Fixed-topology MLP with explicit forward/backward passes and Adam.
 
 This is the whole network stack: the generator, the denoiser and the
-discriminator are all instances of `FeedForwardNet` with different heads.
+discriminator are all instances of `FeedForwardNet` with different heads,
+and every hidden layer uses the silu activation z * sigmoid(z).
 Gradients are closed-form reverse mode for the scalar objective
 sum_batch output . output_grad; there is no autodiff graph. A second-order
 routine (`input_grad_param_grad`) differentiates the input gradient with
 respect to the parameters, which is what the R1 penalty needs.
 
 `forward` keeps what the backward passes reuse (layer inputs,
-pre-activations, the activation's shared intermediate and, once asked for,
-its derivatives and the reverse chain from a unit output gradient);
+pre-activations, their sigmoids and, once asked for, the activation's
+derivatives and the reverse chain from a unit output gradient);
 `predict` computes the same output without keeping any of it, for callers
 that only read the output, and evaluates a large batch in row blocks so its
 memory stays bounded.
@@ -56,31 +57,12 @@ EMBED_DIM = 16
 _EMBED_FREQS = np.geomspace(0.2, 3.0, EMBED_DIM // 2)
 
 
-# Each activation is written in terms of one shared intermediate s computed
-# once per pre-activation z: tanh(z) for tanh, sigmoid(z) for silu. The value
-# and both derivatives reuse it, so a forward pass plus any number of backward
-# passes evaluate the transcendental once per layer. Each derivative performs
-# the operations of the expression in its comment, in that order, in as few
-# buffers as that order allows (IEEE + and * commute, so operand order within
-# one operation does not matter).
-
-
-def _tanh_value(z, t, out=None):
-    return t
-
-
-def _tanh_d1(z, t):
-    # 1.0 - t * t
-    d = np.multiply(t, t)
-    np.subtract(1.0, d, out=d)
-    return d
-
-
-def _tanh_d2(z, t):
-    # -2.0 * t * (1.0 - t * t)
-    d = np.multiply(t, -2.0)
-    d *= _tanh_d1(z, t)
-    return d
+# The silu value and both derivatives are written in terms of s = sigmoid(z),
+# computed once per pre-activation z, so a forward pass plus any number of
+# backward passes evaluate the transcendental once per layer. Each derivative
+# performs the operations of the expression in its comment, in that order, in
+# as few buffers as that order allows (IEEE + and * commute, so operand order
+# within one operation does not matter).
 
 
 def _silu_value(z, s, out=None):
@@ -120,23 +102,15 @@ def _product(a, w):
     return out
 
 
-# name -> (shared intermediate, value, first derivative, second derivative)
-_ACTIVATIONS = {
-    "tanh": (np.tanh, _tanh_value, _tanh_d1, _tanh_d2),
-    "silu": (sigmoid, _silu_value, _silu_d1, _silu_d2),
-}
-
-
 def param_count(widths) -> int:
     return int(sum((win + 1) * wout for win, wout in zip(widths[:-1], widths[1:])))
 
 
 @dataclass
 class FeedForwardNet:
-    """widths = (in, hidden..., out); activation on all but the last layer."""
+    """widths = (in, hidden..., out); silu on all but the last layer."""
 
     widths: Tuple[int, ...]
-    activation: str
     params: np.ndarray
     _views: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -144,8 +118,6 @@ class FeedForwardNet:
         self.widths = tuple(int(w) for w in self.widths)
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise DomainError(f"invalid layer widths {self.widths}")
-        if self.activation not in _ACTIVATIONS:
-            raise DomainError(f"unknown activation {self.activation!r}")
         self.params = np.asarray(self.params, dtype=float)
         if self.params.shape != (param_count(self.widths),):
             raise DomainError(
@@ -176,7 +148,7 @@ def _layer_views(widths, flat):
     return views
 
 
-def init_net(widths, activation, gen: np.random.Generator, final="he") -> FeedForwardNet:
+def init_net(widths, gen: np.random.Generator, final="he") -> FeedForwardNet:
     """He-scaled normal init; `final` is "he", "zero", or a scale multiplier
     for a Xavier-scaled last layer (biases always start at zero)."""
     chunks = []
@@ -190,18 +162,15 @@ def init_net(widths, activation, gen: np.random.Generator, final="he") -> FeedFo
             w = gen.standard_normal((wout, win)) * np.sqrt(2.0 / win)
         chunks.append(w.ravel())
         chunks.append(np.zeros(wout))
-    return FeedForwardNet(
-        widths=tuple(widths), activation=activation, params=np.concatenate(chunks)
-    )
+    return FeedForwardNet(widths=tuple(widths), params=np.concatenate(chunks))
 
 
 @dataclass
 class ForwardCache:
     params_ref: np.ndarray      # identity-checked against net.params in backward
-    activation: str
     inputs: list                # a_{l-1} per layer
     preacts: list               # z_l per layer
-    shared: list                # per hidden layer: tanh(z) for tanh, sigmoid(z) for silu
+    shared: list                # sigmoid(z_l) per hidden layer
     d1: list = None             # per hidden layer, filled on first use
     d2: list = None
     chain: list = None          # per layer (du, dt) from out_grad = ones, see `_ones_chain`
@@ -215,13 +184,13 @@ class ForwardCache:
     def act_d1(self, l):
         """First activation derivative at hidden layer l, computed once."""
         if self.d1[l] is None:
-            self.d1[l] = _ACTIVATIONS[self.activation][2](self.preacts[l], self.shared[l])
+            self.d1[l] = _silu_d1(self.preacts[l], self.shared[l])
         return self.d1[l]
 
     def act_d2(self, l):
         """Second activation derivative at hidden layer l, computed once."""
         if self.d2[l] is None:
-            self.d2[l] = _ACTIVATIONS[self.activation][3](self.preacts[l], self.shared[l])
+            self.d2[l] = _silu_d2(self.preacts[l], self.shared[l])
         return self.d2[l]
 
     def rows(self, stop: int) -> "ForwardCache":
@@ -231,8 +200,7 @@ class ForwardCache:
             return [None if a is None else a[:stop] for a in arrays]
 
         return ForwardCache(
-            params_ref=self.params_ref, activation=self.activation,
-            inputs=head(self.inputs), preacts=head(self.preacts),
+            params_ref=self.params_ref, inputs=head(self.inputs), preacts=head(self.preacts),
             shared=head(self.shared), d1=head(self.d1), d2=head(self.d2),
         )
 
@@ -249,7 +217,6 @@ def _check_input(net: FeedForwardNet, x) -> np.ndarray:
 def forward(net: FeedForwardNet, x: np.ndarray):
     """Batched forward pass; returns (output (B, out), cache for backward)."""
     a = _check_input(net, x)
-    shared_fn, value, _, _ = _ACTIVATIONS[net.activation]
     layers = net.layers()
     inputs, preacts, shared = [], [], []
     for i, (w, b) in enumerate(layers):
@@ -258,13 +225,13 @@ def forward(net: FeedForwardNet, x: np.ndarray):
         z += b
         preacts.append(z)
         if i < len(layers) - 1:
-            s = shared_fn(z)
+            s = sigmoid(z)
             shared.append(s)
-            a = value(z, s)
+            a = _silu_value(z, s)
         else:
             a = z
-    cache = ForwardCache(params_ref=net.params, activation=net.activation,
-                         inputs=inputs, preacts=preacts, shared=shared)
+    cache = ForwardCache(params_ref=net.params, inputs=inputs, preacts=preacts,
+                         shared=shared)
     return a, cache
 
 
@@ -288,13 +255,12 @@ def predict(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
 def _predict_rows(net: FeedForwardNet, a: np.ndarray) -> np.ndarray:
     """The forward output of one block; each layer's arrays are released
     once the next layer's exist."""
-    shared_fn, value, _, _ = _ACTIVATIONS[net.activation]
     layers = net.layers()
     for i, (w, b) in enumerate(layers):
         a = a @ w.T
         a += b
         if i < len(layers) - 1:
-            a = value(a, shared_fn(a), out=a)
+            a = _silu_value(a, sigmoid(a), out=a)
     return a
 
 

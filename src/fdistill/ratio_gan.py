@@ -73,10 +73,10 @@ class Discriminator:
         return self.net.widths[0] - EMBED_DIM
 
 
-def disc_init(dim, gen, sigma_data=1.0, hidden=(128, 128), activation="silu",
+def disc_init(dim, gen, sigma_data=1.0, hidden=(128, 128),
               precondition=True) -> Discriminator:
     # zero-initialized head: the initial ratio estimate is exactly 1
-    net = init_net((dim + EMBED_DIM, *hidden, 1), activation, gen, final="zero")
+    net = init_net((dim + EMBED_DIM, *hidden, 1), gen, final="zero")
     return Discriminator(net=net, sigma_data=float(sigma_data), precondition=precondition)
 
 

@@ -43,10 +43,10 @@ class Denoiser:
         return self.net.widths[-1]
 
 
-def denoiser_init(dim, gen, sigma_data=1.0, hidden=(128, 128), activation="silu",
+def denoiser_init(dim, gen, sigma_data=1.0, hidden=(128, 128),
                   precondition=True) -> Denoiser:
     # zero-initialized head: the initial score is that of N(0, (sigma_data^2+sigma^2) I)
-    net = init_net((dim + EMBED_DIM, *hidden, dim), activation, gen, final="zero")
+    net = init_net((dim + EMBED_DIM, *hidden, dim), gen, final="zero")
     return Denoiser(net=net, sigma_data=float(sigma_data), precondition=precondition)
 
 

@@ -10,16 +10,15 @@ equals SciPy's `logsumexp` bit for bit, so the training path loads numpy only.
 ball, counting over row blocks so that a 1e5-sample check stays small.
 
 `AffineGenerator` is the package's one affine student: pushing a standard
-normal latent through x = A z + b gives an exactly Gaussian output law, which
-keeps the student's perturbed density and score in closed form too. With
-A = a I it is also a trainable generator (flat parameters [a, *b]) for the
-exact-oracle ratio and score sources; a general A serves the oracles.
+normal latent through x = a z + b gives the exactly Gaussian output law
+N(b, a^2 I), a one-component mixture, so the student's perturbed density and
+score are closed form too. It trains (flat parameters [a, *b]) under the
+exact-oracle ratio and score sources and is the student of the gradient gate.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "IsotropicGaussianMixture",
     "NoiseSchedule",
     "AffineGenerator",
-    "FullGaussian",
     "log_density",
     "score",
     "perturb",
@@ -91,19 +89,6 @@ class IsotropicGaussianMixture:
             self.weights @ (self.variances * self.dim + np.sum(self.means**2, axis=1))
         )
         return math.sqrt(max((second - float(np.sum(mean**2))) / self.dim, 1e-12))
-
-    # Convenience wrappers over the module-level operations.
-    def log_density(self, x, sigma=0.0):
-        return log_density(self, x, sigma)
-
-    def score(self, x, sigma=0.0):
-        return score(self, x, sigma)
-
-    def perturb(self, sigma):
-        return perturb(self, sigma)
-
-    def sample(self, n, seed, counter=0):
-        return sample(self, n, seed, counter)
 
 
 def _check_points(gm_dim: int, x) -> tuple:
@@ -237,60 +222,24 @@ class NoiseSchedule:
         return np.minimum(idx * n_bins // self.n_levels, n_bins - 1)
 
 
-class FullGaussian:
-    """Dense-covariance Gaussian used only on oracle paths."""
-
-    def __init__(self, mean, cov):
-        self.mean = np.asarray(mean, dtype=float)
-        self.cov = np.asarray(cov, dtype=float)
-        self._prec = np.linalg.inv(self.cov)
-        sign, logdet = np.linalg.slogdet(self.cov)
-        if sign <= 0:
-            raise DomainError("covariance must be positive definite")
-        self._logdet = logdet
-
-    @property
-    def dim(self):
-        return self.mean.shape[0]
-
-    def log_density(self, x, sigma=0.0):
-        pts, single = _check_points(self.dim, x)
-        if np.ndim(sigma) or float(sigma) != 0.0:
-            raise DomainError("FullGaussian density is evaluated pre-perturbed")
-        diff = pts - self.mean
-        quad = np.einsum("ni,ij,nj->n", diff, self._prec, diff)
-        out = -0.5 * (self.dim * _LOG_2PI + self._logdet + quad)
-        return float(out[0]) if single else out
-
-    def score(self, x, sigma=0.0):
-        pts, single = _check_points(self.dim, x)
-        if np.ndim(sigma) or float(sigma) != 0.0:
-            raise DomainError("FullGaussian score is evaluated pre-perturbed")
-        out = -(pts - self.mean) @ self._prec.T
-        return out[0] if single else out
-
-
 @dataclass
 class AffineGenerator:
-    """Student map x = A z + b with standard normal latent z.
+    """Isotropic student x = a z + b with standard normal latent z.
 
-    The pushforward is exactly N(b, A A^T), so perturbed densities, scores
-    and ratios against an analytic teacher stay closed form. The training
-    interface (`params`, `forward_cached`, `backward`, `exact_law`) is the
-    isotropic student A = a I with flat parameters [a, *b]; any other A is
-    oracle-only.
+    The pushforward is exactly N(b, a^2 I), so perturbed densities, scores
+    and ratios against an analytic teacher stay closed form. The flat
+    training parameters are [a, *b]; a non-finite a set through `params`
+    stays readable, so the training loop reports it as divergence.
     """
 
-    matrix: np.ndarray
+    scale: float
     bias: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.scale = float(self.scale)
         self.bias = np.asarray(self.bias, dtype=float)
-        if self.matrix.ndim != 2 or self.bias.ndim != 1:
-            raise DomainError("affine generator needs matrix (d, latent) and bias (d,)")
-        if self.matrix.shape[0] != self.bias.shape[0]:
-            raise DomainError("matrix rows must match bias length")
+        if self.bias.ndim != 1:
+            raise DomainError("affine generator needs a bias vector (d,)")
 
     @property
     def dim(self) -> int:
@@ -298,36 +247,14 @@ class AffineGenerator:
 
     @property
     def latent_dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.dim
 
     @property
     def widths(self):
         return (self.latent_dim, self.dim)
 
-    def isotropic_scale(self) -> Optional[float]:
-        """a such that A = a I, or None if A is not an isotropic square map."""
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            return None
-        a = self.matrix[0, 0]
-        # equal_nan: a non-finite a set through `params` stays readable, so the
-        # training loop reports it as divergence rather than a domain error
-        if np.allclose(self.matrix, a * np.eye(self.dim), rtol=0.0, atol=1e-12,
-                       equal_nan=True):
-            return float(a)
-        return None
-
-    @property
-    def scale(self) -> float:
-        """a of the isotropic student A = a I."""
-        a = self.isotropic_scale()
-        if a is None:
-            raise DomainError("the affine training interface needs A = a I")
-        return a
-
     def forward(self, z: np.ndarray) -> np.ndarray:
-        # a z for A = a I: the trained student's outputs depend on these bits
-        a = self.isotropic_scale()
-        return (z @ self.matrix.T if a is None else a * z) + self.bias
+        return self.scale * z + self.bias
 
     def forward_cached(self, z: np.ndarray):
         return self.forward(z), z
@@ -339,7 +266,7 @@ class AffineGenerator:
     @params.setter
     def params(self, value):
         flat = np.asarray(value, dtype=float)
-        self.matrix = float(flat[0]) * np.eye(flat.size - 1)
+        self.scale = float(flat[0])
         self.bias = flat[1:].copy()
 
     def backward(self, z: np.ndarray, out_grad: np.ndarray) -> np.ndarray:
@@ -352,27 +279,17 @@ class AffineGenerator:
         return affine_pushforward(self, 0.0)
 
 
-def affine_pushforward(
-    gen: AffineGenerator, sigma: float
-) -> Union[IsotropicGaussianMixture, FullGaussian]:
-    """Exact law of G(z) + sigma * eps for standard normal z, eps.
-
-    Isotropic A yields a single-component IsotropicGaussianMixture usable on
-    every code path; non-isotropic A returns a FullGaussian handle meant for
-    oracles only.
-    """
+def affine_pushforward(gen: AffineGenerator, sigma: float) -> IsotropicGaussianMixture:
+    """Exact law of G(z) + sigma * eps for standard normal z, eps: the
+    one-component mixture N(b, (a^2 + sigma^2) I)."""
     s = float(sigma)
     if s < 0.0:
         raise DomainError("sigma must be >= 0")
-    a = gen.isotropic_scale()
-    if a is not None:
-        return IsotropicGaussianMixture(
-            weights=np.array([1.0]),
-            means=gen.bias[None, :],
-            variances=np.array([a**2 + s**2]),
-        )
-    cov = gen.matrix @ gen.matrix.T + s**2 * np.eye(gen.dim)
-    return FullGaussian(mean=gen.bias, cov=cov)
+    return IsotropicGaussianMixture(
+        weights=np.array([1.0]),
+        means=gen.bias[None, :],
+        variances=np.array([gen.scale**2 + s**2]),
+    )
 
 
 def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line surface: config handling, outputs, checkpoint format."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -158,6 +160,25 @@ class TestConfigHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{field}'")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_domain_error_in_command_exits_2_with_one_line(self, tmp_path, capsys):
+        """A gap the schema accepts whose Gaussian log ratio overflows."""
+        cfg = write_config(tmp_path, {"variance": {"gaps": [1e300], "n": 100}})
+        code = cli.main(["variance", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: log ratio must be finite")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_numerics_error_in_command_exits_3_with_one_line(self, tmp_path, capsys):
+        """n = 4 passes the schema but is too few draws for the gate's
+        standard-error check."""
+        cfg = write_config(tmp_path, {"gradcheck": {"n": 4}})
+        code = cli.main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: ") and "increase n" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
@@ -692,6 +713,20 @@ class TestStartupImports:
         assert proc.returncode == 0, proc.stderr
         printed = [line for line in proc.stdout.splitlines() if line.startswith("[")]
         assert printed == ["[0] False", "[0, 0] False"]
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        """Each name in a module's `__all__`, and each lazy package export,
+        exists, so a deleted definition cannot leave a stale export."""
+        for info in pkgutil.iter_modules(fdistill.__path__):
+            module = importlib.import_module(f"fdistill.{info.name}")
+            missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            assert not missing, (info.name, missing)
+        for name, home in fdistill._EXPORTS.items():
+            assert getattr(fdistill, name) is getattr(
+                importlib.import_module(f"fdistill.{home}"), name)
+        assert set(fdistill.__all__) == {*fdistill._EXPORTS, "__version__"}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")

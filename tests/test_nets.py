@@ -5,11 +5,16 @@ import pytest
 
 from fdistill import nets
 from fdistill import rng as rngmod
+from fdistill._numerics import sigmoid
 from fdistill.errors import DomainError, NumericsError
 
+# silu is the only activation; the tests that ran once per activation keep
+# it as a parameter, so their ids still name it.
+SILU = pytest.mark.parametrize("activation", ["silu"])
 
-def random_net(gen, widths, activation):
-    return nets.init_net(widths, activation, gen)
+
+def random_net(gen, widths):
+    return nets.init_net(widths, gen)
 
 
 def scalar_objective(net, x, gy):
@@ -25,35 +30,30 @@ def _ref_sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-REF_ACTIVATIONS = {
-    "tanh": (
-        np.tanh,
-        lambda z: 1.0 - np.tanh(z) * np.tanh(z),
-        lambda z: -2.0 * np.tanh(z) * (1.0 - np.tanh(z) * np.tanh(z)),
-    ),
-    "silu": (
-        lambda z: z * _ref_sigmoid(z),
-        lambda z: _ref_sigmoid(z) * (1.0 + z * (1.0 - _ref_sigmoid(z))),
-        lambda z: _ref_sigmoid(z) * (1.0 - _ref_sigmoid(z))
-        * (2.0 + z * (1.0 - 2.0 * _ref_sigmoid(z))),
-    ),
-}
+def ref_act(z):
+    return z * _ref_sigmoid(z)
+
+
+def ref_act_d1(z):
+    return _ref_sigmoid(z) * (1.0 + z * (1.0 - _ref_sigmoid(z)))
+
+
+def ref_act_d2(z):
+    return _ref_sigmoid(z) * (1.0 - _ref_sigmoid(z)) * (2.0 + z * (1.0 - 2.0 * _ref_sigmoid(z)))
 
 
 def ref_forward(net, x):
-    act = REF_ACTIVATIONS[net.activation][0]
     layers = net.layers()
     a, inputs, preacts = x, [], []
     for i, (w, b) in enumerate(layers):
         inputs.append(a)
         z = a @ w.T + b
         preacts.append(z)
-        a = act(z) if i < len(layers) - 1 else z
+        a = ref_act(z) if i < len(layers) - 1 else z
     return a, inputs, preacts
 
 
 def ref_backward(net, x, gy):
-    _, act_d1, _ = REF_ACTIVATIONS[net.activation]
     _, inputs, preacts = ref_forward(net, x)
     weights = [w for w, _ in net.layers()]
     grads = [None] * len(weights)
@@ -62,13 +62,12 @@ def ref_backward(net, x, gy):
         grads[l] = (delta.T @ inputs[l], delta.sum(axis=0))
         delta = delta @ weights[l]
         if l > 0:
-            delta = delta * act_d1(preacts[l - 1])
+            delta = delta * ref_act_d1(preacts[l - 1])
     flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
     return flat, delta
 
 
 def ref_input_grad_param_grad(net, x, v):
-    act, act_d1, act_d2 = REF_ACTIVATIONS[net.activation]
     weights = [w for w, _ in net.layers()]
     n_layers = len(weights)
     a, u = x, v
@@ -81,7 +80,7 @@ def ref_input_grad_param_grad(net, x, v):
         preacts.append(z)
         tangents_pre.append(t)
         if i < n_layers - 1:
-            a, u = act(z), act_d1(z) * t
+            a, u = ref_act(z), ref_act_d1(z) * t
         else:
             a, u = z, t
     dots = u[:, 0].copy()
@@ -91,9 +90,9 @@ def ref_input_grad_param_grad(net, x, v):
         if l == n_layers - 1:
             dt, dz = du, da
         else:
-            phi1 = act_d1(preacts[l])
+            phi1 = ref_act_d1(preacts[l])
             dt = phi1 * du
-            dz = act_d2(preacts[l]) * tangents_pre[l] * du + phi1 * da
+            dz = ref_act_d2(preacts[l]) * tangents_pre[l] * du + phi1 * da
         grads[l] = (dt.T @ tangents_in[l] + dz.T @ inputs[l], dz.sum(axis=0))
         du, da = dt @ weights[l], dz @ weights[l]
     flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
@@ -106,27 +105,27 @@ def fd_param_grad(net, x, gy, idx, step=1e-5):
     for sign in (1.0, -1.0):
         shifted = base.copy()
         shifted[idx] += sign * step
-        probe = nets.FeedForwardNet(net.widths, net.activation, shifted)
+        probe = nets.FeedForwardNet(net.widths, shifted)
         out.append(scalar_objective(probe, x, gy))
     return (out[0] - out[1]) / (2 * step)
 
 
 class TestForward:
     def test_zero_parameters_give_zero_output(self):
-        net = nets.FeedForwardNet((3, 8, 2), "tanh", np.zeros(nets.param_count((3, 8, 2))))
+        net = nets.FeedForwardNet((3, 8, 2), np.zeros(nets.param_count((3, 8, 2))))
         y, _ = nets.forward(net, np.ones((5, 3)))
         np.testing.assert_array_equal(y, np.zeros((5, 2)))
 
     def test_identity_single_layer(self):
         params = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
-        net = nets.FeedForwardNet((3, 3), "silu", params)
+        net = nets.FeedForwardNet((3, 3), params)
         x = rngmod.stream(1, 1).standard_normal((4, 3))
         y, _ = nets.forward(net, x)
         np.testing.assert_array_equal(y, x)
 
     def test_forward_is_deterministic(self):
         gen = rngmod.stream(2, 1)
-        net = random_net(gen, (4, 16, 16, 2), "silu")
+        net = random_net(gen, (4, 16, 16, 2))
         x = gen.standard_normal((6, 4))
         y1, _ = nets.forward(net, x)
         y2, _ = nets.forward(net, x)
@@ -134,12 +133,12 @@ class TestForward:
 
     def test_shape_mismatch_rejected(self):
         gen = rngmod.stream(2, 2)
-        net = random_net(gen, (4, 8, 2), "tanh")
+        net = random_net(gen, (4, 8, 2))
         with pytest.raises(DomainError):
             nets.forward(net, np.zeros((3, 5)))
 
     def test_layer_views_follow_params_assignment(self):
-        net = random_net(rngmod.stream(2, 3), (4, 8, 2), "tanh")
+        net = random_net(rngmod.stream(2, 3), (4, 8, 2))
         first = net.layers()
         assert net.layers() is first
         net.params = 2.0 * net.params
@@ -153,10 +152,10 @@ class TestForward:
 
 class TestPredict:
     @pytest.mark.parametrize("batch", [1, 128, 10000])
-    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @SILU
     def test_equals_forward_output_bitwise(self, activation, batch):
         gen = rngmod.stream(3, 20)
-        net = random_net(gen, (18, 128, 128, 2), activation)
+        net = random_net(gen, (18, 128, 128, 2))
         x = gen.standard_normal((batch, 18))
         x_before = x.copy()
         out = nets.predict(net, x)
@@ -165,7 +164,7 @@ class TestPredict:
         np.testing.assert_array_equal(x, x_before)
 
     def test_bad_input_shape_rejected(self):
-        net = random_net(rngmod.stream(3, 21), (4, 3, 2), "tanh")
+        net = random_net(rngmod.stream(3, 21), (4, 3, 2))
         with pytest.raises(DomainError, match="shape"):
             nets.predict(net, np.zeros((3, 5)))
 
@@ -176,20 +175,19 @@ class TestPredict:
         *[((2, 128, 128, 2), n) for n in (1, 128, 2047, 2048, 2049, 3071, 10000, 100001)],
         *[((18, 128, 128, 1), n) for n in (1, 128, 2047, 2048, 2049, 3071, 10000)],
     ])
-    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @SILU
     def test_blocked_equals_one_shot_bitwise(self, activation, widths, batch):
         """A batch evaluated in row blocks gives the bits of one pass over
         the whole batch, at and around the block boundaries."""
-        net = random_net(rngmod.stream(3, 23), widths, activation)
+        net = random_net(rngmod.stream(3, 23), widths)
         x = rngmod.stream(3, 24, batch).standard_normal((batch, widths[0]))
-        shared_fn, value, _, _ = nets._ACTIVATIONS[activation]
         layers = net.layers()
         expected = x
         for i, (w, b) in enumerate(layers):     # the single-pass loop
             expected = expected @ w.T
             expected += b
             if i < len(layers) - 1:
-                expected = value(expected, shared_fn(expected), out=expected)
+                expected = nets._silu_value(expected, sigmoid(expected), out=expected)
         out = nets.predict(net, x)
         assert out.shape == (batch, widths[-1])
         assert out.tobytes() == expected.tobytes()
@@ -238,32 +236,25 @@ class TestHeadProduct:
 class TestActivationDerivatives:
     """The one-buffer derivatives give the bits of the one-line expressions."""
 
-    ONE_LINE = {
-        "tanh": (lambda z, t: 1.0 - t * t,
-                 lambda z, t: -2.0 * t * (1.0 - t * t)),
-        "silu": (lambda z, s: s * (1.0 + z * (1.0 - s)),
-                 lambda z, s: s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))),
-    }
-
-    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @SILU
     def test_match_one_line_expressions_bitwise(self, activation):
         gen = np.random.default_rng(11)
-        shared_fn, _, d1, d2 = nets._ACTIVATIONS[activation]
-        one_d1, one_d2 = self.ONE_LINE[activation]
         z = np.concatenate([SPECIAL, gen.standard_normal(2000) * 4.0,
                             special_mix(gen, 2000)]).reshape(-1, 6)
         for zz in (z, z[:, ::2]):
             with np.errstate(all="ignore"):
-                s = shared_fn(zz)
-                assert d1(zz, s).tobytes() == one_d1(zz, s).tobytes()
-                assert d2(zz, s).tobytes() == one_d2(zz, s).tobytes()
+                s = sigmoid(zz)
+                one_d1 = s * (1.0 + zz * (1.0 - s))
+                one_d2 = s * (1.0 - s) * (2.0 + zz * (1.0 - 2.0 * s))
+                assert nets._silu_d1(zz, s).tobytes() == one_d1.tobytes()
+                assert nets._silu_d2(zz, s).tobytes() == one_d2.tobytes()
 
 
 class TestBackward:
-    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @SILU
     def test_matches_reference_bitwise(self, activation):
         gen = rngmod.stream(3, 22)
-        net = random_net(gen, (18, 128, 128, 2), activation)
+        net = random_net(gen, (18, 128, 128, 2))
         x = gen.standard_normal((128, 18))
         gy = gen.standard_normal((128, 2))
         _, cache = nets.forward(net, x)
@@ -279,7 +270,7 @@ class TestBackward:
 
     def test_split_sums_two_row_blocks_bitwise(self):
         gen = rngmod.stream(3, 23)
-        net = random_net(gen, (18, 128, 128, 1), "silu")
+        net = random_net(gen, (18, 128, 128, 1))
         x = gen.standard_normal((256, 18))
         gy = gen.standard_normal((256, 1))
         _, cache = nets.forward(net, x)
@@ -291,7 +282,7 @@ class TestBackward:
 
     def test_zero_out_grad_gives_zero_grads(self):
         gen = rngmod.stream(3, 1)
-        net = random_net(gen, (3, 10, 2), "silu")
+        net = random_net(gen, (3, 10, 2))
         x = gen.standard_normal((7, 3))
         y, cache = nets.forward(net, x)
         pgrad, xgrad = nets.backward(net, cache, np.zeros_like(y))
@@ -300,21 +291,21 @@ class TestBackward:
     def test_linear_net_input_grad_is_w_transpose(self):
         gen = rngmod.stream(3, 2)
         w = gen.standard_normal((2, 4))
-        net = nets.FeedForwardNet((4, 2), "tanh", np.concatenate([w.ravel(), np.zeros(2)]))
+        net = nets.FeedForwardNet((4, 2), np.concatenate([w.ravel(), np.zeros(2)]))
         x = gen.standard_normal((5, 4))
         gy = gen.standard_normal((5, 2))
         _, cache = nets.forward(net, x)
         _, xgrad = nets.backward(net, cache, gy)
         np.testing.assert_allclose(xgrad, gy @ w, atol=1e-14)
 
-    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @SILU
     def test_param_grads_match_finite_differences(self, activation):
-        """20 random (net, input, out_grad) triples per activation."""
+        """20 random (net, input, out_grad) triples."""
         gen = rngmod.stream(3, 3)
         worst = 0.0
         for trial in range(20):
             widths = (3, 6, 5, 2)
-            net = random_net(gen, widths, activation)
+            net = random_net(gen, widths)
             x = gen.standard_normal((4, 3))
             gy = gen.standard_normal((4, 2))
             _, cache = nets.forward(net, x)
@@ -328,7 +319,7 @@ class TestBackward:
 
     def test_input_grads_match_finite_differences(self):
         gen = rngmod.stream(3, 4)
-        net = random_net(gen, (3, 8, 1), "silu")
+        net = random_net(gen, (3, 8, 1))
         x = gen.standard_normal((2, 3))
         gy = gen.standard_normal((2, 1))
         _, cache = nets.forward(net, x)
@@ -346,7 +337,7 @@ class TestBackward:
 
     def test_stale_cache_rejected(self):
         gen = rngmod.stream(3, 5)
-        net = random_net(gen, (3, 8, 2), "tanh")
+        net = random_net(gen, (3, 8, 2))
         x = gen.standard_normal((4, 3))
         y, cache = nets.forward(net, x)
         net.params = net.params.copy()  # fresh array = parameters "changed"
@@ -357,11 +348,10 @@ class TestBackward:
         """Backward through stacked nets equals backward through their
         concatenation (same weights, activation applied at the junction)."""
         gen = rngmod.stream(3, 6)
-        act = "silu"
-        net1 = random_net(gen, (3, 6, 4), act)
-        net2 = random_net(gen, (4, 5, 2), act)
+        net1 = random_net(gen, (3, 6, 4))
+        net2 = random_net(gen, (4, 5, 2))
         joined = nets.FeedForwardNet(
-            (3, 6, 4, 5, 2), act, np.concatenate([net1.params, net2.params])
+            (3, 6, 4, 5, 2), np.concatenate([net1.params, net2.params])
         )
         x = gen.standard_normal((5, 3))
         gy = gen.standard_normal((5, 2))
@@ -369,12 +359,11 @@ class TestBackward:
         yj, cache_j = nets.forward(joined, x)
         pg_joined, xg_joined = nets.backward(joined, cache_j, gy)
 
-        shared, value, d1, _ = nets._ACTIVATIONS[act]
         y1, cache1 = nets.forward(net1, x)
-        a1 = value(y1, shared(y1))
+        a1 = nets._silu_value(y1, sigmoid(y1))
         y2, cache2 = nets.forward(net2, a1)
         pg2, ga1 = nets.backward(net2, cache2, gy)
-        gy1 = ga1 * d1(y1, shared(y1))
+        gy1 = ga1 * nets._silu_d1(y1, sigmoid(y1))
         pg1, xg_stacked = nets.backward(net1, cache1, gy1)
 
         np.testing.assert_allclose(yj, y2, atol=1e-12)
@@ -387,15 +376,15 @@ class TestBackward:
 class TestInputGradParamGrad:
     """Second-order path used by the R1 penalty."""
 
-    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @SILU
     def test_matches_finite_difference_over_params(self, activation):
         gen = rngmod.stream(4, 1)
-        net = random_net(gen, (3, 6, 4, 1), activation)
+        net = random_net(gen, (3, 6, 4, 1))
         x = gen.standard_normal((5, 3))
         v = gen.standard_normal((5, 3))
 
         def objective(params):
-            probe = nets.FeedForwardNet(net.widths, net.activation, params)
+            probe = nets.FeedForwardNet(net.widths, params)
             _, cache = nets.forward(probe, x)
             _, xgrad = nets.backward(probe, cache, np.ones((5, 1)))
             return float(np.sum(xgrad * v))
@@ -412,12 +401,12 @@ class TestInputGradParamGrad:
             fd = (objective(plus) - objective(minus)) / (2 * step)
             assert pgrad[int(idx)] == pytest.approx(fd, rel=2e-4, abs=1e-7)
 
-    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @SILU
     def test_matches_reference_bitwise(self, activation):
         """The cache's primal pass and derivatives, reused, give the bits of
         a pass that recomputes them; so does the cache of leading rows."""
         gen = rngmod.stream(4, 3)
-        net = random_net(gen, (18, 128, 128, 1), activation)
+        net = random_net(gen, (18, 128, 128, 1))
         x = gen.standard_normal((256, 18))
         v = gen.standard_normal((128, 18))
         _, cache = nets.forward(net, x)
@@ -429,7 +418,7 @@ class TestInputGradParamGrad:
 
     def test_stale_cache_rejected(self):
         gen = rngmod.stream(4, 4)
-        net = random_net(gen, (3, 6, 1), "silu")
+        net = random_net(gen, (3, 6, 1))
         _, cache = nets.forward(net, np.zeros((2, 3)))
         net.params = net.params.copy()
         with pytest.raises(DomainError, match="stale"):
@@ -439,7 +428,7 @@ class TestInputGradParamGrad:
 
     def test_requires_scalar_head(self):
         gen = rngmod.stream(4, 2)
-        net = random_net(gen, (3, 6, 2), "silu")
+        net = random_net(gen, (3, 6, 2))
         _, cache = nets.forward(net, np.zeros((2, 3)))
         with pytest.raises(DomainError):
             nets.input_grad_param_grad(net, cache, np.zeros((2, 3)))
@@ -447,7 +436,7 @@ class TestInputGradParamGrad:
             nets.scalar_input_grad(net, cache)
 
     @pytest.mark.parametrize("head", ["random", "zero"])
-    @pytest.mark.parametrize("activation", ["tanh", "silu"])
+    @SILU
     @pytest.mark.parametrize("input_grad_first", [True, False])
     def test_shared_chain_matches_references_bitwise(self, activation, head,
                                                       input_grad_first):
@@ -456,8 +445,7 @@ class TestInputGradParamGrad:
         reference, also with the zero-initialised head, whose products are
         signed zeros."""
         gen = rngmod.stream(4, 5)
-        net = nets.init_net((18, 128, 128, 1), activation, gen,
-                            final="zero" if head == "zero" else "he")
+        net = nets.init_net((18, 128, 128, 1), gen, final="zero" if head == "zero" else "he")
         x = gen.standard_normal((128, 18))
         v = gen.standard_normal((128, 18))
         _, cache = nets.forward(net, x)

@@ -61,6 +61,27 @@ def assert_same_bits(got, want):
 
 _INF, _NAN = np.inf, np.nan
 
+
+def _underflow_rows():
+    """Rows whose differences from the row max fall where exp underflows:
+    in its subnormal band (-745.2, -708.4) and below it, where it returns 0,
+    as many entries of the particle matrices in `compute_metrics` do. The
+    first 16 rows also hold ordinary terms; in the others the max's
+    neighbours are all subnormal or zero. The last 16 rows have max 0, so
+    their result log1p(s) is the subnormal sum s itself, and a kernel that
+    drops those terms shows."""
+    gen = rngmod.stream(5, 5)
+    diff = np.concatenate([
+        np.zeros((48, 1)),
+        gen.uniform(-745.0, -708.6, (48, 6)),
+        gen.uniform(-1500.0, -745.5, (48, 6)),
+    ], axis=1)
+    diff[:16, 1:4] = gen.standard_normal((16, 3)) * 2.0 - 3.0
+    top = gen.standard_normal((48, 1)) * 50.0
+    top[32:] = 0.0
+    return top + gen.permuted(diff, axis=1)
+
+
 LSE_CASES = {
     "random": rngmod.stream(5, 1).standard_normal((64, 9)) * 20.0,
     "ties": np.array([
@@ -83,6 +104,7 @@ LSE_CASES = {
     "huge": np.array([[1.7e308, 1.7e308, 1.0], [1.79e308, -1.79e308, 0.0]]),
     "single_column": rngmod.stream(5, 2).standard_normal((17, 1)) * 3.0,
     "metrics_size": rngmod.stream(5, 3).standard_normal((512, 1024)) * 8.0 - 40.0,
+    "exp_underflow": _underflow_rows(),
 }
 
 

@@ -108,7 +108,7 @@ class TestQuadrature:
 class TestTheorem1:
     def test_zero_gradient_at_symmetric_optimum(self):
         teacher = gauss1d(0.0)
-        gen = tc.AffineGenerator(matrix=np.eye(1), bias=np.zeros(1))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.zeros(1))
         for kind in KINDS:
             reports = oracle.theorem1_grad_check(kind, teacher, gen, 0.5, 100000, 7)
             rep = reports[0]
@@ -120,7 +120,7 @@ class TestTheorem1:
     def test_forward_kl_gaussian_anchor(self, sigma, expected):
         """KL(p_t || q_t) between N(0, 1+s^2) and N(b, 1+s^2): grad_b = b/(1+s^2)."""
         teacher = gauss1d(0.0)
-        gen = tc.AffineGenerator(matrix=np.eye(1), bias=np.array([1.0]))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.array([1.0]))
         rep = oracle.theorem1_grad_check("forward-kl", teacher, gen, sigma, 100000, 11)[0]
         assert rep.grad_mc == pytest.approx(expected, rel=0.05)
         assert rep.grad_fd == pytest.approx(expected, rel=0.05)
@@ -128,7 +128,7 @@ class TestTheorem1:
     def test_reverse_kl_gaussian_anchor(self):
         """KL(q || p) for unit variances: grad_b = b at sigma = 0."""
         teacher = gauss1d(0.0)
-        gen = tc.AffineGenerator(matrix=np.eye(1), bias=np.array([1.0]))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.array([1.0]))
         rep = oracle.theorem1_grad_check("reverse-kl", teacher, gen, 0.0, 100000, 13)[0]
         assert rep.grad_mc == pytest.approx(1.0, rel=0.05)
         assert rep.grad_fd == pytest.approx(1.0, rel=0.05)

@@ -17,7 +17,7 @@ def identity_logit_disc():
     w = np.zeros((1, 1 + nets.EMBED_DIM))
     w[0, 0] = 1.0
     net = nets.FeedForwardNet(
-        (1 + nets.EMBED_DIM, 1), "silu", np.concatenate([w.ravel(), np.zeros(1)])
+        (1 + nets.EMBED_DIM, 1), np.concatenate([w.ravel(), np.zeros(1)])
     )
     return rg.Discriminator(net=net, precondition=False)
 
@@ -149,7 +149,7 @@ class TestDiscUpdate:
 
         def loss_at(params):
             probe = rg.Discriminator(
-                net=nets.FeedForwardNet(disc.net.widths, disc.net.activation, params),
+                net=nets.FeedForwardNet(disc.net.widths, params),
                 sigma_data=disc.sigma_data,
             )
             xr = real + sig[:, None] * er
@@ -168,7 +168,7 @@ class TestDiscUpdate:
         # directly through a tiny lr and invert the bias-corrected formula.
         base = disc.net.params.copy()
         probe_disc = rg.Discriminator(
-            net=nets.FeedForwardNet(disc.net.widths, disc.net.activation, base.copy()),
+            net=nets.FeedForwardNet(disc.net.widths, base.copy()),
             sigma_data=disc.sigma_data,
         )
 

@@ -49,7 +49,7 @@ class TestFakeScore:
         w = np.zeros((dim, dim + nets.EMBED_DIM))
         w[:, :dim] = np.eye(dim)
         net = nets.FeedForwardNet(
-            (dim + nets.EMBED_DIM, dim), "silu",
+            (dim + nets.EMBED_DIM, dim),
             np.concatenate([w.ravel(), np.zeros(dim)]),
         )
         den = sm.Denoiser(net=net, precondition=False)
@@ -85,7 +85,7 @@ class TestDsmUpdate:
         w = np.zeros((dim, dim + nets.EMBED_DIM))
         w[:, :dim] = np.eye(dim)
         net = nets.FeedForwardNet(
-            (dim + nets.EMBED_DIM, dim), "silu",
+            (dim + nets.EMBED_DIM, dim),
             np.concatenate([w.ravel(), np.zeros(dim)]),
         )
         return sm.Denoiser(net=net, precondition=False)
@@ -134,7 +134,7 @@ class TestScoreRecovery:
     def test_fake_score_matches_frozen_affine_student(self):
         """2000 DSM steps on a frozen affine student: RMS score error <= 0.1
         over the middle half of the schedule, 4096 q_t samples per level."""
-        student = tc.AffineGenerator(matrix=1.2 * np.eye(2), bias=np.array([0.8, -0.4]))
+        student = tc.AffineGenerator(scale=1.2, bias=np.array([0.8, -0.4]))
         sched = tc.NoiseSchedule()
         gen = rngmod.stream(31, 0xB)
         den = sm.denoiser_init(2, gen, sigma_data=1.2)

@@ -213,40 +213,24 @@ class TestValidation:
 
 class TestAffinePushforward:
     def test_identity_map(self):
-        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.zeros(2))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.zeros(2))
         law = tc.affine_pushforward(gen, 0.0)
         assert isinstance(law, tc.IsotropicGaussianMixture)
         assert law.variances[0] == pytest.approx(1.0)
         np.testing.assert_array_equal(law.means[0], np.zeros(2))
 
     def test_variance_additivity_with_noise(self):
-        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.array([1.0, 0.0]))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.array([1.0, 0.0]))
         law = tc.affine_pushforward(gen, 1.0)
         assert law.variances[0] == pytest.approx(2.0)
 
     def test_score_zero_at_bias(self):
-        gen = tc.AffineGenerator(matrix=0.8 * np.eye(2), bias=np.array([0.4, -0.2]))
+        gen = tc.AffineGenerator(scale=0.8, bias=np.array([0.4, -0.2]))
         law = tc.affine_pushforward(gen, 0.5)
         np.testing.assert_allclose(tc.score(law, gen.bias), np.zeros(2), atol=1e-14)
 
-    def test_non_isotropic_goes_to_full_gaussian(self):
-        gen = tc.AffineGenerator(
-            matrix=np.array([[1.0, 0.5], [0.0, 1.0]]), bias=np.zeros(2)
-        )
-        law = tc.affine_pushforward(gen, 0.3)
-        assert isinstance(law, tc.FullGaussian)
-        # density should match an MC histogram check via the known covariance
-        cov = gen.matrix @ gen.matrix.T + 0.09 * np.eye(2)
-        x = np.array([0.4, -0.7])
-        expected = -0.5 * (
-            2 * np.log(2 * np.pi)
-            + np.log(np.linalg.det(cov))
-            + x @ np.linalg.solve(cov, x)
-        )
-        assert law.log_density(x) == pytest.approx(expected, rel=1e-12)
-
     def test_pushforward_matches_sampled_moments(self):
-        gen = tc.AffineGenerator(matrix=1.5 * np.eye(2), bias=np.array([2.0, -1.0]))
+        gen = tc.AffineGenerator(scale=1.5, bias=np.array([2.0, -1.0]))
         law = tc.affine_pushforward(gen, 0.7)
         stream = rngmod.stream(9, 0x33)
         z = stream.standard_normal((200000, 2))
@@ -273,7 +257,7 @@ class TestAffineTrainingInterface:
     @pytest.mark.parametrize("batch", [1, 7, 128])
     def test_matches_direct_arithmetic_bitwise(self, a, batch):
         b = np.array([0.3, -1.7])
-        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.zeros(2))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.zeros(2))
         gen.params = np.concatenate([[a], b])
         stream = rngmod.stream(11, batch)
         z = stream.standard_normal((batch, 2))
@@ -285,41 +269,34 @@ class TestAffineTrainingInterface:
         assert gen.backward(ctx, g).tobytes() == backward(z, g).tobytes()
 
     def test_params_round_trip(self):
-        gen = tc.AffineGenerator(matrix=np.eye(3), bias=np.zeros(3))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.zeros(3))
         flat = np.array([-0.8, 1.0, 2.5, -3.0])
         gen.params = flat
         assert gen.params.tobytes() == flat.tobytes()
-        np.testing.assert_array_equal(gen.matrix, -0.8 * np.eye(3))
+        assert gen.scale == -0.8
         assert gen.widths == (3, 3)
 
     def test_exact_law(self):
-        gen = tc.AffineGenerator(matrix=-1.5 * np.eye(2), bias=np.array([0.5, 1.0]))
+        gen = tc.AffineGenerator(scale=-1.5, bias=np.array([0.5, 1.0]))
         law = gen.exact_law()
         assert law.variances.tolist() == [2.25]
         assert law.means.tolist() == [[0.5, 1.0]]
 
     def test_zero_scale_rejected(self):
-        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.zeros(2))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.zeros(2))
         gen.params = np.zeros(3)
         with pytest.raises(DomainError, match="zero scale"):
             gen.exact_law()
 
-    def test_non_isotropic_matrix_has_no_training_params(self):
-        gen = tc.AffineGenerator(matrix=np.array([[1.0, 0.5], [0.0, 1.0]]), bias=np.zeros(2))
-        with pytest.raises(DomainError):
-            gen.params
-        z = rngmod.stream(12, 1).standard_normal((5, 2))
-        np.testing.assert_array_equal(gen.forward(z), z @ gen.matrix.T)
-
     def test_non_finite_scale_stays_readable(self):
-        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.zeros(2))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.zeros(2))
         gen.params = np.array([np.nan, 0.0, 1.0])
         assert np.isnan(gen.params[0]) and gen.params[2] == 1.0
 
 
 class TestParticleDensity:
     def test_matches_exact_law_for_affine(self):
-        gen = tc.AffineGenerator(matrix=np.eye(2), bias=np.array([0.5, 0.5]))
+        gen = tc.AffineGenerator(scale=1.0, bias=np.array([0.5, 0.5]))
         law = tc.affine_pushforward(gen, 1.0)
         stream = rngmod.stream(17, 0x44)
         centers = gen.forward(stream.standard_normal((20000, 2)))
