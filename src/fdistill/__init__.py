@@ -15,7 +15,6 @@ _EXPORTS = {
     "train": "distill",
     "train_step": "distill",
     "catalog": "divergence",
-    "make_custom": "divergence",
     "weight_h": "divergence",
     "FDistillError": "errors",
     "IsotropicGaussianMixture": "teacher",

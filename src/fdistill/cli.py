@@ -78,7 +78,7 @@ def _section_keys():
             # pair_mean_se takes a ddof=1 standard error over n // 2 antithetic pairs
             "n": (100000, integer(ge=4)),
             "fd_step": (1e-3, number(gt=0)),
-            "sigmas": ([0.0, 0.5, 2.0], list_of(number(ge=0))),
+            "sigmas": ([0.0, 0.5, 2.0], list_of(number(ge=0), nonempty=True)),
             "rel_tol": (0.05, number(gt=0)),
         },
         "variance": {

@@ -85,8 +85,6 @@ class GradCheckReport:
 
 
 def _f_values_from_log_ratio(spec: DivergenceSpec, log_r: np.ndarray) -> np.ndarray:
-    if spec.f_log is None:
-        raise DomainError(f"divergence {spec.kind!r} has no f (gradient-only custom)")
     with np.errstate(over="ignore", invalid="ignore"):
         return np.asarray(spec.f_log(log_r), dtype=float)
 
@@ -285,7 +283,7 @@ def weight_score_map(kind, teacher: IsotropicGaussianMixture,
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != teacher.dim:
         raise DomainError("grid must be (n, dim) points")
-    spec = catalog(kind) if not isinstance(kind, DivergenceSpec) else kind
+    spec = catalog(kind)
     s = float(sigma)
     diff = score(teacher, pts, s) - score(student, pts, s)
     log_r = log_density(teacher, pts, s) - log_density(student, pts, s)

@@ -94,6 +94,7 @@ class TestConfigHandling:
         ("lr_generator", float("nan")),
         ("weight_decay", float("nan")),
         ("r1_gamma", float("inf")),
+        ("metrics_samples", 1),    # its standard errors need two samples
     ])
     def test_mistyped_value_exits_2_with_one_line(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {**TINY_TRAIN, key: value})
@@ -152,6 +153,7 @@ class TestConfigHandling:
         ("weightmap", {"bound": 0}, "weightmap.bound"),
         ("weightmap", {"bound": -1.0}, "weightmap.bound"),
         ("variance", {"gaps": [1.0, float("inf")]}, "variance.gaps"),
+        ("gradcheck", {"sigmas": []}, "gradcheck.sigmas"),
     ])
     def test_bad_command_section_value_exits_2(self, tmp_path, capsys, command, section,
                                                field):

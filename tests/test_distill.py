@@ -43,6 +43,9 @@ class TestRunConfig:
     def test_unknown_divergence_rejected(self):
         with pytest.raises(ConfigError, match="divergence"):
             distill.RunConfig(divergence="alpha-divergence")
+        # a catalog row is not a name: the config must stay JSON round-trippable
+        with pytest.raises(ConfigError, match="divergence"):
+            distill.RunConfig(divergence=dv.catalog("reverse-kl"))
 
     def test_batch_must_cover_time_bins(self):
         with pytest.raises(ConfigError, match="per time bin"):
@@ -216,16 +219,6 @@ class TestVsdEquivalence:
         np.testing.assert_array_equal(
             state_a.opt_generator.state.m, state_b.opt_generator.state.m
         )
-
-    def test_custom_unit_h_matches_reverse_kl_bitwise(self):
-        unit = dv.make_custom(lambda r: np.ones_like(np.asarray(r, dtype=float)))
-        results = []
-        for divergence in ("reverse-kl", unit):
-            cfg = gaussian_cfg(divergence=divergence, seed=5, total_iters=6,
-                               generator_kind="affine")
-            state, _ = distill.train(cfg)
-            results.append(state.generator.params)
-        np.testing.assert_array_equal(results[0], results[1])
 
 
 class TestTrainStep:

@@ -84,34 +84,28 @@ class TestClosedFormAnchors:
             dv.catalog("total-variation")
 
 
+def growth(kind, r=1e6):
+    """f(r)/r at a large ratio, through the log-ratio form: bounded for the
+    mode-seeking rows, unbounded for the mode-covering ones."""
+    return float(dv.catalog(kind).f_log(np.log(r))) / r
+
+
 class TestGrowthProbe:
     def test_js_limit_is_log2(self):
-        assert dv.growth_limit_probe("jensen-shannon", 1e6) == pytest.approx(
-            np.log(2.0), abs=1e-3
-        )
+        assert growth("jensen-shannon") == pytest.approx(np.log(2.0), abs=1e-3)
 
     def test_reverse_kl_limit_is_zero(self):
-        assert abs(dv.growth_limit_probe("reverse-kl", 1e6)) <= 1e-4
+        assert abs(growth("reverse-kl")) <= 1e-4
 
     def test_forward_kl_grows_like_log(self):
-        assert dv.growth_limit_probe("forward-kl", 1e6) == pytest.approx(
-            np.log(1e6), rel=1e-12
-        )
-
-    def test_probe_requires_large_r(self):
-        with pytest.raises(DomainError):
-            dv.growth_limit_probe("forward-kl", 100.0)
+        assert growth("forward-kl") == pytest.approx(np.log(1e6), rel=1e-12)
 
     def test_mode_seeking_classifier(self):
         # bounded-growth family vs unbounded family at r = 1e6
         for kind in FINITE_LIMIT:
-            assert dv.growth_limit_probe(kind, 1e6) < 1.0
+            assert growth(kind) < 1.0
         for kind in UNBOUNDED:
-            assert dv.growth_limit_probe(kind, 1e6) > 10.0
-
-    def test_overflow_reports_kind_and_r(self):
-        with pytest.raises(DomainError, match="forward-kl"):
-            dv.growth_limit_probe("forward-kl", 1e308)
+            assert growth(kind) > 10.0
 
 
 class TestMonotonicity:
@@ -122,19 +116,22 @@ class TestMonotonicity:
         assert np.all(np.diff(dv.catalog("softened-rkl").h(GRID)) < 0.0)
 
 
-class TestTailRates:
-    def test_table_values(self):
-        assert dv.tail_weight_rates("forward-kl") == (-1.0, -1.0)
-        assert dv.tail_weight_rates("reverse-kl") == (-2.0, -2.0)
-        assert dv.tail_weight_rates("jensen-shannon") == (-2.0, -1.0)
-        assert dv.tail_weight_rates("softened-rkl") == (-3.0, -2.0)
-        assert dv.tail_weight_rates("squared-hellinger") == (-1.5, -1.5)
-        assert dv.tail_weight_rates("jeffreys") == (-1.0, -2.0)
+# Asymptotic exponents of f''(r): (r -> inf rate, r -> 0 rate).
+TAIL_RATES = {
+    "reverse-kl": (-2.0, -2.0),
+    "softened-rkl": (-3.0, -2.0),
+    "jensen-shannon": (-2.0, -1.0),
+    "squared-hellinger": (-1.5, -1.5),
+    "forward-kl": (-1.0, -1.0),
+    "jeffreys": (-1.0, -2.0),
+}
 
+
+class TestTailRates:
     @pytest.mark.parametrize("kind", dv.KINDS)
     def test_rates_match_numeric_slopes(self, kind):
         spec = dv.catalog(kind)
-        right, left = dv.tail_weight_rates(kind)
+        right, left = TAIL_RATES[kind]
         slope_right = (np.log(spec.f_second(1e8)) - np.log(spec.f_second(1e6))) / (
             np.log(1e8) - np.log(1e6)
         )
@@ -143,35 +140,3 @@ class TestTailRates:
         )
         assert slope_right == pytest.approx(right, abs=1e-3)
         assert slope_left == pytest.approx(left, abs=1e-3)
-
-    def test_custom_has_no_rates(self):
-        custom = dv.make_custom(lambda r: np.ones_like(r))
-        with pytest.raises(DomainError, match="custom"):
-            dv.tail_weight_rates(custom)
-
-
-class TestCustomWeighting:
-    def test_constant_one_matches_reverse_kl(self):
-        custom = dv.make_custom(lambda r: np.ones_like(r))
-        r = np.geomspace(1e-3, 1e3, 50)
-        np.testing.assert_array_equal(dv.weight_h(custom, r), dv.weight_h("reverse-kl", r))
-
-    def test_identity_matches_forward_kl(self):
-        custom = dv.make_custom(lambda r: np.asarray(r, dtype=float))
-        assert dv.weight_h(custom, 2.0) == pytest.approx(2.0)
-        np.testing.assert_allclose(
-            dv.weight_h(custom, GRID), dv.weight_h("forward-kl", GRID)
-        )
-
-    def test_negative_h_rejected(self):
-        with pytest.raises(DomainError, match="non-negative"):
-            dv.make_custom(lambda r: -np.ones_like(r))
-
-    def test_nonfinite_h_rejected(self):
-        with pytest.raises(DomainError):
-            dv.make_custom(lambda r: np.where(r > 1.0, np.inf, 1.0))
-
-    def test_custom_has_no_catalog_row(self):
-        custom = dv.make_custom(lambda r: np.ones_like(r))
-        with pytest.raises(DomainError):
-            dv.catalog(custom)
