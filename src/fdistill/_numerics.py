@@ -1,8 +1,7 @@
 """Helpers shared across the package, defined once so that every caller
 performs the same IEEE operations: sigmoid, softplus, the row-wise
 log-sum-exp, the sigma-batch broadcast, the FNV-1a 64 hash behind the
-random-stream keys and version-1 checkpoint checksums, and the row blocks
-that large batches are evaluated in."""
+random-stream keys, and the row blocks that large batches are evaluated in."""
 
 import numpy as np
 

@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic            4 bytes  b"FDST"
-    version          u32      2 (written); 1 is still read
+    version          u32      2
     config echo      u32 length + UTF-8 JSON of the run config
     iteration        u64
     network count    u32
@@ -12,17 +12,19 @@ Layout (all integers little-endian):
         widths       u32 count + u32 each
         param count  u64
         params       f64[param count]
-        adam state   u64 step; f64 lr, beta1, beta2, eps, weight_decay;
+        adam state   u64 step; f64 lr, beta1, beta2, eps, 0.0;
                      f64[param count] m; f64[param count] v
     checksum         u64 over every preceding byte: CRC-32 (zlib.crc32,
-                     zero-extended) in version 2, FNV-1a 64 in version 1
+                     zero-extended)
 
-Versions 1 and 2 differ only in the checksum. Round trips are bitwise
-lossless; loads reject bad magic, unknown versions, truncation, checksum
-mismatches, text fields that are not UTF-8 and a config echo that is not a
-JSON object, each with `CheckpointError`. A save writes a hidden temporary
-file in the target directory and renames it over the target, so a reader
-never sees a partial checkpoint.
+The fifth Adam float is the weight-decay slot of earlier writers; it is
+always written as 0.0. Round trips are bitwise lossless; loads reject bad
+magic, any version but 2 (version 1, checksummed with FNV-1a, included),
+truncation, checksum mismatches, text fields that are not UTF-8, a config
+echo that is not a JSON object and a non-zero weight decay, each with
+`CheckpointError`. A save writes a hidden temporary file in the target
+directory and renames it over the target, so a reader never sees a partial
+checkpoint.
 """
 
 import contextlib
@@ -34,7 +36,6 @@ import zlib
 
 import numpy as np
 
-from ._numerics import fnv1a64
 from .errors import CheckpointError
 from .nets import AdamState
 
@@ -42,8 +43,6 @@ __all__ = ["MAGIC", "VERSION", "NetworkPayload", "save_checkpoint", "load_checkp
 
 MAGIC = b"FDST"
 VERSION = 2
-
-_CHECKSUMS = {1: fnv1a64, 2: zlib.crc32}   # version -> checksum of the body
 
 
 class NetworkPayload:
@@ -77,7 +76,7 @@ def save_checkpoint(path, config_dict: dict, iteration: int, networks) -> None:
         parts.append(_pack_array(net.params))
         a = net.adam
         parts.append(struct.pack("<Q", a.step))
-        parts.append(struct.pack("<5d", a.lr, a.beta1, a.beta2, a.eps, a.weight_decay))
+        parts.append(struct.pack("<5d", a.lr, a.beta1, a.beta2, a.eps, 0.0))
         parts.append(_pack_array(a.m))
         parts.append(_pack_array(a.v))
     body = b"".join(parts)
@@ -89,7 +88,7 @@ def save_checkpoint(path, config_dict: dict, iteration: int, networks) -> None:
     try:
         with open(tmp, "xb") as fh:
             fh.write(body)
-            fh.write(struct.pack("<Q", _CHECKSUMS[VERSION](body)))
+            fh.write(struct.pack("<Q", zlib.crc32(body)))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -139,13 +138,12 @@ def load_checkpoint(path):
     if reader.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
     version = reader.u32()
-    if version not in _CHECKSUMS:
+    if version != VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint version {version} "
-            f"(reader supports {', '.join(map(str, _CHECKSUMS))})"
+            f"unsupported checkpoint version {version} (reader supports {VERSION})"
         )
     expected = struct.unpack("<Q", checksum_bytes)[0]
-    if _CHECKSUMS[version](body) != expected:
+    if zlib.crc32(body) != expected:
         raise CheckpointError("checksum mismatch: checkpoint is corrupt")
     try:
         config_dict = json.loads(reader.text("config echo"))
@@ -161,13 +159,13 @@ def load_checkpoint(path):
         n_params = reader.u64()
         params = reader.f64s(n_params)
         step = reader.u64()
-        lr, beta1, beta2, eps, weight_decay = struct.unpack("<5d", reader.take(40))
+        lr, beta1, beta2, eps, decay = struct.unpack("<5d", reader.take(40))
+        if decay != 0.0:
+            raise CheckpointError(f"network {name!r} has Adam weight decay {decay!r}; "
+                                  "only 0.0 is supported")
         m = reader.f64s(n_params)
         v = reader.f64s(n_params)
-        adam = AdamState(
-            m=m, v=v, step=step, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-            weight_decay=weight_decay,
-        )
+        adam = AdamState(m=m, v=v, step=step, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
         networks.append(NetworkPayload(name, widths, params, adam))
     if reader.pos != len(body):
         raise CheckpointError("trailing bytes after checkpoint payload")

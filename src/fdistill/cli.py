@@ -39,12 +39,6 @@ def _apply_thread_cap():
         raise SystemExit(2)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-    except ImportError:
-        return
-    # also caps pools that are already running (numpy imported earlier)
-    threadpoolctl.threadpool_limits(limits=n)
 
 
 def _fmt(value) -> str:

@@ -173,11 +173,9 @@ class RunConfig:
     time_bins: int = _key(8, integer(ge=1))
     normalize_stage1: bool = _key(True, BOOL)
     normalize_stage2: bool = _key(True, BOOL)
-    stage1_mode: str = _key("bin-mean", one_of(("bin-mean", "batch-sum")))
     lr_generator: float = _key(2e-3, number(gt=0))
     lr_denoiser: float = _key(2e-3, number(gt=0))
     lr_discriminator: float = _key(2e-3, number(gt=0))
-    weight_decay: float = _key(0.0, number(ge=0))
     r1_gamma: float = _key(1.0, number(ge=0))
     seed: int = _key(0, integer())
     teacher: Union[str, dict] = _key("ring8", teacher_spec)
@@ -188,9 +186,6 @@ class RunConfig:
     score_source: str = _key("denoiser", one_of(("denoiser", "exact-oracle")))
     generator_kind: str = _key("mlp", one_of(("mlp", "affine")))
     latent_dim: Optional[int] = _key(None, optional(integer(ge=1)))
-    gan_loss_form: str = _key("nonsaturating", one_of(("nonsaturating", "minimax")))
-    ratio_at_clean: bool = _key(False, BOOL)
-    time_weight_rescale: bool = _key(False, BOOL)
     oracle_ratio_particles: int = _key(512, integer(ge=1))
     metrics_interval: int = _key(100, integer(ge=0))
     metrics_samples: int = _key(512, integer(ge=2))   # ddof=1 standard errors
@@ -220,22 +215,20 @@ class RunConfig:
             raise ConfigError(
                 "score_source", "exact-oracle fake scores require an affine generator"
             )
-        if (
-            self.ratio_at_clean
-            and self.ratio_source == "exact-oracle"
-            and self.generator_kind != "affine"
-        ):
-            raise ConfigError(
-                "ratio_at_clean",
-                "exact clean-sample ratios need an analytic student (affine generator); "
-                "the particle density estimate is undefined at sigma=0",
-            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Strict construction: unknown keys are rejected, not ignored."""
+        """Strict construction: unknown keys are rejected, not ignored. A
+        retired key (see RETIRED_KEYS) is dropped when it holds its fixed
+        value and rejected otherwise."""
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
+        data = dict(data)
+        for key, fixed in RETIRED_KEYS.items():
+            # a bool and a number never match, though False == 0.0
+            value = data.pop(key, fixed)
+            if value != fixed or isinstance(value, bool) != isinstance(fixed, bool):
+                raise ConfigError(key, f"retired; only {fixed!r} is accepted, got {value!r}")
         checked(_RUN_KEYS, data)
         return cls(**data)
 
@@ -253,6 +246,17 @@ class RunConfig:
 
 
 _RUN_KEYS = {f.name: (f.default, f.metadata["rule"]) for f in fields(RunConfig)}
+
+# Run keys of earlier versions, each with the one value the training loop now
+# hard-wires. Config files and the config echo of older checkpoints may still
+# carry them.
+RETIRED_KEYS = {
+    "stage1_mode": "bin-mean",
+    "gan_loss_form": "nonsaturating",
+    "time_weight_rescale": False,
+    "weight_decay": 0.0,
+    "ratio_at_clean": False,
+}
 
 
 class MLPGenerator:
@@ -397,11 +401,10 @@ def _unit_mean(values: np.ndarray, what: str) -> np.ndarray:
     raise NumericsError(f"unit-mean normalization of {what} did not converge")
 
 
-def normalize_stage1(ratios, time_bin_ids, mode: str = "bin-mean") -> np.ndarray:
+def normalize_stage1(ratios, time_bin_ids) -> np.ndarray:
     """Normalize clipped ratios within noise-level bins to mean 1.
 
     Exploits E_q[r_t] = 1: each bin's empirical mean is rescaled to exactly 1.
-    mode="batch-sum" is the r_i / sum_i r_i variant over the whole batch.
     """
     r = np.asarray(ratios, dtype=float)
     ids = np.asarray(time_bin_ids)
@@ -411,13 +414,6 @@ def normalize_stage1(ratios, time_bin_ids, mode: str = "bin-mean") -> np.ndarray
         raise DomainError("ratios and time_bin_ids must be aligned")
     if np.any(r < 0.0) or not np.all(np.isfinite(r)):
         raise DomainError("ratios must be finite and non-negative")
-    if mode == "batch-sum":
-        total = math.fsum(r.tolist())
-        if total <= 0.0:
-            raise DomainError("degenerate ratio batch: non-positive sum")
-        return r / total
-    if mode != "bin-mean":
-        raise DomainError(f"unknown stage-1 mode {mode!r}")
     out = np.empty_like(r)
     for b in np.unique(ids):
         mask = ids == b
@@ -453,14 +449,13 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
                              sigma_data=sigma_data, hidden=HIDDEN_WIDTHS)
     disc = disc_init(dim, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR),
                      sigma_data=sigma_data, hidden=HIDDEN_WIDTHS)
-    wd = cfg.weight_decay
     return TrainState(
         generator=generator,
         denoiser=denoiser,
         discriminator=disc,
-        opt_generator=Adam(generator.params.size, cfg.lr_generator, weight_decay=wd),
-        opt_denoiser=Adam(denoiser.net.params.size, cfg.lr_denoiser, weight_decay=wd),
-        opt_discriminator=Adam(disc.net.params.size, cfg.lr_discriminator, weight_decay=wd),
+        opt_generator=Adam(generator.params.size, cfg.lr_generator),
+        opt_denoiser=Adam(denoiser.net.params.size, cfg.lr_denoiser),
+        opt_discriminator=Adam(disc.net.params.size, cfg.lr_discriminator),
     )
 
 
@@ -489,17 +484,14 @@ def _student_log_density(state: TrainState, points, sigma,
     return particle_log_density(state.generator.forward(z), points, sigma)
 
 
-def _ratio_batch(state, cfg, teacher, y, x, sigma, iteration) -> np.ndarray:
-    """Clipped density-ratio estimates for the weighting function."""
+def _ratio_batch(state, cfg, teacher, x, sigma, iteration) -> np.ndarray:
+    """Clipped density-ratio estimates at the noised samples x."""
     clip = cfg.ratio_clip()
-    points = y if cfg.ratio_at_clean else x
     if cfg.ratio_source == "discriminator":
-        # Clean-sample reading still conditions the head on the drawn sigma.
-        log_r = clipped_log_ratio(state.discriminator, points, sigma, clip)
+        log_r = clipped_log_ratio(state.discriminator, x, sigma, clip)
     else:
-        ratio_sigma = 0.0 if cfg.ratio_at_clean else sigma
-        log_r = log_density(teacher, points, ratio_sigma) - _student_log_density(
-            state, points, ratio_sigma,
+        log_r = log_density(teacher, x, sigma) - _student_log_density(
+            state, x, sigma,
             rngmod.stream(cfg.seed, iteration, rngmod.STEP_PARTICLES),
             cfg.oracle_ratio_particles,
         )
@@ -543,20 +535,16 @@ def generator_step(state: TrainState, cfg: RunConfig,
     ts = score(teacher, x, batch.sigma)
     fs = _fake_score_batch(state, cfg, x, batch.sigma)
 
-    r = _ratio_batch(state, cfg, teacher, y, x, batch.sigma, it)
+    r = _ratio_batch(state, cfg, teacher, x, batch.sigma, it)
     if cfg.normalize_stage1:
         bins = schedule.bin_ids(batch.t_idx, cfg.time_bins)
-        r_used = normalize_stage1(r, bins, mode=cfg.stage1_mode)
+        r_used = normalize_stage1(r, bins)
     else:
         r_used = r
     h = weight_h(cfg.divergence_spec(), r_used)
     h_used = normalize_stage2(h) if cfg.normalize_stage2 else h
 
     w = schedule.time_weight(batch.sigma)
-    if cfg.time_weight_rescale:
-        scale = float(np.mean(np.abs(w[:, None] * (ts - fs))))
-        w = w / (scale + 1e-12)
-
     g = fdistill_generator_signal(x, ts, fs, h_used, w)
     out_grad = -g / n
     gan_loss = None
@@ -564,14 +552,9 @@ def generator_step(state: TrainState, cfg: RunConfig,
         eps2 = rngmod.stream(cfg.seed, it, rngmod.STEP_GAN_NOISE).standard_normal(
             (n, teacher.dim)
         )
-        gg, ell = gan_generator_grad(
-            state.discriminator, y, batch.sigma, eps2, form=cfg.gan_loss_form
-        )
+        gg, ell = gan_generator_grad(state.discriminator, y, batch.sigma, eps2)
         out_grad = out_grad + cfg.gan_weight * gg
-        if cfg.gan_loss_form == "nonsaturating":
-            gan_loss = float(np.mean(np.logaddexp(0.0, -ell)))
-        else:
-            gan_loss = float(np.mean(-np.logaddexp(0.0, ell)))
+        gan_loss = float(np.mean(np.logaddexp(0.0, -ell)))
 
     pgrad = state.generator.backward(ctx, out_grad)
     state.generator.params = state.opt_generator.step(state.generator.params, pgrad)

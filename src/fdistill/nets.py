@@ -415,19 +415,17 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
 
 
-def adam_init(n_params: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8,
-              weight_decay=0.0) -> AdamState:
+def adam_init(n_params: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
     return AdamState(
         m=np.zeros(n_params), v=np.zeros(n_params), step=0,
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
+        lr=lr, beta1=beta1, beta2=beta2, eps=eps,
     )
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
-    """One Adam update with bias correction and decoupled weight decay.
+    """One Adam update with bias correction.
 
     Functional: returns (new_params, new_state) with fresh arrays, so stale
     forward caches can be detected by identity.
@@ -454,8 +452,6 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     update += state.eps
     np.divide(m, 1.0 - state.beta1**step, out=tmp)
     np.divide(tmp, update, out=update)          # m_hat / (sqrt(v_hat) + eps)
-    if state.weight_decay:
-        update += np.multiply(params, state.weight_decay)
     update *= state.lr
     new_params = np.subtract(params, update, out=update)
     return new_params, replace(state, m=m, v=v, step=step)
@@ -464,8 +460,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
 class Adam:
     """Mutable handle around AdamState for single-owner update loops."""
 
-    def __init__(self, n_params: int, lr: float, **kwargs):
-        self.state = adam_init(n_params, lr, **kwargs)
+    def __init__(self, n_params: int, lr: float):
+        self.state = adam_init(n_params, lr)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         new_params, self.state = adam_step(self.state, params, grads)

@@ -2,12 +2,12 @@
 
 Estimators here deliberately take a different route than the production code
 they check: divergences are evaluated as plain Monte-Carlo averages of
-f(p/q) under q (or 1-D adaptive quadrature), and the analytic
-score-difference gradient is compared against central finite differences of
-the divergence itself, on common random numbers so the comparison is sharp
-at feasible sample sizes. The gate's students are isotropic affine maps
-x = a z + b, whose perturbed laws are one-component mixtures, so teacher and
-student densities and scores both go through `teacher`'s mixture functions.
+f(p/q) under q, and the analytic score-difference gradient is compared
+against central finite differences of the divergence itself, on common random
+numbers so the comparison is sharp at feasible sample sizes. The gate's
+students are isotropic affine maps x = a z + b, whose perturbed laws are
+one-component mixtures, so teacher and student densities and scores both go
+through `teacher`'s mixture functions.
 
 `ModeCoverage` and `mode_coverage` are defined in `teacher`, next to the
 mixtures they measure, and re-exported here.
@@ -40,7 +40,6 @@ __all__ = [
     "ModeCoverage",
     "mc_f_divergence",
     "mixture_sampler",
-    "quadrature_f_divergence_1d",
     "theorem1_grad_check",
     "normalized_variance_curve",
     "weight_score_map",
@@ -125,37 +124,6 @@ def mc_f_divergence(kind, sample_q: Callable, log_p: Callable, log_q: Callable,
 def mixture_sampler(gm: IsotropicGaussianMixture) -> Callable:
     """sample_q adapter drawing from a mixture with the provided stream."""
     return lambda n, gen: draw(gm, n, gen)
-
-
-def quadrature_f_divergence_1d(kind, p: IsotropicGaussianMixture,
-                               q: IsotropicGaussianMixture) -> float:
-    """Adaptive quadrature of q(x) f(p(x)/q(x)) for 1-D mixtures."""
-    from scipy import integrate  # only this oracle needs it; keeps it off `train`
-
-    spec = catalog(kind)
-    if p.dim != 1 or q.dim != 1:
-        raise DomainError("quadrature oracle is one-dimensional")
-    sd = np.sqrt(np.concatenate([p.variances, q.variances]))
-    centers = np.concatenate([p.means[:, 0], q.means[:, 0]])
-    lo = float(np.min(centers - 10.0 * np.max(sd)))
-    hi = float(np.max(centers + 10.0 * np.max(sd)))
-
-    def integrand(x):
-        pt = np.array([[x]])
-        lp = log_density(p, pt)
-        lq = log_density(q, pt)
-        val = spec.f_log(lp - lq) * np.exp(lq)
-        return float(val[0])
-
-    points = sorted(set(float(c) for c in centers))
-    value, err = integrate.quad(
-        integrand, lo, hi, points=points, limit=400, epsabs=1e-10, epsrel=1e-10
-    )
-    if not math.isfinite(value) or err > 1e-8:
-        raise NumericsError(
-            f"quadrature for {spec.kind} did not converge (err={err:.2e})"
-        )
-    return value
 
 
 def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,

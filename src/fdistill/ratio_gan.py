@@ -10,9 +10,8 @@ exponentiation. Every network input passes `nets.sigma_embedding`, which
 rejects sigma <= 0 before any parameter changes.
 
 The discriminator objective is the noised logistic GAN loss plus an R1
-gradient penalty on real inputs. The generator side defaults to the
-non-saturating form -log D; the literal minimax form log(1 - D) is kept
-behind a switch.
+gradient penalty on real inputs. The generator side takes the non-saturating
+form -log D.
 """
 
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ __all__ = [
     "RatioClip",
     "disc_init",
     "logit",
-    "ratio_estimate",
     "clipped_log_ratio",
     "disc_update",
     "gan_generator_grad",
@@ -115,11 +113,6 @@ def clipped_log_ratio(disc: Discriminator, x, sigma, clip: RatioClip) -> np.ndar
     return np.clip(ell, lo, hi)
 
 
-def ratio_estimate(disc: Discriminator, x, sigma, clip: RatioClip):
-    """clamp(exp(logit), r_min, r_max); equals clipped D/(1-D)."""
-    return np.exp(clipped_log_ratio(disc, x, sigma, clip))
-
-
 def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
                 noise_fake, r1_gamma: float = 0.0) -> float:
     """One Adam step on the noised logistic loss with R1 on real inputs.
@@ -178,11 +171,10 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
     return loss
 
 
-def gan_generator_grad(disc: Discriminator, y, sigma, noise,
-                       form: str = "nonsaturating"):
-    """Gradient w.r.t. clean generator outputs y of the generator GAN loss.
+def gan_generator_grad(disc: Discriminator, y, sigma, noise):
+    """Gradient w.r.t. clean generator outputs y of the non-saturating
+    generator GAN loss mean -log D(y + sigma eps).
 
-    nonsaturating: mean -log D(y + sigma eps); minimax: mean log(1 - D(...)).
     The discriminator is frozen; gradients flow through it only. Returns
     (gradient (B, dim), the logits of the noised batch (B,)).
     """
@@ -190,12 +182,6 @@ def gan_generator_grad(disc: Discriminator, y, sigma, noise,
     sig = sigma_batch(sigma, y.shape[0])
     x = y + sig[:, None] * np.asarray(noise, dtype=float)
     ell, _, cache, c_in = _logit_cached(disc, x, sig)
-    n = y.shape[0]
-    if form == "nonsaturating":
-        dldell = -sigmoid(-ell) / n
-    elif form == "minimax":
-        dldell = -sigmoid(ell) / n
-    else:
-        raise DomainError(f"unknown generator GAN loss form {form!r}")
+    dldell = -sigmoid(-ell) / y.shape[0]
     _, input_grad = backward(disc.net, cache, dldell[:, None], param_grad=False)
     return input_grad[:, : disc.dim] * c_in[:, None], ell

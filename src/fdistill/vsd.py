@@ -41,9 +41,6 @@ def vsd_generator_step(state, cfg, teacher, schedule, batch) -> None:
     ts = score(teacher, x, batch.sigma)
     fs = _fake_score_batch(state, cfg, x, batch.sigma)
     w = schedule.time_weight(batch.sigma)
-    if cfg.time_weight_rescale:
-        scale = float(np.mean(np.abs(w[:, None] * (ts - fs))))
-        w = w / (scale + 1e-12)
     g = vsd_generator_signal(ts, fs, w)
     pgrad = state.generator.backward(ctx, -g / n)
     state.generator.params = state.opt_generator.step(state.generator.params, pgrad)

@@ -18,9 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fdistill
+from fdistill import _numerics as nm
 from fdistill import checkpoint as ckpt
 from fdistill import cli
-from fdistill.distill import RunConfig, checked
+from fdistill.distill import RETIRED_KEYS, RunConfig, checked
 from fdistill.divergence import KINDS
 from fdistill.errors import CheckpointError, ConfigError
 from fdistill.nets import adam_init
@@ -201,7 +202,8 @@ class TestConfigHandling:
 
 SECTION_KEYS = cli._section_keys()
 KEY_PATHS = (
-    [f.name for f in fields(RunConfig)] + list(SECTION_KEYS) + ["bogus", "table.bogus"]
+    [f.name for f in fields(RunConfig)] + list(RETIRED_KEYS) + list(SECTION_KEYS)
+    + ["bogus", "table.bogus"]
     + [f"{name}.{key}" for name, keys in SECTION_KEYS.items() for key in keys]
 )
 # JSON values of every kind; NaN, infinities and ints beyond the float range
@@ -520,6 +522,37 @@ class TestUndecodableCheckpoint:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestRetiredKeysInEcho:
+    """Checkpoints written before five run keys were retired echo them, each
+    at the one value training now hard-wires."""
+
+    def modes(self, tmp_path, data, extra_echo):
+        n = struct.unpack_from("<I", data, 8)[0]
+        echo = {**json.loads(data[12:12 + n]), **extra_echo}
+        path = tmp_path / "x.fdst"
+        path.write_bytes(with_config_echo(data, json.dumps(echo, sort_keys=True).encode()))
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "modes": {"n_samples": 2000}})
+        out = tmp_path / f"o{len(extra_echo)}"
+        code = cli.main(["modes", "--config", cfg, "--out", str(out), "--checkpoint", str(path)])
+        return code, out / "modes.json"
+
+    def test_fixed_values_give_the_same_modes_report(self, tmp_path, trained_checkpoint):
+        code, report = self.modes(tmp_path, trained_checkpoint[0], {})
+        code_old, report_old = self.modes(tmp_path, trained_checkpoint[0], RETIRED_KEYS)
+        assert code == code_old == 0
+        assert report_old.read_bytes() == report.read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("gan_loss_form", "minimax"), ("weight_decay", 0.01),
+                                            ("ratio_at_clean", True)])
+    def test_other_value_exits_2_with_one_line(self, tmp_path, capsys, trained_checkpoint,
+                                               key, value):
+        code, _ = self.modes(tmp_path, trained_checkpoint[0], {key: value})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{key}': retired")
+        assert len(err.strip().splitlines()) == 1
+
+
 def _load_bytes(path, data: bytes):
     path.write_bytes(data)
     return ckpt.load_checkpoint(path)
@@ -599,24 +632,35 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="checksum"):
             ckpt.load_checkpoint(path)
 
-    def test_version_1_file_still_loads(self, tmp_path):
-        """A version-1 file (FNV-1a checksum) reads back exactly, and a
-        corrupt byte in one still fails its checksum."""
+    def test_version_1_file_rejected(self, tmp_path, capsys):
+        """A version-1 file (FNV-1a checksum) is refused by the loader and by
+        `fdistill modes`, with one error line."""
         path = tmp_path / "x.fdst"
-        nets = self._payload()
-        ckpt.save_checkpoint(path, {"seed": 1}, 42, nets)
+        ckpt.save_checkpoint(path, {"seed": 1}, 42, self._payload())
         data = bytearray(path.read_bytes())
         assert struct.unpack_from("<I", data, 4)[0] == ckpt.VERSION == 2
         struct.pack_into("<I", data, 4, 1)
-        data[-8:] = struct.pack("<Q", ckpt.fnv1a64(bytes(data[:-8])))
+        data[-8:] = struct.pack("<Q", nm.fnv1a64(bytes(data[:-8])))
         path.write_bytes(bytes(data))
-        config, iteration, loaded = ckpt.load_checkpoint(path)
-        assert (config, iteration) == ({"seed": 1}, 42)
-        np.testing.assert_array_equal(loaded[0].params, nets[0].params)
-        np.testing.assert_array_equal(loaded[0].adam.m, nets[0].adam.m)
-        data[30] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="checksum"):
+        with pytest.raises(CheckpointError, match="version 1 "):
+            ckpt.load_checkpoint(path)
+        code = cli.main(["modes", "--config", write_config(tmp_path, TINY_TRAIN),
+                         "--out", str(tmp_path / "o"), "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unsupported checkpoint version 1 ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_weight_decay_slot_written_as_zero_and_nonzero_rejected(self, tmp_path):
+        path = tmp_path / "x.fdst"
+        nets = self._payload()
+        ckpt.save_checkpoint(path, {}, 0, nets)
+        data = bytearray(path.read_bytes())
+        slot = len(data) - 8 - 2 * 8 * nets[0].params.size - 8   # before the m and v moments
+        assert struct.unpack_from("<d", data, slot)[0] == 0.0
+        struct.pack_into("<d", data, slot, 0.01)
+        path.write_bytes(with_valid_checksum(bytes(data[:-8])))
+        with pytest.raises(CheckpointError, match="weight decay 0.01"):
             ckpt.load_checkpoint(path)
 
     def test_save_is_atomic(self, tmp_path, monkeypatch):
@@ -642,7 +686,7 @@ class TestCheckpointFormat:
         data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, 4, 99)
         body = bytes(data[:-8])
-        data[-8:] = struct.pack("<Q", ckpt.fnv1a64(body))
+        data[-8:] = struct.pack("<Q", zlib.crc32(body))
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="version"):
             ckpt.load_checkpoint(path)
@@ -661,7 +705,7 @@ class TestCheckpointFormat:
         data = bytearray(path.read_bytes())
         data[0:4] = b"JUNK"
         body = bytes(data[:-8])
-        data[-8:] = struct.pack("<Q", ckpt.fnv1a64(body))
+        data[-8:] = struct.pack("<Q", zlib.crc32(body))
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="magic"):
             ckpt.load_checkpoint(path)
@@ -682,8 +726,8 @@ def run_python(script, args, env=None, via_shell=False):
 class TestStartupImports:
     def test_train_modes_and_gradcheck_load_no_scipy(self, tmp_path):
         """SciPy adds about 0.2 s and 24 MB to a training start; only the
-        quadrature oracle and the tests use it, so these commands must not
-        load it."""
+        tests use it, so these commands must not load it even where it is
+        installed."""
         cfg = write_config(tmp_path, {**TINY_TRAIN, "gradcheck": {"n": 2000, "sigmas": [0.5]}})
         out = str(tmp_path / "o")
         script = ("import sys\n"
@@ -697,6 +741,26 @@ class TestStartupImports:
         proc = run_python(script, [cfg, out])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        """SciPy is a test dependency only: with it unimportable, each of the
+        six subcommands exits 0."""
+        cfg = write_config(tmp_path, {
+            **TINY_TRAIN, "gradcheck": {"n": 2000, "sigmas": [0.5], "rel_tol": 1e9},
+            "variance": {"n": 2000, "gaps": [0.5]}, "table": {"n_points": 5},
+            "weightmap": {"resolution": 4}, "modes": {"n_samples": 2000}})
+        out = str(tmp_path / "o")
+        script = ("import sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from fdistill.cli import main\n"
+                  "cfg, out = sys.argv[1:]\n"
+                  "ckpt = out + '/checkpoint_final.fdst'\n"
+                  "runs = [['train', '--iters', '3'], ['gradcheck'], ['variance'], ['table'],\n"
+                  "        ['weightmap'], ['modes', '--checkpoint', ckpt]]\n"
+                  "print([main([r[0], '--config', cfg, '--out', out, *r[1:]]) for r in runs])\n")
+        proc = run_python(script, [cfg, out])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
 
     def test_train_and_modes_load_no_oracle(self, tmp_path):
         """Mode coverage lives in `teacher`; the training loop and `modes`

@@ -55,11 +55,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="affine"):
             distill.RunConfig(score_source="exact-oracle", generator_kind="mlp")
 
-    def test_clean_exact_ratio_needs_affine(self):
-        with pytest.raises(ConfigError, match="ratio_at_clean"):
-            distill.RunConfig(
-                ratio_at_clean=True, ratio_source="exact-oracle", generator_kind="mlp"
-            )
+    @pytest.mark.parametrize("key, value", [*distill.RETIRED_KEYS.items(),
+                                            ("weight_decay", 0), ("weight_decay", -0.0)])
+    def test_retired_key_at_its_fixed_value_is_dropped(self, key, value):
+        """Configs and checkpoint echoes written before a key was retired load."""
+        assert distill.RunConfig.from_dict({"seed": 3, key: value}) == distill.RunConfig(seed=3)
+
+    @pytest.mark.parametrize("key, value", [
+        ("stage1_mode", "batch-sum"), ("gan_loss_form", "minimax"),
+        ("time_weight_rescale", True), ("weight_decay", 0.01), ("ratio_at_clean", True),
+        ("time_weight_rescale", 0), ("weight_decay", False), ("weight_decay", None),
+    ])
+    def test_retired_key_at_another_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}': retired"):
+            distill.RunConfig.from_dict({key: value})
 
     def test_round_trip_dict(self):
         cfg = gaussian_cfg(divergence="forward-kl")
@@ -111,11 +120,6 @@ class TestNormalization:
     def test_stage1_constant_bin(self):
         out = distill.normalize_stage1(np.array([2.0, 2.0, 2.0]), np.zeros(3, int))
         np.testing.assert_array_equal(out, np.ones(3))
-
-    def test_stage1_batch_sum_mode(self):
-        r = np.array([1.0, 3.0])
-        out = distill.normalize_stage1(r, np.zeros(2, int), mode="batch-sum")
-        np.testing.assert_allclose(out, [0.25, 0.75])
 
     def test_stage2_hand_example(self):
         np.testing.assert_allclose(
@@ -281,16 +285,6 @@ class TestTrainStep:
         )
         state, _ = distill.train(cfg)
         assert state.iteration == 4
-
-    def test_ratio_at_clean_affine_path_runs(self):
-        cfg = gaussian_cfg(ratio_at_clean=True, total_iters=4, tau=2)
-        state, _ = distill.train(cfg)
-        assert state.iteration == 4
-
-    def test_time_weight_rescale_path_runs(self):
-        cfg = gaussian_cfg(time_weight_rescale=True, total_iters=2, tau=1)
-        state, _ = distill.train(cfg)
-        assert state.iteration == 2
 
 
 class TestTrain:

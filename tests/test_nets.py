@@ -484,10 +484,9 @@ class TestAdam:
         p2, _ = nets.adam_step(a2, params.copy(), grads.copy())
         np.testing.assert_array_equal(p1, p2)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_matches_textbook_update_bitwise(self, weight_decay):
+    def test_matches_textbook_update_bitwise(self):
         gen = rngmod.stream(5, 2)
-        state = nets.adam_init(50, lr=2e-3, weight_decay=weight_decay)
+        state = nets.adam_init(50, lr=2e-3)
         params = gen.standard_normal(50)
         for _ in range(3):
             grads = gen.standard_normal(50)
@@ -495,8 +494,6 @@ class TestAdam:
             m = b1 * state.m + (1.0 - b1) * grads
             v = b2 * state.v + (1.0 - b2) * grads**2
             update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + state.eps)
-            if weight_decay:
-                update = update + weight_decay * params
             expected = params - state.lr * update
             old_m, old_v = state.m.copy(), state.v.copy()
             new_params, new_state = nets.adam_step(state, params, grads)
@@ -519,11 +516,6 @@ class TestAdam:
         grads = np.array([1.0, 2.0, -np.inf, np.nan, np.inf])
         with pytest.raises(NumericsError, match="index 2"):
             nets.adam_step(state, np.zeros(5), grads)
-
-    def test_decoupled_weight_decay_shrinks_params(self):
-        state = nets.adam_init(1, lr=0.1, weight_decay=0.5)
-        new_params, _ = nets.adam_step(state, np.array([2.0]), np.array([0.0]))
-        assert new_params[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
 class TestSigmaEmbedding:

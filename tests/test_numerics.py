@@ -8,7 +8,6 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from fdistill import _numerics as nm
-from fdistill import checkpoint as ckpt
 from fdistill import rng as rngmod
 from fdistill import teacher as tc
 from fdistill.errors import DomainError
@@ -19,7 +18,7 @@ def ref_sigmoid(x):
 
 
 def ref_fnv1a64(data: bytes) -> int:
-    # byte loop of the version-1 checkpoint checksum
+    # the textbook byte loop
     h = 0xCBF29CE484222325
     for byte in data:
         h ^= byte
@@ -229,7 +228,6 @@ class TestFnv1a64:
     @pytest.mark.parametrize("data", [b"", b"FDST", bytes(range(256)) * 3])
     def test_matches_byte_loop(self, data):
         assert nm.fnv1a64(data) == ref_fnv1a64(data)
-        assert ckpt.fnv1a64(data) == ref_fnv1a64(data)
 
     def test_known_values(self):
         assert nm.fnv1a64(b"") == 0xCBF29CE484222325
