@@ -33,7 +33,7 @@ import numpy as np
 from . import rng as rngmod
 from .divergence import KINDS, DivergenceSpec, catalog, weight_h
 from .errors import CheckpointError, ConfigError, DomainError, NumericsError, TrainingDiverged
-from .nets import Adam, FeedForwardNet, backward, forward, init_net, predict
+from .nets import HIDDEN_WIDTHS, Adam, FeedForwardNet, backward, forward, init_net, predict
 from .ratio_gan import (
     Discriminator,
     RatioClip,
@@ -71,9 +71,6 @@ __all__ = [
     "train",
     "compute_metrics",
 ]
-
-HIDDEN_WIDTHS = (128, 128)
-
 
 def _rule(what, ok, convert=lambda v: v):
     """A config key's rule: it returns an accepted value through `convert` and
@@ -446,9 +443,9 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
                        rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR), final=0.1)
         generator = MLPGenerator(net)
     denoiser = denoiser_init(dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER),
-                             sigma_data=sigma_data, hidden=HIDDEN_WIDTHS)
+                             sigma_data=sigma_data)
     disc = disc_init(dim, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR),
-                     sigma_data=sigma_data, hidden=HIDDEN_WIDTHS)
+                     sigma_data=sigma_data)
     return TrainState(
         generator=generator,
         denoiser=denoiser,
@@ -473,6 +470,15 @@ def draw_batch(cfg: RunConfig, schedule: NoiseSchedule, iteration: int,
     return Batch(t_idx=t_idx, sigma=sigma, z=z, eps=eps)
 
 
+def _finite_output(y: np.ndarray, iteration: int) -> np.ndarray:
+    """Generator outputs y, or TrainingDiverged naming the iteration when one
+    is not finite; the teacher's densities reject such points."""
+    if not np.all(np.isfinite(y)):
+        raise TrainingDiverged(f"iteration {iteration}: non-finite generator output",
+                               report=StepReport(iteration=iteration, updated=()))
+    return y
+
+
 def _student_log_density(state: TrainState, points, sigma,
                          stream: np.random.Generator, n_particles: int) -> np.ndarray:
     """log q_sigma(points): exact for an affine student, otherwise estimated
@@ -481,7 +487,8 @@ def _student_log_density(state: TrainState, points, sigma,
     if law is not None:
         return log_density(law, points, sigma)
     z = stream.standard_normal((n_particles, state.generator.latent_dim))
-    return particle_log_density(state.generator.forward(z), points, sigma)
+    centers = _finite_output(state.generator.forward(z), state.iteration)
+    return particle_log_density(centers, points, sigma)
 
 
 def _ratio_batch(state, cfg, teacher, x, sigma, iteration) -> np.ndarray:
@@ -531,6 +538,7 @@ def generator_step(state: TrainState, cfg: RunConfig,
     it = state.iteration
     n = cfg.batch_size
     y, ctx = state.generator.forward_cached(batch.z)
+    _finite_output(y, it)
     x = y + batch.sigma[:, None] * batch.eps
     ts = score(teacher, x, batch.sigma)
     fs = _fake_score_batch(state, cfg, x, batch.sigma)
@@ -631,6 +639,8 @@ def train_step(state: TrainState, cfg: RunConfig,
     return report
 
 
+# non-finite generator outputs end in TrainingDiverged, not in numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def compute_metrics(state: TrainState, cfg: RunConfig,
                     teacher: IsotropicGaussianMixture,
                     last: Optional[StepReport] = None) -> dict:
@@ -654,7 +664,7 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     z = rngmod.stream(cfg.seed, it, rngmod.METRICS, 3).standard_normal(
         (n, state.generator.latent_dim)
     )
-    y = state.generator.forward(z)
+    y = _finite_output(state.generator.forward(z), it)
     xs_q = y + s * rngmod.stream(cfg.seed, it, rngmod.METRICS, 4).standard_normal(
         (n, teacher.dim)
     )

@@ -47,10 +47,14 @@ __all__ = [
     "adam_init",
     "adam_step",
     "sigma_embedding",
+    "conditioned_input",
     "EMBED_DIM",
+    "HIDDEN_WIDTHS",
 ]
 
 EMBED_DIM = 16
+# Hidden layer widths of the generator, denoiser and discriminator MLPs.
+HIDDEN_WIDTHS = (128, 128)
 # Frequency band tops out near period ~2 in log sigma: conditioning targets
 # are smooth in log sigma, and finer bands let per-level noise imprint as
 # wiggles on the sigma response.
@@ -406,6 +410,20 @@ def sigma_embedding(sigma) -> np.ndarray:
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
 
 
+def conditioned_input(x, sig, sigma_data):
+    """(rows [c_in x, sigma_embedding(sig)] of a sigma-conditioned net, c_in),
+    with the EDM whitening c_in = 1 / sqrt(sig^2 + sigma_data^2) (Karras et
+    al. 2022). `x` may stack batches that share the B levels `sig`, shape
+    (k B, dim); the embedding is computed once for all of them."""
+    n, dim = sig.shape[0], x.shape[1]
+    c_in = 1.0 / np.sqrt(sig**2 + sigma_data**2)
+    inp = np.empty((x.shape[0], dim + EMBED_DIM))
+    blocks = inp.reshape(-1, n, dim + EMBED_DIM)
+    blocks[:, :, :dim] = c_in[:, None] * x.reshape(-1, n, dim)
+    blocks[:, :, dim:] = sigma_embedding(sig)
+    return inp, c_in
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
@@ -417,11 +435,8 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(n_params: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    return AdamState(
-        m=np.zeros(n_params), v=np.zeros(n_params), step=0,
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-    )
+def adam_init(n_params: int, lr: float) -> AdamState:
+    return AdamState(m=np.zeros(n_params), v=np.zeros(n_params), step=0, lr=lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):

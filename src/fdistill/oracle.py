@@ -15,7 +15,7 @@ mixtures they measure, and re-exported here.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "GradCheckReport",
     "ModeCoverage",
     "mc_f_divergence",
-    "mixture_sampler",
     "theorem1_grad_check",
     "normalized_variance_curve",
     "weight_score_map",
@@ -48,6 +47,9 @@ __all__ = [
 ]
 
 _TRIM_BUDGET = 1e-3  # fraction of non-finite f values tolerated (then dropped)
+# A gate report also passes when the two gradients differ by at most this
+# many combined standard errors.
+SE_MULT = 3.0
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,11 @@ class GradCheckReport:
             abs(self.grad_mc), abs(self.grad_fd), 1e-8
         )
 
-    def passes(self, rel_tol: float = 0.05, se_mult: float = 3.0) -> bool:
+    def passes(self, rel_tol: float = 0.05) -> bool:
         combined_se = math.hypot(self.se_mc, self.se_fd)
         return (
             self.rel_error <= rel_tol
-            or abs(self.grad_mc - self.grad_fd) <= se_mult * combined_se
+            or abs(self.grad_mc - self.grad_fd) <= SE_MULT * combined_se
         )
 
 
@@ -104,26 +106,21 @@ def _trimmed_mean_se(values: np.ndarray, what: str) -> MCEstimate:
     )
 
 
-def mc_f_divergence(kind, sample_q: Callable, log_p: Callable, log_q: Callable,
+def mc_f_divergence(kind, p: IsotropicGaussianMixture, q: IsotropicGaussianMixture,
                     n: int, seed: int) -> MCEstimate:
-    """Monte-Carlo D_f(p || q) = E_q[f(p/q)], evaluated in log-ratio form.
+    """Monte-Carlo D_f(p || q) = E_q[f(p/q)] between two mixtures, evaluated
+    in log-ratio form on n draws from q.
 
-    sample_q(n, gen) draws from q; log_p/log_q evaluate batched log
-    densities. Up to 0.1% non-finite f values (tail underflow at sigma=0) are
-    trimmed; more is an error.
+    Up to 0.1% non-finite f values (tail underflow at sigma=0) are trimmed;
+    more is an error.
     """
     if n < 100:
         raise DomainError(f"mc_f_divergence needs n >= 100, got {n}")
     spec = catalog(kind)
-    x = np.asarray(sample_q(int(n), rngmod.stream(seed, 0xD1)), dtype=float)
-    log_r = np.asarray(log_p(x), dtype=float) - np.asarray(log_q(x), dtype=float)
+    x = draw(q, int(n), rngmod.stream(seed, 0xD1))
+    log_r = log_density(p, x) - log_density(q, x)
     values = _f_values_from_log_ratio(spec, log_r)
     return _trimmed_mean_se(values, f"mc_f_divergence[{spec.kind}]")
-
-
-def mixture_sampler(gm: IsotropicGaussianMixture) -> Callable:
-    """sample_q adapter drawing from a mixture with the provided stream."""
-    return lambda n, gen: draw(gm, n, gen)
 
 
 def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,

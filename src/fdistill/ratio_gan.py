@@ -6,8 +6,8 @@ The scalar head output is interpreted as a logit, so D = sigmoid(logit) and
 
 is the density-ratio estimate; at the Bayes optimum the logit converges to
 log p_sigma(x) - log q_sigma(x). Ratios are clipped in log space before any
-exponentiation. Every network input passes `nets.sigma_embedding`, which
-rejects sigma <= 0 before any parameter changes.
+exponentiation. Every network input passes `nets.conditioned_input`, whose
+embedding rejects sigma <= 0 before any parameter changes.
 
 The discriminator objective is the noised logistic GAN loss plus an R1
 gradient penalty on real inputs. The generator side takes the non-saturating
@@ -22,14 +22,15 @@ from ._numerics import sigma_batch, sigmoid, softplus
 from .errors import DomainError, NumericsError
 from .nets import (
     EMBED_DIM,
+    HIDDEN_WIDTHS,
     FeedForwardNet,
     backward,
+    conditioned_input,
     forward,
     init_net,
     input_grad_param_grad,
     predict,
     scalar_input_grad,
-    sigma_embedding,
 )
 
 __all__ = [
@@ -64,34 +65,20 @@ class RatioClip:
 class Discriminator:
     net: FeedForwardNet
     sigma_data: float = 1.0
-    precondition: bool = True
 
     @property
     def dim(self) -> int:
         return self.net.widths[0] - EMBED_DIM
 
 
-def disc_init(dim, gen, sigma_data=1.0, hidden=(128, 128),
-              precondition=True) -> Discriminator:
+def disc_init(dim, gen, sigma_data=1.0) -> Discriminator:
     # zero-initialized head: the initial ratio estimate is exactly 1
-    net = init_net((dim + EMBED_DIM, *hidden, 1), gen, final="zero")
-    return Discriminator(net=net, sigma_data=float(sigma_data), precondition=precondition)
-
-
-def _c_in(disc: Discriminator, sig: np.ndarray):
-    if not disc.precondition:
-        return np.ones_like(sig)
-    return 1.0 / np.sqrt(sig**2 + disc.sigma_data**2)
-
-
-def _disc_input(disc: Discriminator, x: np.ndarray, sig: np.ndarray):
-    """Network input [c_in x, embedding(sigma)] and the whitening c_in."""
-    c_in = _c_in(disc, sig)
-    return np.concatenate([c_in[:, None] * x, sigma_embedding(sig)], axis=1), c_in
+    net = init_net((dim + EMBED_DIM, *HIDDEN_WIDTHS, 1), gen, final="zero")
+    return Discriminator(net=net, sigma_data=float(sigma_data))
 
 
 def _logit_cached(disc: Discriminator, x: np.ndarray, sig: np.ndarray):
-    inp, c_in = _disc_input(disc, x, sig)
+    inp, c_in = conditioned_input(x, sig, disc.sigma_data)
     out, cache = forward(disc.net, inp)
     return out[:, 0], inp, cache, c_in
 
@@ -100,7 +87,7 @@ def logit(disc: Discriminator, x, sigma) -> np.ndarray:
     """Raw logit of D(x, sigma), shape (B,)."""
     x = np.asarray(x, dtype=float)
     sig = sigma_batch(sigma, x.shape[0])
-    inp, _ = _disc_input(disc, x, sig)
+    inp, _ = conditioned_input(x, sig, disc.sigma_data)
     return predict(disc.net, inp)[:, 0]
 
 
@@ -137,13 +124,9 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
         raise DomainError(f"batches must have shape (batch, {disc.dim}), got {real.shape}")
     n, dim = real.shape[0], disc.dim
     sig = sigma_batch(sigma, n)
-    c_in = _c_in(disc, sig)
-    x_real = real + sig[:, None] * np.asarray(noise_real, dtype=float)
-    x_fake = fake + sig[:, None] * np.asarray(noise_fake, dtype=float)
-    inp = np.empty((2 * n, disc.net.widths[0]))
-    inp[:n, :dim] = c_in[:, None] * x_real
-    inp[n:, :dim] = c_in[:, None] * x_fake
-    inp[:n, dim:] = inp[n:, dim:] = sigma_embedding(sig)
+    x = np.concatenate([real + sig[:, None] * np.asarray(noise_real, dtype=float),
+                        fake + sig[:, None] * np.asarray(noise_fake, dtype=float)])
+    inp, c_in = conditioned_input(x, sig, disc.sigma_data)
 
     out, cache = forward(disc.net, inp)
     ell_r, ell_f = out[:n, 0], out[n:, 0]

@@ -5,12 +5,10 @@ student distribution follows from Tweedie's formula,
 
     grad_x log q_sigma(x) = (x0_hat(x, sigma) - x) / sigma^2.
 
-Predicting x0 keeps regression targets bounded at large sigma. With
-preconditioning on (the default), the raw MLP sees a whitened input
-x / sqrt(sigma^2 + sigma_data^2) and its output is mixed back as
-x0_hat = c_skip x + c_out F, so one set of weights serves the whole
-sigma ladder; `precondition=False` exposes the bare (x, embedding) -> x0_hat
-map for analytic constructions in tests.
+Predicting x0 keeps regression targets bounded at large sigma. The raw MLP
+sees a whitened input x / sqrt(sigma^2 + sigma_data^2) and its output is
+mixed back as x0_hat = c_skip x + c_out F (the EDM parameterization, Karras et
+al. 2022), so one set of weights serves the whole sigma ladder.
 """
 
 from dataclasses import dataclass
@@ -21,12 +19,13 @@ from ._numerics import sigma_batch
 from .errors import DomainError, NumericsError
 from .nets import (
     EMBED_DIM,
+    HIDDEN_WIDTHS,
     FeedForwardNet,
     backward,
+    conditioned_input,
     forward,
     init_net,
     predict,
-    sigma_embedding,
 )
 
 __all__ = ["Denoiser", "denoiser_init", "denoise", "fake_score", "dsm_update"]
@@ -36,40 +35,35 @@ __all__ = ["Denoiser", "denoiser_init", "denoise", "fake_score", "dsm_update"]
 class Denoiser:
     net: FeedForwardNet
     sigma_data: float = 1.0
-    precondition: bool = True
 
     @property
     def dim(self) -> int:
         return self.net.widths[-1]
 
 
-def denoiser_init(dim, gen, sigma_data=1.0, hidden=(128, 128),
-                  precondition=True) -> Denoiser:
+def denoiser_init(dim, gen, sigma_data=1.0) -> Denoiser:
     # zero-initialized head: the initial score is that of N(0, (sigma_data^2+sigma^2) I)
-    net = init_net((dim + EMBED_DIM, *hidden, dim), gen, final="zero")
-    return Denoiser(net=net, sigma_data=float(sigma_data), precondition=precondition)
+    net = init_net((dim + EMBED_DIM, *HIDDEN_WIDTHS, dim), gen, final="zero")
+    return Denoiser(net=net, sigma_data=float(sigma_data))
 
 
 def _coeffs(den: Denoiser, sig: np.ndarray):
+    """(c_skip, c_out); the input whitening c_in is `nets.conditioned_input`'s."""
     # c_out ~ sigma^2: the raw net output is a whitened score residual, so the
     # 1/sigma^2 DSM weight exerts uniform pressure on score accuracy across
     # the ladder instead of letting small-sigma score errors hide inside
     # tiny x0 errors.
-    if not den.precondition:
-        ones = np.ones_like(sig)
-        return ones, np.zeros_like(sig), ones
     total = sig**2 + den.sigma_data**2
-    c_in = 1.0 / np.sqrt(total)
     c_skip = den.sigma_data**2 / total
     c_out = sig**2 * den.sigma_data / np.sqrt(total)
-    return c_in, c_skip, c_out
+    return c_skip, c_out
 
 
 def _denoise(den: Denoiser, x: np.ndarray, sig: np.ndarray, cached: bool):
     """x0_hat with (cache, c_out) for a backward pass when `cached`, else
     with (None, c_out)."""
-    c_in, c_skip, c_out = _coeffs(den, sig)
-    inp = np.concatenate([c_in[:, None] * x, sigma_embedding(sig)], axis=1)
+    inp, _ = conditioned_input(x, sig, den.sigma_data)
+    c_skip, c_out = _coeffs(den, sig)
     if cached:
         raw, cache = forward(den.net, inp)
     else:

@@ -356,22 +356,22 @@ def mode_coverage(samples, teacher: IsotropicGaussianMixture, k: float = 3.0,
     )
 
 
-def ring8(radius: float = 4.0, variance: float = 0.09) -> IsotropicGaussianMixture:
-    """Eight equal components on a circle; the standard mode-coverage teacher."""
+def ring8() -> IsotropicGaussianMixture:
+    """Eight equal components of variance 0.09 on a circle of radius 4."""
     angles = 2.0 * np.pi * np.arange(8) / 8.0
-    means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    means = 4.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return IsotropicGaussianMixture(
-        weights=np.full(8, 1.0 / 8.0), means=means, variances=np.full(8, variance)
+        weights=np.full(8, 1.0 / 8.0), means=means, variances=np.full(8, 0.09)
     )
 
 
-def grid25(spacing: float = 2.0, variance: float = 0.01) -> IsotropicGaussianMixture:
-    """5 x 5 lattice of equal components centered on the origin."""
-    axis = spacing * (np.arange(5) - 2.0)
+def grid25() -> IsotropicGaussianMixture:
+    """5 x 5 lattice, spacing 2, centered on the origin; equal components of variance 0.01."""
+    axis = 2.0 * (np.arange(5) - 2.0)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     means = np.stack([xs.ravel(), ys.ravel()], axis=1)
     return IsotropicGaussianMixture(
-        weights=np.full(25, 1.0 / 25.0), means=means, variances=np.full(25, variance)
+        weights=np.full(25, 1.0 / 25.0), means=means, variances=np.full(25, 0.01)
     )
 
 

@@ -356,6 +356,26 @@ class TestTrainCommand:
         assert code == 3
         assert "abort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"tau": 1, "metrics_interval": 10},     # overflows inside a generator step
+        {"metrics_interval": 1},                # overflows inside the metrics
+    ])
+    def test_overflowing_generator_exits_3_with_one_line(self, tmp_path, overrides):
+        """An MLP generator whose outputs overflow aborts as numerical, naming
+        the iteration, with no numpy warning or traceback on stderr."""
+        cfg = write_config(tmp_path, {"teacher": "ring8", "lr_generator": 1e300,
+                                      "total_iters": 30, **overrides})
+        script = ("import sys, warnings\n"
+                  "warnings.simplefilter('default')\n"
+                  "from fdistill.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = run_python(script, ["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2, proc.stderr
+        assert lines[0].startswith("numerical abort: iteration ")
+        assert lines[1].startswith("step report: StepReport(")
+
 
 class TestGradcheckCommand:
     def test_report_written_and_passes(self, tmp_path):

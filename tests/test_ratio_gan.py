@@ -13,13 +13,15 @@ CLIP = rg.RatioClip(1e-3, 1e3)
 
 
 def identity_logit_disc():
-    """1-D discriminator computing l(x) = x exactly (no preconditioning)."""
+    """1-D discriminator computing l(x) = x exactly for sigma^2 < 128: the
+    whitening is c_in = 2**-30 at sigma_data = 2**30 and the weight on x is
+    2**30 (test_scorematch.TestExactConstruction)."""
     w = np.zeros((1, 1 + nets.EMBED_DIM))
-    w[0, 0] = 1.0
+    w[0, 0] = 2.0**30
     net = nets.FeedForwardNet(
         (1 + nets.EMBED_DIM, 1), np.concatenate([w.ravel(), np.zeros(1)])
     )
-    return rg.Discriminator(net=net, precondition=False)
+    return rg.Discriminator(net=net, sigma_data=2.0**30)
 
 
 def train_two_gaussians(lr0=3e-3, lr1=3e-4, steps=6000, batch=1024, seed=1,
@@ -209,8 +211,8 @@ class TestStackedDiscUpdate:
     @staticmethod
     def reference_update(disc, adam, real, fake, sig, er, ef, r1_gamma):
         n, dim = real.shape
-        inp_r, c_in = rg._disc_input(disc, real + sig[:, None] * er, sig)
-        inp_f, _ = rg._disc_input(disc, fake + sig[:, None] * ef, sig)
+        inp_r, c_in = nets.conditioned_input(real + sig[:, None] * er, sig, disc.sigma_data)
+        inp_f, _ = nets.conditioned_input(fake + sig[:, None] * ef, sig, disc.sigma_data)
         ell_r = ref_forward(disc.net, inp_r)[0][:, 0]
         ell_f = ref_forward(disc.net, inp_f)[0][:, 0]
         loss = float(np.mean(np.logaddexp(0.0, -ell_r)) + np.mean(np.logaddexp(0.0, ell_f)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdistill import nets, scorematch as sm
+from fdistill import nets, ratio_gan as rg, scorematch as sm
 from fdistill import rng as rngmod
 from fdistill import teacher as tc
 from fdistill.errors import DomainError
@@ -46,13 +46,8 @@ class TestFakeScore:
 
     def test_identity_net_scores_zero(self):
         dim = 2
-        w = np.zeros((dim, dim + nets.EMBED_DIM))
-        w[:, :dim] = np.eye(dim)
-        net = nets.FeedForwardNet(
-            (dim + nets.EMBED_DIM, dim),
-            np.concatenate([w.ravel(), np.zeros(dim)]),
-        )
-        den = sm.Denoiser(net=net, precondition=False)
+        # exact construction (see TestExactConstruction): c_skip = 1, zero head
+        den = sm.denoiser_init(dim, rngmod.stream(1, 1), sigma_data=2**30)
         x = rngmod.stream(1, 2).standard_normal((8, dim))
         np.testing.assert_allclose(sm.fake_score(den, x, 0.7), np.zeros_like(x), atol=1e-14)
 
@@ -82,13 +77,8 @@ class TestFakeScore:
 
 class TestDsmUpdate:
     def _raw_identity_denoiser(self, dim):
-        w = np.zeros((dim, dim + nets.EMBED_DIM))
-        w[:, :dim] = np.eye(dim)
-        net = nets.FeedForwardNet(
-            (dim + nets.EMBED_DIM, dim),
-            np.concatenate([w.ravel(), np.zeros(dim)]),
-        )
-        return sm.Denoiser(net=net, precondition=False)
+        """x0_hat(x, sigma) = x exactly for sigma^2 < 128 (TestExactConstruction)."""
+        return sm.denoiser_init(dim, rngmod.stream(1, 1), sigma_data=2**30)
 
     def test_perfect_denoiser_zero_noise_no_update(self):
         den = self._raw_identity_denoiser(2)
@@ -160,3 +150,31 @@ class TestScoreRecovery:
             rms = float(np.sqrt(np.mean(np.sum((got - want) ** 2, axis=1))))
             worst = max(worst, rms)
         assert worst <= 0.1
+
+
+class TestExactConstruction:
+    """sigma_data = 2**30 makes the preconditioning exact: sigma^2 + 2**60
+    rounds to 2**60 while sigma^2 < 128 (half an ulp of 2**60), so
+    c_in = 2**-30, c_skip = 1 and c_out = sigma^2, all without rounding.
+    Tests build analytic nets on this."""
+
+    @pytest.mark.parametrize("sigma", [0.002, 0.3, 0.5, 11.0])
+    def test_coefficients_exact(self, sigma):
+        sig = np.full(3, sigma)
+        den = sm.denoiser_init(2, rngmod.stream(1, 1), sigma_data=2**30)
+        c_skip, c_out = sm._coeffs(den, sig)
+        np.testing.assert_array_equal(c_skip, np.ones(3))
+        np.testing.assert_array_equal(c_out, sig**2)
+        # the whitening both the denoiser and the discriminator use
+        x = rngmod.stream(1, 2).standard_normal((3, 2))
+        inp, c_in = nets.conditioned_input(x, sig, float(2**30))
+        np.testing.assert_array_equal(c_in, np.full(3, 2.0**-30))
+        np.testing.assert_array_equal(inp[:, :2] * 2.0**30, x)
+        disc = rg.disc_init(2, rngmod.stream(1, 3), sigma_data=2**30)
+        np.testing.assert_array_equal(rg._logit_cached(disc, x, sig)[3], c_in)
+
+    def test_breaks_once_sigma_squared_exceeds_128(self):
+        # sigma^2 + 2**60 rounds up to 2**60 + 256, so c_skip is below 1
+        den = sm.denoiser_init(2, rngmod.stream(1, 1), sigma_data=2**30)
+        c_skip, _ = sm._coeffs(den, np.full(1, 12.0))
+        assert c_skip[0] < 1.0
