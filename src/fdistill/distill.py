@@ -483,7 +483,11 @@ def _student_log_density(state: TrainState, points, sigma,
                          stream: np.random.Generator, n_particles: int) -> np.ndarray:
     """log q_sigma(points): exact for an affine student, otherwise estimated
     from n_particles generator outputs drawn with `stream`."""
-    law = state.generator.exact_law()
+    try:
+        law = state.generator.exact_law()
+    except NumericsError as exc:    # an affine scale whose square overflows
+        raise TrainingDiverged(f"iteration {state.iteration}: {exc}",
+                               report=StepReport(iteration=state.iteration, updated=())) from exc
     if law is not None:
         return log_density(law, points, sigma)
     z = stream.standard_normal((n_particles, state.generator.latent_dim))

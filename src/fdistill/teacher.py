@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from ._numerics import logsumexp, row_blocks
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 
 __all__ = [
     "IsotropicGaussianMixture",
@@ -281,14 +281,17 @@ class AffineGenerator:
 
 def affine_pushforward(gen: AffineGenerator, sigma: float) -> IsotropicGaussianMixture:
     """Exact law of G(z) + sigma * eps for standard normal z, eps: the
-    one-component mixture N(b, (a^2 + sigma^2) I)."""
+    one-component mixture N(b, (a^2 + sigma^2) I); NumericsError when a^2
+    overflows."""
     s = float(sigma)
     if s < 0.0:
         raise DomainError("sigma must be >= 0")
+    try:
+        variance = gen.scale**2 + s**2
+    except OverflowError:
+        raise NumericsError(f"affine student scale {gen.scale!r} overflows its variance") from None
     return IsotropicGaussianMixture(
-        weights=np.array([1.0]),
-        means=gen.bias[None, :],
-        variances=np.array([gen.scale**2 + s**2]),
+        weights=np.array([1.0]), means=gen.bias[None, :], variances=np.array([variance]),
     )
 
 

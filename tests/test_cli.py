@@ -167,7 +167,7 @@ class TestConfigHandling:
 
     def test_domain_error_in_command_exits_2_with_one_line(self, tmp_path, capsys):
         """A gap the schema accepts whose Gaussian log ratio overflows."""
-        cfg = write_config(tmp_path, {"variance": {"gaps": [1e300], "n": 100}})
+        cfg = write_config(tmp_path, {"variance": {"gaps": [1e300]}})
         code = cli.main(["variance", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
@@ -376,6 +376,28 @@ class TestTrainCommand:
         assert lines[0].startswith("numerical abort: iteration ")
         assert lines[1].startswith("step report: StepReport(")
 
+    @pytest.mark.parametrize("overrides", [
+        {},                                     # discriminator ratio, denoiser score
+        {"ratio_source": "exact-oracle", "score_source": "exact-oracle"},
+    ])
+    def test_overflowing_affine_scale_exits_3_with_one_line(self, tmp_path, overrides):
+        """An affine student whose squared scale overflows aborts as numerical
+        when its exact law is formed, with no traceback or numpy warning."""
+        cfg = write_config(tmp_path, {"teacher": "ring8", "generator_kind": "affine",
+                                      "lr_generator": 1e300, "total_iters": 30,
+                                      "metrics_interval": 1, **overrides})
+        script = ("import sys, warnings\n"
+                  "warnings.simplefilter('default')\n"
+                  "from fdistill.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = run_python(script, ["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2, proc.stderr
+        assert lines[0].startswith("numerical abort: iteration ")
+        assert lines[1].startswith("step report: StepReport(")
+
 
 class TestGradcheckCommand:
     def test_report_written_and_passes(self, tmp_path):
@@ -394,13 +416,13 @@ class TestGradcheckCommand:
 class TestVarianceCommand:
     def test_csv_rows(self, tmp_path):
         cfg = write_config(
-            tmp_path, {"variance": {"n": 20000, "gaps": [0.5, 1.0],
+            tmp_path, {"variance": {"gaps": [0.5, 1.0],
                                     "kinds": ["reverse-kl", "forward-kl"]}}
         )
         out = tmp_path / "o"
         assert cli.main(["variance", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "variance.csv").read_text().strip().splitlines()
-        assert lines[0] == "kind,d,estimate,se"
+        assert lines[0] == "kind,d,estimate"
         assert len(lines) == 5
         rkl_rows = [l for l in lines[1:] if l.startswith("reverse-kl")]
         assert all(float(l.split(",")[2]) == 0.0 for l in rkl_rows)
@@ -767,7 +789,7 @@ class TestStartupImports:
         six subcommands exits 0."""
         cfg = write_config(tmp_path, {
             **TINY_TRAIN, "gradcheck": {"n": 2000, "sigmas": [0.5], "rel_tol": 1e9},
-            "variance": {"n": 2000, "gaps": [0.5]}, "table": {"n_points": 5},
+            "variance": {"gaps": [0.5]}, "table": {"n_points": 5},
             "weightmap": {"resolution": 4}, "modes": {"n_samples": 2000}})
         out = str(tmp_path / "o")
         script = ("import sys\n"

@@ -1,6 +1,7 @@
 """Training loop: weighting path, normalizations, sign convention, schedule."""
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -344,6 +345,57 @@ class TestTrain:
                 if best < 0.045:
                     break
         assert best < 0.05, best
+
+
+class PerfectStudent:
+    """A generator whose outputs are fresh teacher draws: every true KL is 0,
+    so what `compute_metrics` reports is the particle estimator's floor."""
+
+    def __init__(self, teacher, seed):
+        self.teacher, self.seed, self.calls = teacher, seed, 0
+        self.latent_dim = teacher.dim
+
+    def exact_law(self):
+        return None
+
+    def forward(self, z):
+        self.calls += 1
+        return tc.sample(self.teacher, z.shape[0], self.seed, counter=1000 + self.calls)
+
+
+@functools.lru_cache(maxsize=None)
+def perfect_student_kl(preset, centers):
+    """(forward_kl, reverse_kl) that `compute_metrics` reports for a perfect
+    student at the default 512 points and sigma 0.1, one row per seed 0-19."""
+    teacher = tc.make_teacher(preset)
+    rows = []
+    for seed in range(20):
+        cfg = distill.RunConfig(teacher=preset, seed=seed, metrics_centers=centers)
+        state = distill.TrainState(PerfectStudent(teacher, seed), *[None] * 5)
+        row = distill.compute_metrics(state, cfg, teacher)
+        rows.append((row["forward_kl"], row["reverse_kl"]))
+    return np.array(rows)
+
+
+class TestParticleKlFloor:
+    """The particle estimator's floor under metrics.csv's KL columns. The
+    expected means were measured on these settings; each bound is 5
+    standard errors of the 20-seed mean."""
+
+    @pytest.mark.parametrize("preset, centers, forward, reverse", [
+        ("ring8", 1024, 0.141, -0.137),
+        ("ring8", 4096, 0.043, -0.037),
+        ("grid25", 1024, 0.050, -0.041),
+    ], ids=["ring8-1024", "ring8-4096", "grid25-1024"])
+    def test_floor(self, preset, centers, forward, reverse):
+        kl = perfect_student_kl(preset, centers)
+        bound = 5.0 * kl.std(axis=0, ddof=1) / math.sqrt(kl.shape[0])
+        assert abs(kl[:, 0].mean() - forward) <= bound[0], (kl.mean(axis=0), bound)
+        assert abs(kl[:, 1].mean() - reverse) <= bound[1], (kl.mean(axis=0), bound)
+
+    def test_more_centres_lower_the_forward_floor(self):
+        assert (perfect_student_kl("ring8", 4096)[:, 0].mean()
+                < 0.5 * perfect_student_kl("ring8", 1024)[:, 0].mean())
 
 
 class TestCheckpointBridge:

@@ -7,7 +7,7 @@ from scipy.stats import energy_distance
 
 from fdistill import rng as rngmod
 from fdistill import teacher as tc
-from fdistill.errors import DomainError
+from fdistill.errors import DomainError, NumericsError
 
 STANDARD_1D = tc.IsotropicGaussianMixture(
     weights=np.array([1.0]), means=np.array([[0.0]]), variances=np.array([1.0])
@@ -238,6 +238,11 @@ class TestAffinePushforward:
         xs = gen.forward(z) + 0.7 * eps
         np.testing.assert_allclose(xs.mean(axis=0), law.means[0], atol=0.02)
         np.testing.assert_allclose(xs.var(axis=0), law.variances[0], rtol=0.02)
+
+    def test_overflowing_variance_is_numerics_error(self):
+        gen = tc.AffineGenerator(scale=1e300, bias=np.zeros(2))
+        with pytest.raises(NumericsError, match="overflows"):
+            tc.affine_pushforward(gen, 0.0)
 
 
 def ref_student(a, b):
