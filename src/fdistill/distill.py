@@ -62,6 +62,7 @@ __all__ = [
     "Batch",
     "MLPGenerator",
     "REPORT_FIELDS",
+    "METRICS_COLUMNS",
     "fdistill_generator_signal",
     "normalize_stage1",
     "normalize_stage2",
@@ -323,6 +324,10 @@ class StepReport:
 # The per-step statistics after `iteration` and `updated`: what `train` carries
 # forward between steps and what each metrics row reports.
 REPORT_FIELDS = tuple(f.name for f in fields(StepReport)[2:])
+
+# The keys of a `compute_metrics` row, in metrics.csv column order.
+METRICS_COLUMNS = ("iteration", *REPORT_FIELDS, "forward_kl", "forward_kl_se",
+                   "reverse_kl", "reverse_kl_se", "modes_covered", "min_mode_mass")
 
 
 @dataclass
@@ -649,7 +654,8 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
                     teacher: IsotropicGaussianMixture,
                     last: Optional[StepReport] = None) -> dict:
     """Monte-Carlo forward/reverse KL against the teacher at metrics_sigma,
-    mode coverage of clean samples, and the latest weighting statistics."""
+    mode coverage of clean samples, and the latest weighting statistics: one
+    row keyed by METRICS_COLUMNS, in that order."""
     it = state.iteration
     s = cfg.metrics_sigma
     n = cfg.metrics_samples
@@ -700,7 +706,7 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     for key in REPORT_FIELDS:
         value = None if last is None else getattr(last, key)
         row[key] = float("nan") if value is None else value
-    return row
+    return {key: row[key] for key in METRICS_COLUMNS}
 
 
 def state_payloads(state: TrainState):
@@ -755,7 +761,12 @@ def train(cfg: RunConfig, checkpoint_callback=None):
         if cfg.metrics_interval > 0 and (
             done % cfg.metrics_interval == 0 or done == cfg.total_iters
         ):
-            metrics.append(compute_metrics(state, cfg, teacher, merged))
+            try:
+                metrics.append(compute_metrics(state, cfg, teacher, merged))
+            except TrainingDiverged as exc:   # report the statistics of the steps run
+                merged.iteration = done
+                exc.report = merged
+                raise
         if (
             checkpoint_callback is not None
             and cfg.checkpoint_interval > 0

@@ -6,9 +6,9 @@ f(p/q) under q, and the analytic score-difference gradient is compared
 against central finite differences of the divergence itself. The gate's
 students are isotropic affine maps x = a z + b, whose perturbed laws are
 one-component mixtures, so teacher and student densities and scores both go
-through `teacher`'s mixture functions. Those laws are Gaussian, so the gate's
-reference divergence and the weighting-variance curve are deterministic
-Gauss-Hermite expectations rather than Monte-Carlo averages.
+through `teacher`'s mixture functions. Those laws are Gaussian, so both sides
+of the gate and the weighting-variance curve are deterministic Gauss-Hermite
+expectations rather than Monte-Carlo averages.
 
 `ModeCoverage` and `mode_coverage` are defined in `teacher`, next to the
 mixtures they measure, and re-exported here.
@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 _TRIM_BUDGET = 1e-3  # fraction of non-finite f values tolerated (then dropped)
-# A gate report also passes when the two gradients differ by at most this
-# many standard errors of the analytic side.
-SE_MULT = 3.0
 _GH_NODES = 160  # Gauss-Hermite nodes per axis
+# Largest |mean gap| of the variance curve: at 9 the rule matches forward-KL's
+# closed form exp(d^2) - 1 to 5e-14 relative; at 12 it is 20% off.
+MAX_VARIANCE_GAP = 9.0
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,17 @@ class GradCheckReport:
     kind: str
     sigma: float
     param_index: int
-    grad_mc: float
-    se_mc: float
+    grad_analytic: float
     grad_fd: float
 
     @property
     def rel_error(self) -> float:
-        return abs(self.grad_mc - self.grad_fd) / max(
-            abs(self.grad_mc), abs(self.grad_fd), 1e-8
+        return abs(self.grad_analytic - self.grad_fd) / max(
+            abs(self.grad_analytic), abs(self.grad_fd), 1e-8
         )
 
-    def passes(self, rel_tol: float = 0.05) -> bool:
-        return (
-            self.rel_error <= rel_tol
-            or abs(self.grad_mc - self.grad_fd) <= SE_MULT * self.se_mc
-        )
+    def passes(self, rel_tol: float = 1e-4) -> bool:
+        return self.rel_error <= rel_tol
 
 
 def _f_values_from_log_ratio(spec: DivergenceSpec, log_r: np.ndarray) -> np.ndarray:
@@ -135,17 +131,18 @@ def mc_f_divergence(kind, p: IsotropicGaussianMixture, q: IsotropicGaussianMixtu
     return _trimmed_mean_se(values, f"mc_f_divergence[{spec.kind}]")
 
 
+# non-finite values at the nodes end in NumericsError, not in numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
-                        gen: AffineGenerator, sigma: float, n: int, seed: int,
+                        gen: AffineGenerator, sigma: float,
                         fd_step: float = 1e-3) -> List[GradCheckReport]:
     """Check the analytic divergence gradient against finite differences.
 
-    The student is affine, so its perturbed law, score and the exact density
-    ratio are closed form. The analytic side is the Monte-Carlo average of
-    -h(r)(s_teacher - s_student) over x = a z + b + sigma eps; the reference
-    side is a central finite difference over each bias coordinate of
-    D_f(b) = E_q[f(p/q)], a Gauss-Hermite sum over the Gaussian law
-    q = N(b, (a^2 + sigma^2) I).
+    The student is affine, so its perturbed law q = N(b, (a^2 + sigma^2) I),
+    its score and the exact density ratio are closed form. Both sides are
+    Gauss-Hermite sums over q: the analytic side is -E_q[h(r)(s_teacher -
+    s_student)], and the reference side is a central finite difference over
+    each bias coordinate of D_f(b) = E_q[f(p/q)].
     """
     spec = catalog(kind)
     d = teacher.dim
@@ -153,47 +150,31 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
         raise DomainError("teacher and generator dimensions differ")
     nodes, weights = _gauss_hermite(d)
     s = float(sigma)
-    half = max(int(n) // 2, 1)
-    gen_stream = rngmod.stream(seed, 0x71)
-    z0 = gen_stream.standard_normal((half, gen.latent_dim))
-    eps0 = gen_stream.standard_normal((half, d))
-    # Antithetic pairing: (z, eps) and (-z, -eps) share the draw, halving the
-    # odd-component variance that otherwise dominates the estimator.
-    z = np.concatenate([z0, -z0])
-    eps = np.concatenate([eps0, -eps0])
 
     def q_at(bias):
         return affine_pushforward(AffineGenerator(gen.scale, bias), s)
 
-    # Analytic side (the gradient the training loop follows).
-    x = gen.scale * z + gen.bias + s * eps
     q_law = q_at(gen.bias)
-    log_r = log_density(teacher, x, s) - log_density(q_law, x)
-    h = weight_h_log(spec, log_r)
-    diff = score(perturb(teacher, s), x) - score(q_law, x)
-    values = -h[:, None] * diff
-    pairs = 0.5 * (values[:half] + values[half:])
-    grad_mc = pairs.mean(axis=0)
-    se_mc = pairs.std(axis=0, ddof=1) / math.sqrt(half)
-    # Underpowered regime: clearly non-zero gradient but SE above 20% of it.
-    noisy = (se_mc > 0.2 * np.abs(grad_mc)) & (np.abs(grad_mc) > 3.0 * se_mc)
-    if np.any(noisy):
-        raise NumericsError(
-            f"theorem-1 check for {spec.kind} at sigma={s}: standard error above "
-            "20% of a non-zero gradient; increase n"
-        )
+    spread = math.sqrt(q_law.variances[0]) * nodes
 
-    spread = math.sqrt(gen.scale**2 + s**2) * nodes
+    def finite(values, side):
+        if not np.all(np.isfinite(values)):
+            raise NumericsError(
+                f"{side} side for {spec.kind}: non-finite value at a quadrature node")
+        return values
+
+    # Analytic side (the gradient the training loop follows).
+    x = gen.bias + spread
+    log_r = finite(log_density(teacher, x, s) - log_density(q_law, x), "analytic")
+    values = weight_h_log(spec, log_r)[:, None] * (
+        score(perturb(teacher, s), x) - score(q_law, x))
+    grad_analytic = -(weights @ finite(values, "analytic"))
 
     def divergence_at(bias):
         pts = bias + spread
         f = _f_values_from_log_ratio(
             spec, log_density(teacher, pts, s) - log_density(q_at(bias), pts))
-        if not np.all(np.isfinite(f)):
-            raise NumericsError(
-                f"finite-difference side for {spec.kind}: non-finite f at a quadrature node"
-            )
-        return float(weights @ f)
+        return float(weights @ finite(f, "finite-difference"))
 
     reports = []
     for k in range(d):
@@ -206,8 +187,7 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
                 kind=spec.kind,
                 sigma=s,
                 param_index=k,
-                grad_mc=float(grad_mc[k]),
-                se_mc=float(se_mc[k]),
+                grad_analytic=float(grad_analytic[k]),
                 grad_fd=grad_fd,
             )
         )
@@ -219,18 +199,19 @@ def normalized_variance_curve(kind, mean_gaps: Sequence[float]) -> List[float]:
 
     The scale-invariant variance of the weighting function as the teacher/
     student gap d grows, by Gauss-Hermite quadrature over q; constant-h
-    divergences give exactly zero.
+    divergences give exactly zero. A gap beyond MAX_VARIANCE_GAP is a
+    DomainError.
     """
     spec = catalog(kind)
     nodes, weights = _gauss_hermite(1)
     total = weights @ np.ones_like(weights)
     out = []
     for d in mean_gaps:
+        if not abs(d) <= MAX_VARIANCE_GAP:
+            raise DomainError(f"mean gap must be within +-{MAX_VARIANCE_GAP:g}, got {d!r}")
         x = float(d) + nodes[:, 0]
-        # log r for N(0,1) vs N(d,1): quadratic difference, exact; a gap
-        # so large that it overflows is rejected by weight_h_log
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_r = 0.5 * (np.square(x - float(d)) - np.square(x))
+        # log r for N(0,1) vs N(d,1): quadratic difference, exact
+        log_r = 0.5 * (np.square(x - float(d)) - np.square(x))
         h = np.asarray(weight_h_log(spec, log_r), dtype=float)
         m1 = (weights @ h) / total
         if m1 <= 0.0:
@@ -263,7 +244,7 @@ def gradcheck_cases():
 
     Both are 2-D with bias gaps large enough that every divergence has a
     clearly non-zero gradient at sigma in {0, 0.5, 2}, yet ratios stay mild
-    so n = 1e5 gives comfortably sub-tolerance standard errors.
+    enough for the quadrature to resolve them.
     """
     single = IsotropicGaussianMixture(
         weights=np.array([1.0]),

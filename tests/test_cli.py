@@ -166,23 +166,51 @@ class TestConfigHandling:
         assert len(err.strip().splitlines()) == 1
 
     def test_domain_error_in_command_exits_2_with_one_line(self, tmp_path, capsys):
-        """A gap the schema accepts whose Gaussian log ratio overflows."""
-        cfg = write_config(tmp_path, {"variance": {"gaps": [1e300]}})
+        """A checkpoint of a teacher the schema accepts whose modes overlap,
+        so mode coverage is undefined."""
+        blob = {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [0.5, 0.0]],
+                "variances": [1.0, 1.0]}
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": blob})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out), "--iters", "1"]) == 0
+        capsys.readouterr()
+        code = cli.main(["modes", "--config", cfg, "--out", str(out),
+                         "--checkpoint", str(out / "checkpoint_final.fdst")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "coverage undefined" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("gap", [9.5, -9.5, 1e300])
+    def test_variance_gap_beyond_nine_exits_2_with_one_line(self, tmp_path, capsys, gap):
+        """Past a gap of 9 the variance curve's quadrature drifts from the
+        closed forms (20% off at 12), so such gaps are refused."""
+        cfg = write_config(tmp_path, {"variance": {"gaps": [1.0, gap]}})
         code = cli.main(["variance", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: log ratio must be finite")
+        assert err.startswith("error: config field 'variance.gaps': must be a finite number "
+                              ">= -9 and <= 9")
         assert len(err.strip().splitlines()) == 1
 
     def test_numerics_error_in_command_exits_3_with_one_line(self, tmp_path, capsys):
-        """n = 4 passes the schema but is too few draws for the gate's
-        standard-error check."""
-        cfg = write_config(tmp_path, {"gradcheck": {"n": 4}})
+        """A finite-difference step the schema accepts that moves the student
+        so far that the log ratio overflows at the quadrature nodes."""
+        cfg = write_config(tmp_path, {"gradcheck": {"fd_step": 1e300}})
         code = cli.main(["gradcheck", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical abort: ") and "increase n" in err
+        assert err.startswith("numerical abort: ") and "quadrature node" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["gradcheck", "variance"])
+    def test_removed_sample_count_is_an_unknown_key(self, tmp_path, capsys, command):
+        """Both commands are deterministic quadratures and take no `n`."""
+        cfg = write_config(tmp_path, {command: {"n": 100000}})
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config field '{command}.n': unknown config key\n"
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_config_validates(self, path):
@@ -382,7 +410,8 @@ class TestTrainCommand:
     ])
     def test_overflowing_affine_scale_exits_3_with_one_line(self, tmp_path, overrides):
         """An affine student whose squared scale overflows aborts as numerical
-        when its exact law is formed, with no traceback or numpy warning."""
+        when its exact law is formed for the metrics, with no traceback or
+        numpy warning; the step report holds the generator step that ran."""
         cfg = write_config(tmp_path, {"teacher": "ring8", "generator_kind": "affine",
                                       "lr_generator": 1e300, "total_iters": 30,
                                       "metrics_interval": 1, **overrides})
@@ -397,20 +426,34 @@ class TestTrainCommand:
         assert len(lines) == 2, proc.stderr
         assert lines[0].startswith("numerical abort: iteration ")
         assert lines[1].startswith("step report: StepReport(")
+        assert "fdistill_loss=None" not in lines[1] and "fdistill_loss=" in lines[1]
 
 
 class TestGradcheckCommand:
     def test_report_written_and_passes(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {"seed": 3, "gradcheck": {"n": 20000, "sigmas": [0.5], "rel_tol": 0.25}},
-        )
+        cfg = write_config(tmp_path, {"seed": 3, "gradcheck": {"sigmas": [0.5]}})
         out = tmp_path / "o"
         assert cli.main(["gradcheck", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
+        assert list(report) == ["fd_step", "all_pass", "cases"]
         assert report["all_pass"] is True
-        assert len(report["cases"]) == 2 * len(report["cases"]) // 2
+        assert len(report["cases"]) == 2 * len(KINDS) * 2
         assert {c["teacher"] for c in report["cases"]} == {"single", "bimodal"}
+        assert list(report["cases"][0]) == ["teacher", "kind", "sigma", "param_index",
+                                            "grad_analytic", "grad_fd", "rel_error", "pass"]
+
+    def test_default_gate_is_seed_free(self, tmp_path):
+        """The shipped gate passes all 72 reports, and report.json does not
+        depend on --seed."""
+        cfg = str(CONFIGS / "default.json")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for seed, out in zip(["0", "622929773"], outs):
+            assert cli.main(["gradcheck", "--config", cfg, "--out", str(out),
+                             "--seed", seed]) == 0
+        first, second = [(out / "report.json").read_bytes() for out in outs]
+        assert first == second
+        cases = json.loads(first)["cases"]
+        assert len(cases) == 72 and all(c["pass"] for c in cases)
 
 
 class TestVarianceCommand:
@@ -770,7 +813,7 @@ class TestStartupImports:
         """SciPy adds about 0.2 s and 24 MB to a training start; only the
         tests use it, so these commands must not load it even where it is
         installed."""
-        cfg = write_config(tmp_path, {**TINY_TRAIN, "gradcheck": {"n": 2000, "sigmas": [0.5]}})
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "gradcheck": {"sigmas": [0.5]}})
         out = str(tmp_path / "o")
         script = ("import sys\n"
                   "from fdistill.cli import main\n"
@@ -788,7 +831,7 @@ class TestStartupImports:
         """SciPy is a test dependency only: with it unimportable, each of the
         six subcommands exits 0."""
         cfg = write_config(tmp_path, {
-            **TINY_TRAIN, "gradcheck": {"n": 2000, "sigmas": [0.5], "rel_tol": 1e9},
+            **TINY_TRAIN, "gradcheck": {"sigmas": [0.5]},
             "variance": {"gaps": [0.5]}, "table": {"n_points": 5},
             "weightmap": {"resolution": 4}, "modes": {"n_samples": 2000}})
         out = str(tmp_path / "o")

@@ -398,6 +398,43 @@ class TestParticleKlFloor:
                 < 0.5 * perfect_student_kl("ring8", 1024)[:, 0].mean())
 
 
+def perfect_student_log_ratio(sigma):
+    """(mean log ratio, fraction at r_max) of the clipped training ratio under
+    `ratio_source: exact-oracle` for a perfect ring8 student: 512 noised
+    points at one sigma, the default 512 particles, one row per seed 0-19."""
+    teacher = tc.make_teacher("ring8")
+    rows = []
+    for seed in range(20):
+        cfg = distill.RunConfig(teacher="ring8", seed=seed, ratio_source="exact-oracle")
+        state = distill.TrainState(PerfectStudent(teacher, seed), *[None] * 5)
+        sig = np.full(512, sigma)
+        noise = rngmod.stream(seed, 0, rngmod.METRICS, 1).standard_normal((512, 2))
+        x = state.generator.forward(np.zeros((512, 2))) + sig[:, None] * noise
+        log_r = np.log(distill._ratio_batch(state, cfg, teacher, x, sig, 0))
+        rows.append((log_r.mean(), np.mean(log_r >= cfg.ratio_clip().log_bounds[1] - 1e-9)))
+    return np.array(rows)
+
+
+class TestParticleRatioFloor:
+    """For an MLP student the "exact-oracle" ratio is a 512-particle kernel
+    estimate. Every true log ratio of a perfect student is 0, yet at small
+    sigma the estimate of log q falls far below log p and most ratios clip at
+    r_max. The expected means were measured on these settings; each bound is
+    5 standard errors of the 20-seed mean."""
+
+    @pytest.mark.parametrize("sigma, mean_log_ratio, at_r_max", [
+        (0.002, 6.80, 0.982),
+        (0.01, 5.34, 0.718),
+        (0.05, 0.97, 0.056),
+        (0.3, 0.028, 0.0),
+    ])
+    def test_floor(self, sigma, mean_log_ratio, at_r_max):
+        rows = perfect_student_log_ratio(sigma)
+        mean = rows.mean(axis=0)
+        bound = 5.0 * rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+        assert np.all(np.abs(mean - [mean_log_ratio, at_r_max]) <= bound), (mean, bound)
+
+
 class TestCheckpointBridge:
     def test_payload_round_trip_is_exact(self, tmp_path):
         from fdistill.checkpoint import load_checkpoint, save_checkpoint
