@@ -188,7 +188,47 @@ def gate_reports(kind):
     ]
 
 
+def sampled_analytic_side(kind, teacher, gen, sigma, seed, n=100000):
+    """Antithetic Monte-Carlo estimate and standard error of the analytic side
+    -E_q[h(r)(s_teacher - s_student)] on n draws x = a z + b + sigma eps."""
+    spec = catalog(kind)
+    half = n // 2
+    stream = rngmod.stream(seed, 0x71)
+    z0 = stream.standard_normal((half, gen.latent_dim))
+    eps0 = stream.standard_normal((half, teacher.dim))
+    z, eps = np.concatenate([z0, -z0]), np.concatenate([eps0, -eps0])
+    x = gen.scale * z + gen.bias + sigma * eps
+    q_law = tc.affine_pushforward(gen, sigma)
+    log_r = tc.log_density(teacher, x, sigma) - tc.log_density(q_law, x)
+    values = -weight_h_log(spec, log_r)[:, None] * (
+        tc.score(tc.perturb(teacher, sigma), x) - tc.score(q_law, x))
+    pairs = 0.5 * (values[:half] + values[half:])
+    return pairs.mean(axis=0), pairs.std(axis=0, ddof=1) / math.sqrt(half)
+
+
 class TestGatePower:
+    @pytest.mark.parametrize("seed", [33, 49, 66, 622929773])
+    def test_passes_where_a_sampled_reference_failed(self, seed):
+        """Seeds at which a Monte-Carlo finite-difference reference failed 1-3
+        of the 72 reports: the gate passes every report, and its analytic side
+        is what the sampled analytic side at that seed estimates, within 5% or
+        three standard errors."""
+        failed, off = [], []
+        for teacher, gen in oracle.gradcheck_cases().values():
+            for sigma in (0.0, 0.5, 2.0):
+                for kind in KINDS:
+                    reps = oracle.theorem1_grad_check(kind, teacher, gen, sigma)
+                    mean, se = sampled_analytic_side(kind, teacher, gen, sigma, seed)
+                    for rep in reps:
+                        if not rep.passes():
+                            failed.append((kind, sigma, rep.param_index))
+                        gap = abs(mean[rep.param_index] - rep.grad_analytic)
+                        if gap > max(0.05 * abs(rep.grad_analytic), 3.0 * se[rep.param_index]):
+                            off.append((kind, sigma, rep.param_index,
+                                        rep.grad_analytic, mean[rep.param_index]))
+        assert failed == []
+        assert off == []
+
     @pytest.mark.parametrize("kind, wrong",
                              [(k, w) for k in KINDS for w in KINDS if w != k])
     def test_wrong_weighting_fails_the_gate(self, monkeypatch, kind, wrong):
