@@ -283,9 +283,7 @@ def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
         (n_samples, state.generator.latent_dim)
     )
     samples = state.generator.forward(z)
-    coverage = mode_coverage(
-        samples, teacher, k=saved_cfg.coverage_k, threshold=saved_cfg.coverage_threshold
-    )
+    coverage = mode_coverage(samples, teacher)
     report = {
         "checkpoint": str(checkpoint_path),
         "iteration": iteration,

@@ -63,6 +63,7 @@ __all__ = [
     "MLPGenerator",
     "REPORT_FIELDS",
     "METRICS_COLUMNS",
+    "METRICS_SIGMA",
     "fdistill_generator_signal",
     "normalize_stage1",
     "normalize_stage2",
@@ -183,15 +184,11 @@ class RunConfig:
     ratio_source: str = _key("discriminator", one_of(("discriminator", "exact-oracle")))
     score_source: str = _key("denoiser", one_of(("denoiser", "exact-oracle")))
     generator_kind: str = _key("mlp", one_of(("mlp", "affine")))
-    latent_dim: Optional[int] = _key(None, optional(integer(ge=1)))
     oracle_ratio_particles: int = _key(512, integer(ge=1))
     metrics_interval: int = _key(100, integer(ge=0))
     metrics_samples: int = _key(512, integer(ge=2))   # ddof=1 standard errors
     metrics_centers: int = _key(1024, integer(ge=1))
-    metrics_sigma: float = _key(0.1, number(gt=0))
     checkpoint_interval: int = _key(0, integer(ge=0))
-    coverage_k: float = _key(3.0, number(gt=0))
-    coverage_threshold: float = _key(0.02, number(gt=0, lt=1))
 
     def __post_init__(self):
         self.validate()
@@ -254,6 +251,10 @@ RETIRED_KEYS = {
     "time_weight_rescale": False,
     "weight_decay": 0.0,
     "ratio_at_clean": False,
+    "latent_dim": None,         # an MLP generator's latent width is the teacher's dim
+    "metrics_sigma": 0.1,       # METRICS_SIGMA
+    "coverage_k": 3.0,          # teacher.COVERAGE_K
+    "coverage_threshold": 0.02,  # teacher.COVERAGE_THRESHOLD
 }
 
 
@@ -324,6 +325,9 @@ class StepReport:
 # The per-step statistics after `iteration` and `updated`: what `train` carries
 # forward between steps and what each metrics row reports.
 REPORT_FIELDS = tuple(f.name for f in fields(StepReport)[2:])
+
+# The noise level at which `compute_metrics` estimates forward and reverse KL.
+METRICS_SIGMA = 0.1
 
 # The keys of a `compute_metrics` row, in metrics.csv column order.
 METRICS_COLUMNS = ("iteration", *REPORT_FIELDS, "forward_kl", "forward_kl_se",
@@ -437,14 +441,11 @@ def normalize_stage2(h) -> np.ndarray:
 
 def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
     dim = teacher.dim
-    latent = cfg.latent_dim if cfg.latent_dim is not None else dim
     sigma_data = teacher.per_coord_std()
     if cfg.generator_kind == "affine":
-        if latent != dim:
-            raise ConfigError("latent_dim", "affine students require latent_dim == dim")
         generator = AffineGenerator(scale=1.0, bias=np.zeros(dim))
     else:
-        net = init_net((latent, *HIDDEN_WIDTHS, dim),
+        net = init_net((dim, *HIDDEN_WIDTHS, dim),
                        rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR), final=0.1)
         generator = MLPGenerator(net)
     denoiser = denoiser_init(dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER),
@@ -653,11 +654,11 @@ def train_step(state: TrainState, cfg: RunConfig,
 def compute_metrics(state: TrainState, cfg: RunConfig,
                     teacher: IsotropicGaussianMixture,
                     last: Optional[StepReport] = None) -> dict:
-    """Monte-Carlo forward/reverse KL against the teacher at metrics_sigma,
+    """Monte-Carlo forward/reverse KL against the teacher at METRICS_SIGMA,
     mode coverage of clean samples, and the latest weighting statistics: one
     row keyed by METRICS_COLUMNS, in that order."""
     it = state.iteration
-    s = cfg.metrics_sigma
+    s = METRICS_SIGMA
     n = cfg.metrics_samples
 
     xs_p = sample(teacher, n, cfg.seed, counter=(it << 2) | 2) + s * rngmod.stream(
@@ -686,8 +687,7 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     reverse_kl_se = float(np.std(rev, ddof=1) / math.sqrt(n))
 
     try:
-        coverage = mode_coverage(y, teacher, k=cfg.coverage_k,
-                                 threshold=cfg.coverage_threshold)
+        coverage = mode_coverage(y, teacher)
         modes_covered = coverage.n_covered
         min_mode_mass = float(np.min(coverage.per_mode_mass))
     except DomainError:

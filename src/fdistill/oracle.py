@@ -98,6 +98,14 @@ def _gauss_hermite(d: int):
     return nodes, weights
 
 
+def _expectation(weights: np.ndarray, values: np.ndarray):
+    """sum_j w_j v_j / sum_j w_j over axis 0: the Gauss-Hermite expectation of
+    `values`. numpy's reductions sum in a fixed order; a BLAS product would
+    sum in one that depends on the BLAS thread count."""
+    w = weights.reshape(-1, *([1] * (values.ndim - 1)))
+    return np.sum(w * values, axis=0) / np.sum(weights)
+
+
 def _trimmed_mean_se(values: np.ndarray, what: str) -> MCEstimate:
     finite = np.isfinite(values)
     n_bad = int(values.size - finite.sum())
@@ -168,13 +176,13 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
     log_r = finite(log_density(teacher, x, s) - log_density(q_law, x), "analytic")
     values = weight_h_log(spec, log_r)[:, None] * (
         score(perturb(teacher, s), x) - score(q_law, x))
-    grad_analytic = -(weights @ finite(values, "analytic"))
+    grad_analytic = -_expectation(weights, finite(values, "analytic"))
 
     def divergence_at(bias):
         pts = bias + spread
         f = _f_values_from_log_ratio(
             spec, log_density(teacher, pts, s) - log_density(q_at(bias), pts))
-        return float(weights @ finite(f, "finite-difference"))
+        return float(_expectation(weights, finite(f, "finite-difference")))
 
     reports = []
     for k in range(d):
@@ -204,7 +212,6 @@ def normalized_variance_curve(kind, mean_gaps: Sequence[float]) -> List[float]:
     """
     spec = catalog(kind)
     nodes, weights = _gauss_hermite(1)
-    total = weights @ np.ones_like(weights)
     out = []
     for d in mean_gaps:
         if not abs(d) <= MAX_VARIANCE_GAP:
@@ -213,13 +220,15 @@ def normalized_variance_curve(kind, mean_gaps: Sequence[float]) -> List[float]:
         # log r for N(0,1) vs N(d,1): quadratic difference, exact
         log_r = 0.5 * (np.square(x - float(d)) - np.square(x))
         h = np.asarray(weight_h_log(spec, log_r), dtype=float)
-        m1 = (weights @ h) / total
+        m1 = _expectation(weights, h)
         if m1 <= 0.0:
             raise NumericsError(f"degenerate weighting for {spec.kind}")
-        out.append(float((weights @ np.square(h - m1)) / total / m1**2))
+        out.append(float(_expectation(weights, np.square(h - m1)) / m1**2))
     return out
 
 
+# non-finite log ratios end in weight_h_log's DomainError, not in numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def weight_score_map(kind, teacher: IsotropicGaussianMixture,
                      student: IsotropicGaussianMixture, sigma: float,
                      grid: np.ndarray):

@@ -39,6 +39,8 @@ __all__ = [
     "particle_log_density",
     "ModeCoverage",
     "mode_coverage",
+    "COVERAGE_K",
+    "COVERAGE_THRESHOLD",
     "ring8",
     "grid25",
     "make_teacher",
@@ -315,6 +317,11 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     return out
 
 
+# `mode_coverage`'s ball radius in standard deviations, and its covered fraction
+COVERAGE_K = 3.0
+COVERAGE_THRESHOLD = 0.02
+
+
 @dataclass(frozen=True)
 class ModeCoverage:
     per_mode_mass: np.ndarray
@@ -322,38 +329,38 @@ class ModeCoverage:
     n_covered: int
 
 
-def mode_coverage(samples, teacher: IsotropicGaussianMixture, k: float = 3.0,
-                  threshold: float = 0.02) -> ModeCoverage:
-    """Fraction of samples within k sqrt(v) of each component mean.
+def mode_coverage(samples, teacher: IsotropicGaussianMixture) -> ModeCoverage:
+    """Fraction of samples within COVERAGE_K sqrt(v) of each component mean.
 
-    A mode counts as covered when its fraction reaches `threshold`. Requires
-    well-separated components (pairwise mean distance > 2 k sqrt(v)),
-    otherwise ball membership is ambiguous. Ball counts are taken over row
-    blocks, so memory stays bounded for any sample count; the mass
-    count / n equals the mean of the 0/1 memberships bit for bit.
+    A mode counts as covered when its fraction reaches COVERAGE_THRESHOLD.
+    Requires well-separated components (pairwise mean distance
+    > 2 COVERAGE_K sqrt(v)), otherwise ball membership is ambiguous. Ball
+    counts are taken over row blocks, so memory stays bounded for any sample
+    count; the mass count / n equals the mean of the 0/1 memberships bit for
+    bit.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise DomainError("mode coverage needs a non-empty (n, dim) sample set")
     if pts.shape[1] != teacher.dim:
         raise DomainError("sample dimension does not match the teacher")
-    radii = k * np.sqrt(teacher.variances)
+    radii = COVERAGE_K * np.sqrt(teacher.variances)
     mu = teacher.means
     for i in range(teacher.n_components):
         for j in range(i + 1, teacher.n_components):
-            if np.linalg.norm(mu[i] - mu[j]) <= 2.0 * k * math.sqrt(
+            if np.linalg.norm(mu[i] - mu[j]) <= 2.0 * COVERAGE_K * math.sqrt(
                 max(teacher.variances[i], teacher.variances[j])
             ):
                 raise DomainError(
                     "coverage undefined: teacher components "
-                    f"{i} and {j} overlap at k={k}"
+                    f"{i} and {j} overlap at k={COVERAGE_K}"
                 )
     counts = np.zeros(teacher.n_components, dtype=np.int64)
     for start, stop in row_blocks(pts.shape[0]):
         dist = np.linalg.norm(pts[start:stop, None, :] - mu[None, :, :], axis=2)
         counts += np.count_nonzero(dist <= radii[None, :], axis=0)
     mass = counts / pts.shape[0]
-    covered = mass >= threshold
+    covered = mass >= COVERAGE_THRESHOLD
     return ModeCoverage(
         per_mode_mass=mass, covered=covered, n_covered=int(covered.sum())
     )

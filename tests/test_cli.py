@@ -484,6 +484,17 @@ class TestWeightmapCommand:
         assert lines[0] == "x,y,score_diff,h"
         assert len(lines) == 65
 
+    @pytest.mark.parametrize("section", [{"sigma": 1e200}, {"bound": 1e300}])
+    def test_overflowing_map_exits_2_with_one_line(self, tmp_path, capsys, section):
+        """Values the schema accepts whose squares overflow: the finiteness
+        check on the log ratio is the only output, with no numpy warning."""
+        cfg = write_config(tmp_path, {"teacher": "ring8", "weightmap": section})
+        code = cli.main(["weightmap", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: log ratio must be finite")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestModesCommand:
     def test_modes_from_checkpoint(self, tmp_path):
@@ -608,8 +619,8 @@ class TestUndecodableCheckpoint:
 
 
 class TestRetiredKeysInEcho:
-    """Checkpoints written before five run keys were retired echo them, each
-    at the one value training now hard-wires."""
+    """Checkpoints written before a run key was retired echo it at the one
+    value training now hard-wires."""
 
     def modes(self, tmp_path, data, extra_echo):
         n = struct.unpack_from("<I", data, 8)[0]
@@ -628,7 +639,9 @@ class TestRetiredKeysInEcho:
         assert report_old.read_bytes() == report.read_bytes()
 
     @pytest.mark.parametrize("key, value", [("gan_loss_form", "minimax"), ("weight_decay", 0.01),
-                                            ("ratio_at_clean", True)])
+                                            ("ratio_at_clean", True), ("latent_dim", 2),
+                                            ("metrics_sigma", 0.2), ("coverage_k", 2.0),
+                                            ("coverage_threshold", 0.05)])
     def test_other_value_exits_2_with_one_line(self, tmp_path, capsys, trained_checkpoint,
                                                key, value):
         code, _ = self.modes(tmp_path, trained_checkpoint[0], {key: value})
@@ -926,3 +939,39 @@ class TestThreadCap:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "0 1"
+
+
+class TestThreadCountReruns:
+    def test_every_command_is_byte_identical_across_thread_counts(self, tmp_path):
+        """Each command, run through `python -m fdistill.cli` at
+        FDISTILL_THREADS=1 and 2, writes the same bytes; modes.json differs
+        only in the checkpoint path it echoes."""
+        default = str(CONFIGS / "default.json")
+        trains = {name: write_config(tmp_path, {
+            **json.loads((CONFIGS / f"{name}.json").read_text()), **TINY_TRAIN,
+            "teacher": "ring8"}, f"{name}.json") for name in ("ring8_gan", "ring8_js")}
+        outputs = []
+        for threads in ("1", "2"):
+            root = tmp_path / f"threads{threads}"
+            runs = [[command, "--config", default, "--out", str(root / command)]
+                    for command in ("gradcheck", "variance", "table", "weightmap")]
+            for name, cfg in trains.items():
+                out = str(root / name)
+                runs += [["train", "--config", cfg, "--out", out],
+                         ["modes", "--config", cfg, "--out", out,
+                          "--checkpoint", out + "/checkpoint_final.fdst"]]
+            env = {**os.environ, "FDISTILL_THREADS": threads}
+            for args in runs:
+                proc = run_python("import runpy\n"
+                                  "runpy.run_module('fdistill.cli', run_name='__main__')\n",
+                                  args, env)
+                assert proc.returncode == 0, (args, proc.stderr)
+            files = {str(p.relative_to(root)): p.read_bytes()
+                     for p in sorted(root.rglob("*")) if p.is_file()}
+            for name in trains:
+                report = json.loads(files[f"{name}/modes.json"])
+                assert report.pop("checkpoint") == str(root / name / "checkpoint_final.fdst")
+                files[f"{name}/modes.json"] = report
+            outputs.append(files)
+        assert sorted(outputs[0]) == sorted(outputs[1])
+        assert [f for f in outputs[0] if outputs[0][f] != outputs[1][f]] == []

@@ -66,6 +66,8 @@ class TestRunConfig:
         ("stage1_mode", "batch-sum"), ("gan_loss_form", "minimax"),
         ("time_weight_rescale", True), ("weight_decay", 0.01), ("ratio_at_clean", True),
         ("time_weight_rescale", 0), ("weight_decay", False), ("weight_decay", None),
+        ("latent_dim", 2), ("latent_dim", 0), ("metrics_sigma", 0.2), ("coverage_k", 2.0),
+        ("coverage_threshold", 0.05), ("coverage_k", None),
     ])
     def test_retired_key_at_another_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"'{key}': retired"):

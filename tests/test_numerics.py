@@ -109,7 +109,11 @@ LSE_CASES = {
 
 class TestLogSumExp:
     @pytest.mark.parametrize("keepdims", [False, True])
-    @pytest.mark.parametrize("name", sorted(LSE_CASES))
+    # SciPy's reference logsumexp overflows on the huge rows
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered:RuntimeWarning")) if name == "huge" else name
+        for name in sorted(LSE_CASES)])
     def test_matches_scipy_bitwise(self, name, keepdims):
         a = LSE_CASES[name]
         want = scipy_logsumexp(a, axis=1, keepdims=keepdims)

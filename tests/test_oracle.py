@@ -324,14 +324,14 @@ class TestModeCoverage:
     def test_ring8_self_samples_cover_everything(self):
         ring = tc.ring8()
         samples = tc.sample(ring, 100000, seed=37)
-        cov = oracle.mode_coverage(samples, ring, k=3.0)
+        cov = oracle.mode_coverage(samples, ring)
         assert cov.n_covered == 8
         np.testing.assert_allclose(cov.per_mode_mass, 1.0 / 8.0, atol=0.02)
 
     def test_collapsed_samples_cover_one_mode(self):
         ring = tc.ring8()
         samples = np.tile(ring.means[2], (500, 1))
-        cov = oracle.mode_coverage(samples, ring, k=3.0)
+        cov = oracle.mode_coverage(samples, ring)
         assert cov.n_covered == 1
 
     def test_empty_samples_rejected(self):

@@ -390,7 +390,7 @@ class TestModeCoverage:
         spread = tc.IsotropicGaussianMixture(
             weights=weights / weights.sum(), means=gm.means, variances=4.0 * gm.variances)
         samples = tc.sample(spread, n, seed=41)
-        cov = tc.mode_coverage(samples, gm, k=3.0, threshold=0.02)
+        cov = tc.mode_coverage(samples, gm)
 
         dist = np.linalg.norm(samples[:, None, :] - gm.means[None, :, :], axis=2)
         mass = (dist <= 3.0 * np.sqrt(gm.variances)[None, :]).mean(axis=0)
