@@ -178,8 +178,9 @@ class RunConfig:
     r1_gamma: float = _key(1.0, number(ge=0))
     seed: int = _key(0, integer())
     teacher: Union[str, dict] = _key("ring8", teacher_spec)
-    sigma_min: float = _key(0.002, number(gt=0))
-    sigma_max: float = _key(80.0, number())
+    # sigma**2 and sigma**-2 stay finite and non-zero at both ends of the ladder
+    sigma_min: float = _key(0.002, number(ge=1e-150))
+    sigma_max: float = _key(80.0, number(le=1e150))
     n_levels: int = _key(64, integer(ge=1))
     ratio_source: str = _key("discriminator", one_of(("discriminator", "exact-oracle")))
     score_source: str = _key("denoiser", one_of(("denoiser", "exact-oracle")))
@@ -363,54 +364,21 @@ def fdistill_generator_signal(x, teacher_score, fake_score, h, w_t) -> np.ndarra
 
 
 def _unit_mean(values: np.ndarray, what: str) -> np.ndarray:
-    """Divide by the mean, then polish until np.mean is bitwise 1.0.
-
-    A single division leaves the recomputed mean a few ulps off. Repeated
-    division usually lands exactly; if rounding makes it cycle, nudging one
-    element by the remaining sum deficit finishes the job.
-    """
-    out = np.array(values, dtype=float)
+    """values divided by their np.mean, which must be finite and positive."""
+    out = np.asarray(values, dtype=float)
     if out.size == 0:
         raise DomainError(f"cannot normalize an empty {what} batch")
     mean = float(np.mean(out))
     if not math.isfinite(mean) or mean <= 0.0:
         raise DomainError(f"degenerate {what} batch: mean {mean}")
-    for _ in range(8):
-        if mean == 1.0:
-            return out
-        out = out / mean
-        mean = float(np.mean(out))
-    # Division alone can cycle one ulp around 1. Finish by moving the exact
-    # sum deficit into a single element: try each candidate (finest ulp
-    # first), keep the first that makes np.mean land on 1.0 bitwise.
-    order = np.argsort(out)
-    for _ in range(16):
-        if mean == 1.0:
-            return out
-        deficit = float(out.size) - float(np.sum(out))
-        landed = False
-        for j in order:
-            trial = out[j] + deficit
-            if trial <= 0.0:
-                continue
-            old = out[j]
-            out[j] = trial
-            if float(np.mean(out)) == 1.0:
-                landed = True
-                break
-            out[j] = old
-        if landed:
-            return out
-        j = int(order[0]) if out[order[0]] + deficit > 0.0 else int(order[-1])
-        out[j] = out[j] + deficit
-        mean = float(np.mean(out))
-    raise NumericsError(f"unit-mean normalization of {what} did not converge")
+    return out / mean
 
 
 def normalize_stage1(ratios, time_bin_ids) -> np.ndarray:
     """Normalize clipped ratios within noise-level bins to mean 1.
 
-    Exploits E_q[r_t] = 1: each bin's empirical mean is rescaled to exactly 1.
+    Exploits E_q[r_t] = 1: each bin's ratios are divided by their empirical
+    mean, so the bin's mean is 1 up to rounding.
     """
     r = np.asarray(ratios, dtype=float)
     ids = np.asarray(time_bin_ids)
@@ -428,14 +396,11 @@ def normalize_stage1(ratios, time_bin_ids) -> np.ndarray:
 
 
 def normalize_stage2(h) -> np.ndarray:
-    """Normalize weights to batch mean exactly 1."""
+    """Normalize weights to batch mean 1 (up to rounding): the weights divided
+    by their empirical mean."""
     values = np.asarray(h, dtype=float)
-    if values.size == 0:
-        raise DomainError("cannot normalize an empty weighting batch")
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise DomainError("weighting batch must be finite and non-negative")
-    if math.fsum(values.tolist()) <= 0.0:
-        raise DomainError("degenerate weighting batch")
     return _unit_mean(values, "weighting")
 
 
@@ -462,13 +427,12 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
     )
 
 
-def draw_batch(cfg: RunConfig, schedule: NoiseSchedule, iteration: int,
-               latent_dim: int, dim: int) -> Batch:
+def draw_batch(cfg: RunConfig, schedule: NoiseSchedule, iteration: int, dim: int) -> Batch:
     t_idx, sigma = schedule.draw_levels(
         rngmod.stream(cfg.seed, iteration, rngmod.STEP_TIME), cfg.batch_size
     )
     z = rngmod.stream(cfg.seed, iteration, rngmod.STEP_LATENT).standard_normal(
-        (cfg.batch_size, latent_dim)
+        (cfg.batch_size, dim)
     )
     eps = rngmod.stream(cfg.seed, iteration, rngmod.STEP_NOISE).standard_normal(
         (cfg.batch_size, dim)
@@ -630,7 +594,7 @@ def train_step(state: TrainState, cfg: RunConfig,
     carrying the partial step report.
     """
     it = state.iteration
-    batch = draw_batch(cfg, schedule, it, state.generator.latent_dim, teacher.dim)
+    batch = draw_batch(cfg, schedule, it, teacher.dim)
     try:
         # non-finite values end in TrainingDiverged below, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):

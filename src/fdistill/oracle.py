@@ -1,12 +1,11 @@
 """Independent ground truth for everything the training loop approximates.
 
 Estimators here deliberately take a different route than the production code
-they check: divergences are evaluated as plain Monte-Carlo averages of
-f(p/q) under q, and the analytic score-difference gradient is compared
-against central finite differences of the divergence itself. The gate's
-students are isotropic affine maps x = a z + b, whose perturbed laws are
-one-component mixtures, so teacher and student densities and scores both go
-through `teacher`'s mixture functions. Those laws are Gaussian, so both sides
+they check: the analytic score-difference gradient is compared against
+central finite differences of the divergence itself. The gate's students are
+isotropic affine maps x = a z + b, whose perturbed laws are one-component
+mixtures, so teacher and student densities and scores both go through
+`teacher`'s mixture functions. Those laws are Gaussian, so both sides
 of the gate and the weighting-variance curve are deterministic Gauss-Hermite
 expectations rather than Monte-Carlo averages.
 
@@ -20,7 +19,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from . import rng as rngmod
 from .divergence import DivergenceSpec, catalog, weight_h_log
 from .errors import DomainError, NumericsError
 from .teacher import (
@@ -28,7 +26,6 @@ from .teacher import (
     IsotropicGaussianMixture,
     ModeCoverage,
     affine_pushforward,
-    draw,
     log_density,
     mode_coverage,
     perturb,
@@ -36,10 +33,8 @@ from .teacher import (
 )
 
 __all__ = [
-    "MCEstimate",
     "GradCheckReport",
     "ModeCoverage",
-    "mc_f_divergence",
     "theorem1_grad_check",
     "normalized_variance_curve",
     "weight_score_map",
@@ -47,18 +42,10 @@ __all__ = [
     "gradcheck_cases",
 ]
 
-_TRIM_BUDGET = 1e-3  # fraction of non-finite f values tolerated (then dropped)
 _GH_NODES = 160  # Gauss-Hermite nodes per axis
 # Largest |mean gap| of the variance curve: at 9 the rule matches forward-KL's
 # closed form exp(d^2) - 1 to 5e-14 relative; at 12 it is 20% off.
 MAX_VARIANCE_GAP = 9.0
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    value: float
-    se: float
-    n_used: int
 
 
 @dataclass(frozen=True)
@@ -104,39 +91,6 @@ def _expectation(weights: np.ndarray, values: np.ndarray):
     sum in one that depends on the BLAS thread count."""
     w = weights.reshape(-1, *([1] * (values.ndim - 1)))
     return np.sum(w * values, axis=0) / np.sum(weights)
-
-
-def _trimmed_mean_se(values: np.ndarray, what: str) -> MCEstimate:
-    finite = np.isfinite(values)
-    n_bad = int(values.size - finite.sum())
-    if n_bad > _TRIM_BUDGET * values.size:
-        raise NumericsError(
-            f"{what}: {n_bad}/{values.size} non-finite values exceeds the "
-            f"{_TRIM_BUDGET:.1%} trim budget"
-        )
-    kept = values[finite]
-    return MCEstimate(
-        value=float(np.mean(kept)),
-        se=float(np.std(kept, ddof=1) / math.sqrt(kept.size)),
-        n_used=int(kept.size),
-    )
-
-
-def mc_f_divergence(kind, p: IsotropicGaussianMixture, q: IsotropicGaussianMixture,
-                    n: int, seed: int) -> MCEstimate:
-    """Monte-Carlo D_f(p || q) = E_q[f(p/q)] between two mixtures, evaluated
-    in log-ratio form on n draws from q.
-
-    Up to 0.1% non-finite f values (tail underflow at sigma=0) are trimmed;
-    more is an error.
-    """
-    if n < 100:
-        raise DomainError(f"mc_f_divergence needs n >= 100, got {n}")
-    spec = catalog(kind)
-    x = draw(q, int(n), rngmod.stream(seed, 0xD1))
-    log_r = log_density(p, x) - log_density(q, x)
-    values = _f_values_from_log_ratio(spec, log_r)
-    return _trimmed_mean_se(values, f"mc_f_divergence[{spec.kind}]")
 
 
 # non-finite values at the nodes end in NumericsError, not in numpy warnings

@@ -298,11 +298,13 @@ def affine_pushforward(gen: AffineGenerator, sigma: float) -> IsotropicGaussianM
 
 
 def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarray:
-    """Unbiased Monte-Carlo estimate of log q_sigma(x) for a pushforward law.
+    """Monte-Carlo estimate of log q_sigma(x) for a pushforward law.
 
     q_sigma(x) = E_z[N(x; G(z), sigma^2 I)] is estimated with the m given
-    centers G(z_j). Exact in expectation; the only approximation is the
-    finite particle count.
+    centers G(z_j). The kernel mean is unbiased for q_sigma(x), but its log
+    is biased downward (Jensen's inequality), by an amount that falls roughly
+    like 1/m once m is large. That bias is the floor under the KLs and ratios
+    computed from particles.
     """
     centers = np.asarray(centers, dtype=float)
     pts = np.asarray(x, dtype=float)

@@ -39,6 +39,9 @@ TINY_TRAIN = {
     "seed": 5,
 }
 
+AFFINE_EXACT = {"generator_kind": "affine", "ratio_source": "exact-oracle",
+                "score_source": "exact-oracle"}
+
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -104,6 +107,35 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{key}'")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("sigma_min", {"sigma_min": 1e-200, **AFFINE_EXACT}),
+        ("sigma_min", {"sigma_min": 1e-200, "ratio_source": "exact-oracle"}),
+        ("sigma_max", {"sigma_max": 1e200, **AFFINE_EXACT}),
+    ], ids=["sigma_min-affine", "sigma_min-mlp", "sigma_max-affine"])
+    def test_sigma_whose_square_leaves_the_float_range_exits_2(self, tmp_path, capsys,
+                                                               key, overrides):
+        """sigma**2 or sigma**-2 of these overflows or underflows once training
+        runs; the schema rejects the value before any step."""
+        cfg = write_config(tmp_path, {"teacher": "ring8", "tau": 2, "total_iters": 3,
+                                      **overrides})
+        code = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{key}'")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("overrides", [
+        {"sigma_min": 1e-150, **AFFINE_EXACT},
+        {"sigma_max": 1e150, **AFFINE_EXACT},
+        {"sigma_min": 1e-150, "ratio_source": "exact-oracle"},
+        {"sigma_max": 1e150},
+    ], ids=["sigma_min-affine", "sigma_max-affine", "sigma_min-mlp", "sigma_max-mlp"])
+    def test_sigma_at_its_bound_trains(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, {"teacher": "ring8", "tau": 2, "total_iters": 6,
+                                      **overrides})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unknown_teacher_preset_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring9"})
