@@ -84,12 +84,14 @@ def fnv1a64(words) -> int:
     return h
 
 
-def row_blocks(n: int):
+def row_blocks(n: int, rows: int = _BLOCK_ROWS):
     """(start, stop) row ranges that cover n rows in order.
 
-    Fewer than 2 * 1024 rows are one block; more are 1024-row blocks with
-    the remainder folded into the last one (1024 to 2047 rows), so every
-    block is long enough to take the same GEMM kernel as the whole batch.
+    Blocks hold `rows` rows, with the remainder folded into the last one
+    (`rows` to 2 * rows - 1 rows), so no block is shorter than `rows` unless
+    n is: fewer than 2 * rows rows are one block. A block that long takes the
+    same GEMM kernel as the whole batch (default: 1024 rows, for `predict`
+    and `mode_coverage`).
     """
-    starts = list(range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS))
+    starts = list(range(0, max(n - rows, 0) + 1, rows))
     return list(zip(starts, starts[1:] + [n]))

@@ -259,13 +259,12 @@ def _cmd_weightmap(cfg, params, out_dir: Path) -> int:
 
 
 def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
-    import numpy as np
-
     from . import rng as rngmod
+    from ._numerics import row_blocks
     from .checkpoint import load_checkpoint
     from .distill import RunConfig, restore_state
     from .errors import ConfigError
-    from .teacher import make_teacher, mode_coverage
+    from .teacher import block_coverage, make_teacher
 
     if checkpoint_path is None:
         raise ConfigError("--checkpoint", "the modes command needs a checkpoint file")
@@ -279,11 +278,15 @@ def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
     saved_cfg = RunConfig.from_dict(config_echo)
     state = restore_state(saved_cfg, iteration, payloads)
     teacher = make_teacher(saved_cfg.teacher)
-    z = rngmod.stream(saved_cfg.seed, iteration, rngmod.METRICS, 7).standard_normal(
-        (n_samples, state.generator.latent_dim)
+    # the samples are drawn, generated and counted one row block at a time;
+    # consecutive draws from one stream equal the one-shot (n_samples, d) draw
+    gen = state.generator
+    latents = rngmod.stream(saved_cfg.seed, iteration, rngmod.METRICS, 7)
+    coverage = block_coverage(
+        (gen.forward(latents.standard_normal((stop - start, gen.latent_dim)))
+         for start, stop in row_blocks(n_samples)),
+        teacher,
     )
-    samples = state.generator.forward(z)
-    coverage = mode_coverage(samples, teacher)
     report = {
         "checkpoint": str(checkpoint_path),
         "iteration": iteration,

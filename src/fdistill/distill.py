@@ -340,7 +340,7 @@ class Batch:
     t_idx: np.ndarray
     sigma: np.ndarray
     z: np.ndarray
-    eps: np.ndarray
+    eps: Optional[np.ndarray]   # drawn on generator iterations only
 
 
 def fdistill_generator_signal(x, teacher_score, fake_score, h, w_t) -> np.ndarray:
@@ -428,15 +428,20 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
 
 
 def draw_batch(cfg: RunConfig, schedule: NoiseSchedule, iteration: int, dim: int) -> Batch:
+    """The iteration's noise levels and latents, and on generator iterations
+    (iteration % tau == 0) the noise that perturbs the outputs; the auxiliary
+    step never reads it. Each is drawn from its own stream."""
     t_idx, sigma = schedule.draw_levels(
         rngmod.stream(cfg.seed, iteration, rngmod.STEP_TIME), cfg.batch_size
     )
     z = rngmod.stream(cfg.seed, iteration, rngmod.STEP_LATENT).standard_normal(
         (cfg.batch_size, dim)
     )
-    eps = rngmod.stream(cfg.seed, iteration, rngmod.STEP_NOISE).standard_normal(
-        (cfg.batch_size, dim)
-    )
+    eps = None
+    if iteration % cfg.tau == 0:
+        eps = rngmod.stream(cfg.seed, iteration, rngmod.STEP_NOISE).standard_normal(
+            (cfg.batch_size, dim)
+        )
     return Batch(t_idx=t_idx, sigma=sigma, z=z, eps=eps)
 
 
@@ -590,8 +595,9 @@ def train_step(state: TrainState, cfg: RunConfig,
                teacher: IsotropicGaussianMixture, schedule: NoiseSchedule) -> StepReport:
     """One Algorithm-style iteration; increments the counter afterwards.
 
-    Any non-finite loss, gradient or parameter surfaces as TrainingDiverged
-    carrying the partial step report.
+    Any non-finite loss, gradient or parameter, and any value a step's
+    arithmetic drives outside a function's domain (say, ratios that are not
+    finite), surfaces as TrainingDiverged carrying the partial step report.
     """
     it = state.iteration
     batch = draw_batch(cfg, schedule, it, teacher.dim)
@@ -604,7 +610,7 @@ def train_step(state: TrainState, cfg: RunConfig,
                 report = auxiliary_step(state, cfg, teacher, schedule, batch)
     except TrainingDiverged:
         raise
-    except NumericsError as exc:
+    except (NumericsError, DomainError) as exc:
         raise TrainingDiverged(
             f"iteration {it}: {exc}",
             report=StepReport(iteration=it, updated=()),

@@ -7,7 +7,8 @@ checked against this module exactly. Mixture and particle log-densities
 reduce their (n, K) component matrices with `_numerics.logsumexp`, which
 equals SciPy's `logsumexp` bit for bit, so the training path loads numpy only.
 `mode_coverage` measures how much of a sample set falls in each component's
-ball, counting over row blocks so that a 1e5-sample check stays small.
+ball; it and `particle_log_density` work through bounded row blocks, so their
+memory does not grow with the number of samples, points or centers.
 
 `AffineGenerator` is the package's one affine student: pushing a standard
 normal latent through x = a z + b gives the exactly Gaussian output law
@@ -39,6 +40,7 @@ __all__ = [
     "particle_log_density",
     "ModeCoverage",
     "mode_coverage",
+    "block_coverage",
     "COVERAGE_K",
     "COVERAGE_THRESHOLD",
     "ring8",
@@ -297,6 +299,14 @@ def affine_pushforward(gen: AffineGenerator, sigma: float) -> IsotropicGaussianM
     )
 
 
+# One block of `particle_log_density`'s (points x centers) matrix: about 2^17
+# entries (1 MiB), and never fewer than 64 rows, since OpenBLAS takes other
+# GEMM kernels for blocks of a few rows (1- and 3-row blocks change the last
+# bits for d >= 2).
+_PARTICLE_BLOCK_ENTRIES = 1 << 17
+_PARTICLE_BLOCK_MIN_ROWS = 64
+
+
 def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarray:
     """Monte-Carlo estimate of log q_sigma(x) for a pushforward law.
 
@@ -305,6 +315,11 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     is biased downward (Jensen's inequality), by an amount that falls roughly
     like 1/m once m is large. That bias is the floor under the KLs and ratios
     computed from particles.
+
+    The (points x centers) kernel matrix is built and reduced one row block
+    at a time (`row_blocks` with about 2^17 entries and at least 64 rows per
+    block), so memory stays bounded for any number of points and centers;
+    the result equals the one-pass reduction bit for bit.
     """
     centers = np.asarray(centers, dtype=float)
     pts = np.asarray(x, dtype=float)
@@ -312,9 +327,18 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     if np.any(sig <= 0.0):
         raise DomainError("particle density estimate requires sigma > 0")
     m, d = centers.shape
+    n = pts.shape[0]
     var = (sig**2).reshape(-1, 1) if sig.ndim else np.full((1, 1), sig**2)
-    comp = _gaussian_logs(-0.5 * d * (_LOG_2PI + np.log(var)), pts, centers, var)
-    out = logsumexp(comp, overwrite_a=True)
+    per_row = var.shape[0] > 1
+    if per_row and var.shape[0] != n:
+        raise DomainError(f"sigma batch must have shape ({n},), got {sig.shape}")
+    const = -0.5 * d * (_LOG_2PI + np.log(var))
+    out = np.empty(n)
+    rows = max(_PARTICLE_BLOCK_MIN_ROWS, _PARTICLE_BLOCK_ENTRIES // m)
+    for start, stop in row_blocks(n, rows):
+        at = slice(start, stop) if per_row else slice(None)
+        out[start:stop] = logsumexp(
+            _gaussian_logs(const[at], pts[start:stop], centers, var[at]), overwrite_a=True)
     out -= math.log(m)
     return out
 
@@ -336,16 +360,29 @@ def mode_coverage(samples, teacher: IsotropicGaussianMixture) -> ModeCoverage:
 
     A mode counts as covered when its fraction reaches COVERAGE_THRESHOLD.
     Requires well-separated components (pairwise mean distance
-    > 2 COVERAGE_K sqrt(v)), otherwise ball membership is ambiguous. Ball
-    counts are taken over row blocks, so memory stays bounded for any sample
-    count; the mass count / n equals the mean of the 0/1 memberships bit for
-    bit.
+    > 2 COVERAGE_K sqrt(v)), otherwise ball membership is ambiguous. The
+    samples are counted by `block_coverage` over `row_blocks`, so memory
+    stays bounded for any sample count.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise DomainError("mode coverage needs a non-empty (n, dim) sample set")
     if pts.shape[1] != teacher.dim:
         raise DomainError("sample dimension does not match the teacher")
+    return block_coverage((pts[start:stop] for start, stop in row_blocks(pts.shape[0])),
+                          teacher)
+
+
+def block_coverage(blocks, teacher: IsotropicGaussianMixture) -> ModeCoverage:
+    """`mode_coverage` of the samples that `blocks`, an iterable of (rows, dim)
+    arrays, yields in turn; only one block is held at a time.
+
+    The teacher's overlap check runs before the first block is taken, so a
+    lazy iterable draws nothing for an ambiguous teacher. Ball counts are
+    summed as integers and divided by the total row count once, so the mass
+    equals the mean of the 0/1 memberships bit for bit however the rows are
+    blocked. A distance that overflows is +inf, outside every ball.
+    """
     radii = COVERAGE_K * np.sqrt(teacher.variances)
     mu = teacher.means
     for i in range(teacher.n_components):
@@ -358,10 +395,13 @@ def mode_coverage(samples, teacher: IsotropicGaussianMixture) -> ModeCoverage:
                     f"{i} and {j} overlap at k={COVERAGE_K}"
                 )
     counts = np.zeros(teacher.n_components, dtype=np.int64)
-    for start, stop in row_blocks(pts.shape[0]):
-        dist = np.linalg.norm(pts[start:stop, None, :] - mu[None, :, :], axis=2)
+    n = 0
+    for pts in blocks:
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(pts[:, None, :] - mu[None, :, :], axis=2)
         counts += np.count_nonzero(dist <= radii[None, :], axis=0)
-    mass = counts / pts.shape[0]
+        n += pts.shape[0]
+    mass = counts / n
     covered = mass >= COVERAGE_THRESHOLD
     return ModeCoverage(
         per_mode_mass=mass, covered=covered, n_covered=int(covered.sum())

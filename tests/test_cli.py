@@ -925,6 +925,91 @@ class TestPublicNames:
         assert set(fdistill.__all__) == {*fdistill._EXPORTS, "__version__"}
 
 
+def modes_report(cfg, out, checkpoint, n_samples, tmp_path):
+    """Run `modes` on a checkpoint with `n_samples`; the exit code and the
+    bytes of modes.json."""
+    mcfg = write_config(tmp_path, {"modes": {"n_samples": n_samples}}, "modes_config.json")
+    code = cli.main(["modes", "--config", mcfg, "--out", str(out),
+                     "--checkpoint", str(checkpoint)])
+    return code, (out / "modes.json").read_bytes()
+
+
+class TestModesBlocks:
+    @pytest.mark.parametrize("student", [{}, AFFINE_EXACT], ids=["mlp", "affine"])
+    def test_blocked_report_equals_one_shot(self, tmp_path, student):
+        """5000 samples are drawn, generated and counted in four row blocks,
+        the last one folded (1024 x 3 + 1928); modes.json equals the report
+        of the one-shot draw, forward and `mode_coverage` byte for byte."""
+        from fdistill import rng as rngmod
+        from fdistill.distill import restore_state
+        from fdistill.teacher import make_teacher, mode_coverage
+
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring8", **student})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out), "--iters", "3"]) == 0
+        path = out / "checkpoint_final.fdst"
+        code, written = modes_report(cfg, out, path, 5000, tmp_path)
+        assert code == 0
+
+        config_echo, iteration, payloads = ckpt.load_checkpoint(path)
+        saved = RunConfig.from_dict(config_echo)
+        state = restore_state(saved, iteration, payloads)
+        z_all = rngmod.stream(saved.seed, iteration, rngmod.METRICS, 7).standard_normal(
+            (5000, state.generator.latent_dim))
+        coverage = mode_coverage(state.generator.forward(z_all), make_teacher(saved.teacher))
+        expected = {
+            "checkpoint": str(path),
+            "iteration": iteration,
+            "n_samples": 5000,
+            "modes_covered": coverage.n_covered,
+            "n_modes": len(coverage.per_mode_mass),
+            "per_mode_mass": [float(m) for m in coverage.per_mode_mass],
+            "covered": [bool(c) for c in coverage.covered],
+        }
+        assert written == json.dumps(expected, indent=2).encode()
+
+    def test_peak_memory_does_not_grow_with_n_samples(self, tmp_path):
+        """Only one block of latents, outputs and distances is alive at a
+        time, so ten times the samples needs no more memory; holding all
+        200k latents and outputs would add about 5 MB."""
+        import tracemalloc
+
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring8"})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out), "--iters", "1"]) == 0
+        peaks = []
+        for n in (20000, 200000):
+            tracemalloc.start()
+            try:
+                code, _ = modes_report(cfg, out, out / "checkpoint_final.fdst", n, tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] <= peaks[0] + 2**16, peaks
+
+    def test_overflowing_affine_student_counts_nothing_silently(self, tmp_path):
+        """A one-step affine student trained at lr 1e300 has outputs whose
+        distances to the modes overflow; they are +inf, outside every ball,
+        so `modes` reports no covered mode and prints no numpy warning."""
+        cfg = write_config(tmp_path, {
+            "teacher": "grid25", **AFFINE_EXACT, "lr_generator": 1e300, "tau": 1,
+            "total_iters": 1, "metrics_interval": 0, "batch_size": 32, "time_bins": 4})
+        out = str(tmp_path / "o")
+        script = ("import json, pathlib, sys, warnings\n"
+                  "warnings.simplefilter('default')\n"
+                  "from fdistill.cli import main\n"
+                  "cfg, out = sys.argv[1:]\n"
+                  "codes = [main(['train', '--config', cfg, '--out', out]),\n"
+                  "         main(['modes', '--config', cfg, '--out', out,\n"
+                  "               '--checkpoint', out + '/checkpoint_final.fdst'])]\n"
+                  "report = json.loads(pathlib.Path(out, 'modes.json').read_text())\n"
+                  "print(codes, report['modes_covered'])\n")
+        proc = run_python(script, [cfg, out])
+        assert proc.stderr == ""
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0] 0"
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 class TestModesMemory:
     def test_default_modes_peak_rss_stays_small(self, tmp_path):

@@ -286,6 +286,33 @@ class TestTrainStep:
                 distill.train_step(state, cfg, teacher, schedule)
         assert err.value.report is not None
 
+    def test_domain_error_in_a_step_is_a_numerical_abort(self):
+        """A bias of 1e160 makes |x|^2 overflow in the exact student law, so
+        the ratios are NaN and stage 1 rejects them; that is divergence
+        (CLI exit 3), not a usage error (exit 2)."""
+        cfg = gaussian_cfg(teacher="ring8", batch_size=32, time_bins=4, tau=1)
+        teacher = tc.make_teacher(cfg.teacher)
+        state = distill.init_state(cfg, teacher)
+        state.generator.bias = np.array([1e160, 0.0])
+        with pytest.raises(TrainingDiverged, match="^iteration 0: ratios must be finite") as err:
+            distill.train_step(state, cfg, teacher, cfg.schedule())
+        assert isinstance(err.value.__cause__, DomainError)
+        assert err.value.report is not None and err.value.report.iteration == 0
+        assert state.iteration == 0
+
+    def test_noise_is_drawn_on_generator_iterations_only(self):
+        """The auxiliary step never reads the output noise, so it is drawn
+        only where iteration % tau == 0, from the same stream as before."""
+        cfg = gaussian_cfg(tau=4, batch_size=16)
+        schedule = cfg.schedule()
+        for it in range(9):
+            batch = distill.draw_batch(cfg, schedule, it, 2)
+            if it % 4:
+                assert batch.eps is None
+            else:
+                want = rngmod.stream(cfg.seed, it, rngmod.STEP_NOISE).standard_normal((16, 2))
+                assert batch.eps.tobytes() == want.tobytes()
+
     def test_mlp_discriminator_path_runs(self):
         cfg = distill.RunConfig(
             divergence="jensen-shannon",

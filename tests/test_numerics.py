@@ -1,10 +1,12 @@
 """Shared numerics: bitwise pins for sigmoid, the row-wise log-sum-exp,
-FNV-1a 64 and the stream keys."""
+FNV-1a 64 and the stream keys, and the row-block rule."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from fdistill import _numerics as nm
@@ -208,7 +210,11 @@ class TestTeacherKernelPins:
         assert_same_bits(tc.score(gm, x, sigma), ref_score(gm, x, sigma))
 
     @pytest.mark.parametrize("sigma_kind", ["scalar", "per_row"])
-    @pytest.mark.parametrize("shape", [(512, 1024, 2), (128, 1, 2), (33, 70, 3)])
+    @pytest.mark.parametrize("shape", [
+        (512, 1024, 2), (128, 1, 2), (33, 70, 3),
+        # several row blocks with a folded, odd-length tail
+        (1000, 1024, 1), (700, 4096, 3), (129, 2048, 3),
+    ])
     def test_particle_log_density_bitwise(self, shape, sigma_kind):
         n, m, d = shape
         centers = rngmod.stream(13, m).standard_normal((m, d)) * 2.0
@@ -217,6 +223,25 @@ class TestTeacherKernelPins:
         assert_same_bits(
             tc.particle_log_density(centers, x, sigma), ref_particle_log_density(centers, x, sigma)
         )
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 5000), rows=st.integers(1, 1500))
+    def test_blocks_cover_in_order_and_none_is_short(self, n, rows):
+        blocks = nm.row_blocks(n, rows)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(stop == nxt for (_, stop), (nxt, _) in zip(blocks, blocks[1:]))
+        lengths = [stop - start for start, stop in blocks]
+        if n < 2 * rows:
+            assert lengths == [n]
+        else:
+            assert all(rows <= k < 2 * rows for k in lengths)
+            assert lengths[:-1] == [rows] * (len(lengths) - 1)
+
+    def test_default_block_length(self):
+        assert nm.row_blocks(5000) == [(0, 1024), (1024, 2048), (2048, 3072), (3072, 5000)]
+        assert nm.row_blocks(2047) == [(0, 2047)]
 
 
 class TestSigmaBatch:

@@ -1,5 +1,7 @@
 """Teacher distributions: exact densities, scores, sampling, perturbation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -313,6 +315,23 @@ class TestParticleDensity:
     def test_requires_positive_sigma(self):
         with pytest.raises(DomainError):
             tc.particle_log_density(np.zeros((10, 2)), np.zeros((2, 2)), 0.0)
+
+    def test_peak_memory_stays_bounded(self):
+        """2048 points against 8192 centers run in 64-row blocks; one pass
+        over the whole (2048, 8192) matrix would need about 128 MB."""
+        centers = rngmod.stream(17, 0x45).standard_normal((8192, 2))
+        x = rngmod.stream(17, 0x46).standard_normal((2048, 2))
+        tracemalloc.start()
+        try:
+            tc.particle_log_density(centers, x, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_per_row_sigma_must_match_points(self):
+        with pytest.raises(DomainError, match="sigma batch"):
+            tc.particle_log_density(np.zeros((10, 2)), np.zeros((300, 2)), np.ones(200))
 
 
 class TestSchedule:
