@@ -12,8 +12,12 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 # Fewest rows in a block of a large batch. OpenBLAS picks another kernel for
 # short GEMMs (a 512-row tail on a 2-column output layer changes the last
-# bits), so no block may be shorter than this.
+# bits), so no block may be shorter than this. Block starts are multiples of
+# 64 as well: blocks starting at odd rows gave other last bits than the one
+# pass for the (18, 128, 128, 1) discriminator at 3,071 and 10,000 rows
+# (multiples of 4 were enough there; 64 leaves room for wider kernels).
 _BLOCK_ROWS = 1024
+_BLOCK_ALIGN = 64
 
 
 def sigmoid(z):
@@ -87,11 +91,14 @@ def fnv1a64(words) -> int:
 def row_blocks(n: int, rows: int = _BLOCK_ROWS):
     """(start, stop) row ranges that cover n rows in order.
 
-    Blocks hold `rows` rows, with the remainder folded into the last one
-    (`rows` to 2 * rows - 1 rows), so no block is shorter than `rows` unless
-    n is: fewer than 2 * rows rows are one block. A block that long takes the
-    same GEMM kernel as the whole batch (default: 1024 rows, for `predict`
-    and `mode_coverage`).
+    The n rows are cut into k = max(n // rows, 1) balanced blocks: each
+    interior boundary is n * i / k rounded down to a multiple of 64. With
+    `rows` a multiple of 64, no block is shorter than `rows` unless n is,
+    every block is shorter than n / k + 64, and fewer than 2 * rows rows are
+    one block. A block that long, starting at such a row, takes the same GEMM
+    kernel as the whole batch (default: 1024 rows, for `predict` and
+    `mode_coverage`).
     """
-    starts = list(range(0, max(n - rows, 0) + 1, rows))
-    return list(zip(starts, starts[1:] + [n]))
+    k = max(n // rows, 1)
+    bounds = [0, *(n * i // k // _BLOCK_ALIGN * _BLOCK_ALIGN for i in range(1, k)), n]
+    return list(zip(bounds, bounds[1:]))

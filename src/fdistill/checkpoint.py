@@ -55,31 +55,26 @@ class NetworkPayload:
         self.adam = adam
 
 
-def _pack_array(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f8").tobytes()
+def _header_and_arrays(config_dict: dict, iteration: int, networks):
+    """The file's parts before the checksum, in order: packed header bytes
+    and the little-endian float64 arrays themselves (no copies)."""
+    config_bytes = json.dumps(config_dict, sort_keys=True).encode("utf-8")
+    yield MAGIC + struct.pack("<II", VERSION, len(config_bytes))
+    yield config_bytes
+    yield struct.pack("<QI", int(iteration), len(networks))
+    for net in networks:
+        name_bytes = net.name.encode("utf-8")
+        yield struct.pack("<I", len(name_bytes)) + name_bytes
+        yield struct.pack(f"<I{len(net.widths)}I", len(net.widths), *net.widths)
+        yield struct.pack("<Q", net.params.size)
+        yield np.ascontiguousarray(net.params, dtype="<f8")
+        a = net.adam
+        yield struct.pack("<Q5d", a.step, a.lr, a.beta1, a.beta2, a.eps, 0.0)
+        yield np.ascontiguousarray(a.m, dtype="<f8")
+        yield np.ascontiguousarray(a.v, dtype="<f8")
 
 
 def save_checkpoint(path, config_dict: dict, iteration: int, networks) -> None:
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    config_bytes = json.dumps(config_dict, sort_keys=True).encode("utf-8")
-    parts.append(struct.pack("<I", len(config_bytes)))
-    parts.append(config_bytes)
-    parts.append(struct.pack("<Q", int(iteration)))
-    parts.append(struct.pack("<I", len(networks)))
-    for net in networks:
-        name_bytes = net.name.encode("utf-8")
-        parts.append(struct.pack("<I", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<I", len(net.widths)))
-        parts.append(struct.pack(f"<{len(net.widths)}I", *net.widths))
-        parts.append(struct.pack("<Q", net.params.size))
-        parts.append(_pack_array(net.params))
-        a = net.adam
-        parts.append(struct.pack("<Q", a.step))
-        parts.append(struct.pack("<5d", a.lr, a.beta1, a.beta2, a.eps, 0.0))
-        parts.append(_pack_array(a.m))
-        parts.append(_pack_array(a.v))
-    body = b"".join(parts)
     path = os.fspath(path)
     # hidden name in the same directory: never matches checkpoint_*.fdst
     tmp = os.path.join(
@@ -87,8 +82,12 @@ def save_checkpoint(path, config_dict: dict, iteration: int, networks) -> None:
     )
     try:
         with open(tmp, "xb") as fh:
-            fh.write(body)
-            fh.write(struct.pack("<Q", zlib.crc32(body)))
+            # each part is written and checksummed in turn, never joined
+            crc = 0
+            for part in _header_and_arrays(config_dict, iteration, networks):
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<Q", crc))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -97,11 +96,14 @@ def save_checkpoint(path, config_dict: dict, iteration: int, networks) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Reads fields off a memoryview of the file: slices are views, and
+    `f64s` copies each array once."""
+
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointError("truncated checkpoint file")
         out = self.data[self.pos : self.pos + n]
@@ -120,7 +122,7 @@ class _Reader:
     def text(self, what: str) -> str:
         raw = self.take(self.u32())
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(
                 f"{what} is not UTF-8 ({exc.reason} at byte {exc.start})"
@@ -133,7 +135,7 @@ def load_checkpoint(path):
         data = fh.read()
     if len(data) < len(MAGIC) + 4 + 8:
         raise CheckpointError("truncated checkpoint file")
-    body, checksum_bytes = data[:-8], data[-8:]
+    body = memoryview(data)[:-8]
     reader = _Reader(body)
     if reader.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a checkpoint file")
@@ -142,7 +144,7 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"unsupported checkpoint version {version} (reader supports {VERSION})"
         )
-    expected = struct.unpack("<Q", checksum_bytes)[0]
+    expected = struct.unpack("<Q", data[-8:])[0]
     if zlib.crc32(body) != expected:
         raise CheckpointError("checksum mismatch: checkpoint is corrupt")
     try:

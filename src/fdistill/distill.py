@@ -389,7 +389,9 @@ def normalize_stage1(ratios, time_bin_ids) -> np.ndarray:
     if np.any(r < 0.0) or not np.all(np.isfinite(r)):
         raise DomainError("ratios must be finite and non-negative")
     out = np.empty_like(r)
-    for b in np.unique(ids):
+    # the bins in ascending order, as np.unique gives them, without the
+    # numpy.ma import that np.unique costs on first use
+    for b in sorted(set(ids.ravel().tolist())):
         mask = ids == b
         out[mask] = _unit_mean(r[mask], f"ratio (bin {b})")
     return out

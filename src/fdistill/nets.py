@@ -242,9 +242,10 @@ def forward(net: FeedForwardNet, x: np.ndarray):
 def predict(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
     """forward(net, x)[0] bit for bit, without a cache.
 
-    A batch of 2048 rows or more runs as consecutive blocks of 1024 to 2047
-    rows written into one output array, so the working set is one block's
-    activations whatever the batch size; smaller batches run in one pass.
+    A batch of 2048 rows or more runs as consecutive balanced blocks
+    (`row_blocks`: at least 1024 rows, starting at multiples of 64) written
+    into one output array, so the working set is one block's activations
+    whatever the batch size; smaller batches run in one pass.
     """
     x = _check_input(net, x)
     blocks = row_blocks(x.shape[0])

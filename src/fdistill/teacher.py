@@ -300,9 +300,10 @@ def affine_pushforward(gen: AffineGenerator, sigma: float) -> IsotropicGaussianM
 
 
 # One block of `particle_log_density`'s (points x centers) matrix: about 2^17
-# entries (1 MiB), and never fewer than 64 rows, since OpenBLAS takes other
-# GEMM kernels for blocks of a few rows (1- and 3-row blocks change the last
-# bits for d >= 2).
+# entries (1 MiB), in a multiple of 64 rows and never fewer than 64, since
+# OpenBLAS takes other GEMM kernels for blocks of a few rows (1- and 3-row
+# blocks change the last bits for d >= 2) and `row_blocks` needs a multiple
+# of 64.
 _PARTICLE_BLOCK_ENTRIES = 1 << 17
 _PARTICLE_BLOCK_MIN_ROWS = 64
 
@@ -317,9 +318,9 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     computed from particles.
 
     The (points x centers) kernel matrix is built and reduced one row block
-    at a time (`row_blocks` with about 2^17 entries and at least 64 rows per
-    block), so memory stays bounded for any number of points and centers;
-    the result equals the one-pass reduction bit for bit.
+    at a time (`row_blocks` with about 2^17 entries and a multiple of 64
+    rows per block), so memory stays bounded for any number of points and
+    centers; the result equals the one-pass reduction bit for bit.
     """
     centers = np.asarray(centers, dtype=float)
     pts = np.asarray(x, dtype=float)
@@ -334,7 +335,7 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
         raise DomainError(f"sigma batch must have shape ({n},), got {sig.shape}")
     const = -0.5 * d * (_LOG_2PI + np.log(var))
     out = np.empty(n)
-    rows = max(_PARTICLE_BLOCK_MIN_ROWS, _PARTICLE_BLOCK_ENTRIES // m)
+    rows = max(_PARTICLE_BLOCK_MIN_ROWS, _PARTICLE_BLOCK_ENTRIES // m) // 64 * 64
     for start, stop in row_blocks(n, rows):
         at = slice(start, stop) if per_row else slice(None)
         out[start:stop] = logsumexp(

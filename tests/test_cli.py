@@ -810,6 +810,32 @@ class TestCheckpointFormat:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
+    def test_save_and_load_hold_no_copy_of_the_file(self, tmp_path):
+        """Save writes and checksums its parts in turn, and load parses one
+        view of the file's bytes, copying each array once. So saving a ring8
+        checkpoint holds well under half its size, loading holds the file's
+        bytes plus the arrays it returns, and the bytes are unchanged."""
+        import tracemalloc
+
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring8"})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out), "--iters", "1"]) == 0
+        path = out / "checkpoint_final.fdst"
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = ckpt.load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            ckpt.save_checkpoint(tmp_path / "copy.fdst", *loaded)
+            save_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "copy.fdst").read_bytes() == path.read_bytes()
+        assert save_peak < 0.5 * size, (save_peak, size)
+        assert load_peak <= 2.1 * size, (load_peak, size)
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "x.fdst"
         ckpt.save_checkpoint(path, {}, 0, self._payload())
@@ -894,21 +920,22 @@ class TestStartupImports:
 
     def test_train_and_modes_load_no_oracle(self, tmp_path):
         """Mode coverage lives in `teacher`; the training loop and `modes`
-        need nothing else from `oracle`, so neither loads it."""
+        need nothing else from `oracle`, so neither loads it. Neither loads
+        `numpy.ma` either (`np.unique` would, at 0.6 MB)."""
         cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring8"})
         out = str(tmp_path / "o")
         script = ("import sys\n"
                   "from fdistill.cli import main\n"
                   "cfg, out = sys.argv[1:]\n"
                   "codes = [main(['train', '--config', cfg, '--out', out, '--iters', '3'])]\n"
-                  "print(codes, 'fdistill.oracle' in sys.modules)\n"
+                  "print(codes, 'fdistill.oracle' in sys.modules, 'numpy.ma' in sys.modules)\n"
                   "codes.append(main(['modes', '--config', cfg, '--out', out,\n"
                   "                   '--checkpoint', out + '/checkpoint_final.fdst']))\n"
-                  "print(codes, 'fdistill.oracle' in sys.modules)\n")
+                  "print(codes, 'fdistill.oracle' in sys.modules, 'numpy.ma' in sys.modules)\n")
         proc = run_python(script, [cfg, out])
         assert proc.returncode == 0, proc.stderr
         printed = [line for line in proc.stdout.splitlines() if line.startswith("[")]
-        assert printed == ["[0] False", "[0, 0] False"]
+        assert printed == ["[0] False False", "[0, 0] False False"]
 
 
 class TestPublicNames:

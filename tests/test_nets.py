@@ -1,5 +1,11 @@
 """MLP stack: exact reverse-mode gradients, Adam, sigma conditioning."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -170,10 +176,13 @@ class TestPredict:
 
     # Generator (2-D latent, 2 outputs) and discriminator (data plus sigma
     # embedding in, 1 output) shapes; the 100001-row case runs on the
-    # generator only, where one full hidden activation is 100 MB.
+    # generator only, where one full hidden activation is 100 MB. The
+    # discriminator's 4097 and 12345 rows are pinned below, against a
+    # one-thread reference.
     @pytest.mark.parametrize("widths, batch", [
         *[((2, 128, 128, 2), n) for n in (1, 128, 2047, 2048, 2049, 3071, 10000, 100001)],
         *[((18, 128, 128, 1), n) for n in (1, 128, 2047, 2048, 2049, 3071, 10000)],
+        *[((2, 128, 128, 2), n) for n in (4097, 12345)],
     ])
     @SILU
     def test_blocked_equals_one_shot_bitwise(self, activation, widths, batch):
@@ -191,6 +200,48 @@ class TestPredict:
         out = nets.predict(net, x)
         assert out.shape == (batch, widths[-1])
         assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("batch", [4097, 12345])
+    def test_blocked_discriminator_equals_one_thread_one_shot_bitwise(self, batch, tmp_path):
+        """At these odd sizes one pass over the discriminator shape gives
+        other last bits at 2 BLAS threads than at 1, so the reference is the
+        one pass in a child process with one BLAS thread. The blocks give
+        its bits at any thread count."""
+        widths = (18, 128, 128, 1)
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from fdistill import nets, rng as rngmod\n"
+                  "batch = int(sys.argv[1])\n"
+                  f"net = nets.init_net({widths}, rngmod.stream(3, 23))\n"
+                  f"x = rngmod.stream(3, 24, batch).standard_normal((batch, {widths[0]}))\n"
+                  "np.save(sys.argv[2], nets.forward(net, x)[0])\n")
+        src = str(Path(nets.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        ref = tmp_path / "one_shot.npy"
+        proc = subprocess.run([sys.executable, "-c", script, str(batch), str(ref)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        net = random_net(rngmod.stream(3, 23), widths)
+        x = rngmod.stream(3, 24, batch).standard_normal((batch, widths[0]))
+        assert nets.predict(net, x).tobytes() == np.load(ref).tobytes()
+
+    def test_blocked_peak_is_that_of_one_short_block(self):
+        """10,000 rows run as balanced blocks of at most 1,168 rows, so
+        `predict` peaks no higher than one pass over 1,300 rows, although it
+        also holds the whole 10,000-row output."""
+        net = random_net(rngmod.stream(3, 23), (2, 128, 128, 2))
+        x = rngmod.stream(3, 24, 10000).standard_normal((10000, 2))
+        peaks = []
+        for rows in (x, x[:1300]):
+            tracemalloc.start()
+            try:
+                nets.predict(net, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
 
 
 # Values where the order or buffer of an operation could show: signed zeros,

@@ -227,21 +227,27 @@ class TestTeacherKernelPins:
 
 class TestRowBlocks:
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(0, 5000), rows=st.integers(1, 1500))
+    @given(n=st.integers(0, 5000), rows=st.integers(1, 23).map(lambda r: 64 * r))
     def test_blocks_cover_in_order_and_none_is_short(self, n, rows):
+        """Balanced blocks with starts at multiples of 64, none shorter
+        than `rows` (a multiple of 64), all within 64 rows of n / k."""
         blocks = nm.row_blocks(n, rows)
         assert blocks[0][0] == 0 and blocks[-1][1] == n
         assert all(stop == nxt for (_, stop), (nxt, _) in zip(blocks, blocks[1:]))
+        assert all(start % 64 == 0 for start, _ in blocks)
         lengths = [stop - start for start, stop in blocks]
         if n < 2 * rows:
             assert lengths == [n]
         else:
-            assert all(rows <= k < 2 * rows for k in lengths)
-            assert lengths[:-1] == [rows] * (len(lengths) - 1)
+            k = n // rows
+            assert len(lengths) == k
+            assert all(length >= rows and abs(length - n / k) < 64 for length in lengths)
 
     def test_default_block_length(self):
-        assert nm.row_blocks(5000) == [(0, 1024), (1024, 2048), (2048, 3072), (3072, 5000)]
+        assert nm.row_blocks(5000) == [(0, 1216), (1216, 2496), (2496, 3712), (3712, 5000)]
         assert nm.row_blocks(2047) == [(0, 2047)]
+        assert max(stop - start for start, stop in nm.row_blocks(10000)) == 1168
+        assert max(stop - start for start, stop in nm.row_blocks(100000)) == 1088
 
 
 class TestSigmaBatch:
