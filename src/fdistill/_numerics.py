@@ -91,14 +91,15 @@ def fnv1a64(words) -> int:
 def row_blocks(n: int, rows: int = _BLOCK_ROWS):
     """(start, stop) row ranges that cover n rows in order.
 
-    The n rows are cut into k = max(n // rows, 1) balanced blocks: each
-    interior boundary is n * i / k rounded down to a multiple of 64. With
-    `rows` a multiple of 64, no block is shorter than `rows` unless n is,
-    every block is shorter than n / k + 64, and fewer than 2 * rows rows are
-    one block. A block that long, starting at such a row, takes the same GEMM
-    kernel as the whole batch (default: 1024 rows, for `predict` and
-    `mode_coverage`).
+    `rows` is first rounded down to a multiple of 64, never below 64. The n
+    rows are then cut into k = max(n // rows, 1) balanced blocks: each
+    interior boundary is n * i / k rounded down to a multiple of 64. So no
+    block is shorter than `rows` unless n is, every block is shorter than
+    n / k + 64, and fewer than 2 * rows rows are one block. A block that long,
+    starting at such a row, takes the same GEMM kernel as the whole batch
+    (default: 1024 rows, for `predict` and `mode_coverage`).
     """
+    rows = max(_BLOCK_ALIGN, rows // _BLOCK_ALIGN * _BLOCK_ALIGN)
     k = max(n // rows, 1)
     bounds = [0, *(n * i // k // _BLOCK_ALIGN * _BLOCK_ALIGN for i in range(1, k)), n]
     return list(zip(bounds, bounds[1:]))

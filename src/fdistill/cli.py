@@ -129,22 +129,15 @@ def _save_state(path, cfg, state):
 
 
 def _cmd_train(cfg, params, out_dir: Path) -> int:
-    from . import rng as rngmod
     from .distill import METRICS_COLUMNS, train
 
     def checkpoint_callback(state, iteration):
         _save_state(out_dir / f"checkpoint_{iteration:07d}.fdst", cfg, state)
 
-    state, metrics = train(cfg, checkpoint_callback=checkpoint_callback)
+    state, metrics, samples = train(cfg, checkpoint_callback=checkpoint_callback)
 
     _write_csv(out_dir / "metrics.csv", METRICS_COLUMNS,
                [list(row.values()) for row in metrics])
-
-    n_samples = 10000
-    z = rngmod.stream(cfg.seed, cfg.total_iters, rngmod.METRICS, 99).standard_normal(
-        (n_samples, state.generator.latent_dim)
-    )
-    samples = state.generator.forward(z)
     with open(out_dir / "samples.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"x{i}" for i in range(samples.shape[1])) + "\n")
         fh.write(_float_rows(samples))
@@ -259,6 +252,8 @@ def _cmd_weightmap(cfg, params, out_dir: Path) -> int:
 
 
 def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
+    import numpy as np
+
     from . import rng as rngmod
     from ._numerics import row_blocks
     from .checkpoint import load_checkpoint
@@ -278,15 +273,16 @@ def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
     saved_cfg = RunConfig.from_dict(config_echo)
     state = restore_state(saved_cfg, iteration, payloads)
     teacher = make_teacher(saved_cfg.teacher)
-    # the samples are drawn, generated and counted one row block at a time;
-    # consecutive draws from one stream equal the one-shot (n_samples, d) draw
+    # the samples are drawn, generated and counted one row block at a time (draws
+    # from one stream equal the one-shot draw); an overflowed output is in no ball
     gen = state.generator
     latents = rngmod.stream(saved_cfg.seed, iteration, rngmod.METRICS, 7)
-    coverage = block_coverage(
-        (gen.forward(latents.standard_normal((stop - start, gen.latent_dim)))
-         for start, stop in row_blocks(n_samples)),
-        teacher,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        coverage = block_coverage(
+            (gen.forward(latents.standard_normal((stop - start, gen.latent_dim)))
+             for start, stop in row_blocks(n_samples)),
+            teacher,
+        )
     report = {
         "checkpoint": str(checkpoint_path),
         "iteration": iteration,

@@ -25,6 +25,7 @@ import math
 import numbers
 import operator
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple, Union
 
@@ -270,10 +271,6 @@ class MLPGenerator:
         return self.net.widths[0]
 
     @property
-    def dim(self):
-        return self.net.widths[-1]
-
-    @property
     def widths(self):
         return self.net.widths
 
@@ -447,12 +444,25 @@ def draw_batch(cfg: RunConfig, schedule: NoiseSchedule, iteration: int, dim: int
     return Batch(t_idx=t_idx, sigma=sigma, z=z, eps=eps)
 
 
-def _finite_output(y: np.ndarray, iteration: int) -> np.ndarray:
-    """Generator outputs y, or TrainingDiverged naming the iteration when one
-    is not finite; the teacher's densities reject such points."""
+@contextmanager
+def _aborts_at(iteration: int, report: StepReport):
+    """Numpy's overflow and invalid warnings off, and a NumericsError or
+    DomainError re-raised as TrainingDiverged naming `iteration` and carrying
+    `report` (the CLI's exit 3); a TrainingDiverged passes through unchanged."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except TrainingDiverged:
+        raise
+    except (NumericsError, DomainError) as exc:
+        raise TrainingDiverged(f"iteration {iteration}: {exc}", report=report) from exc
+
+
+def _finite_output(y: np.ndarray) -> np.ndarray:
+    """Generator outputs y, or NumericsError when one is not finite; the
+    teacher's densities reject such points."""
     if not np.all(np.isfinite(y)):
-        raise TrainingDiverged(f"iteration {iteration}: non-finite generator output",
-                               report=StepReport(iteration=iteration, updated=()))
+        raise NumericsError("non-finite generator output")
     return y
 
 
@@ -460,15 +470,11 @@ def _student_log_density(state: TrainState, points, sigma,
                          stream: np.random.Generator, n_particles: int) -> np.ndarray:
     """log q_sigma(points): exact for an affine student, otherwise estimated
     from n_particles generator outputs drawn with `stream`."""
-    try:
-        law = state.generator.exact_law()
-    except NumericsError as exc:    # an affine scale whose square overflows
-        raise TrainingDiverged(f"iteration {state.iteration}: {exc}",
-                               report=StepReport(iteration=state.iteration, updated=())) from exc
+    law = state.generator.exact_law()
     if law is not None:
         return log_density(law, points, sigma)
     z = stream.standard_normal((n_particles, state.generator.latent_dim))
-    centers = _finite_output(state.generator.forward(z), state.iteration)
+    centers = _finite_output(state.generator.forward(z))
     return particle_log_density(centers, points, sigma)
 
 
@@ -503,11 +509,12 @@ def _trained_nets(state: TrainState):
     )
 
 
-def _check_finite_params(state: TrainState, names, report: StepReport):
+def _check_finite_params(state: TrainState, report: StepReport):
+    """TrainingDiverged with `report` when a net the step updated is non-finite."""
     for name, holder, _ in _trained_nets(state):
-        if name in names and not np.all(np.isfinite(holder.params)):
+        if name in report.updated and not np.all(np.isfinite(holder.params)):
             raise TrainingDiverged(
-                f"non-finite {name} parameters at iteration {report.iteration}",
+                f"iteration {report.iteration}: non-finite {name} parameters",
                 report=report,
             )
 
@@ -519,7 +526,7 @@ def generator_step(state: TrainState, cfg: RunConfig,
     it = state.iteration
     n = cfg.batch_size
     y, ctx = state.generator.forward_cached(batch.z)
-    _finite_output(y, it)
+    _finite_output(y)
     x = y + batch.sigma[:, None] * batch.eps
     ts = score(teacher, x, batch.sigma)
     fs = _fake_score_batch(state, cfg, x, batch.sigma)
@@ -557,7 +564,6 @@ def generator_step(state: TrainState, cfg: RunConfig,
         var_h=float(np.var(h_used)),
         mean_ratio=float(np.mean(r)),
     )
-    _check_finite_params(state, ("generator",), report)
     return report
 
 
@@ -589,7 +595,6 @@ def auxiliary_step(state: TrainState, cfg: RunConfig,
         dsm_loss=dsm_loss,
         disc_loss=disc_loss,
     )
-    _check_finite_params(state, ("denoiser", "discriminator"), report)
     return report
 
 
@@ -599,30 +604,21 @@ def train_step(state: TrainState, cfg: RunConfig,
 
     Any non-finite loss, gradient or parameter, and any value a step's
     arithmetic drives outside a function's domain (say, ratios that are not
-    finite), surfaces as TrainingDiverged carrying the partial step report.
+    finite), surfaces as TrainingDiverged: a non-finite parameter with the
+    step's report, anything else with the iteration's empty one.
     """
     it = state.iteration
     batch = draw_batch(cfg, schedule, it, teacher.dim)
-    try:
-        # non-finite values end in TrainingDiverged below, not in numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            if it % cfg.tau == 0:
-                report = generator_step(state, cfg, teacher, schedule, batch)
-            else:
-                report = auxiliary_step(state, cfg, teacher, schedule, batch)
-    except TrainingDiverged:
-        raise
-    except (NumericsError, DomainError) as exc:
-        raise TrainingDiverged(
-            f"iteration {it}: {exc}",
-            report=StepReport(iteration=it, updated=()),
-        ) from exc
+    with _aborts_at(it, StepReport(iteration=it, updated=())):
+        if it % cfg.tau == 0:
+            report = generator_step(state, cfg, teacher, schedule, batch)
+        else:
+            report = auxiliary_step(state, cfg, teacher, schedule, batch)
+        _check_finite_params(state, report)
     state.iteration += 1
     return report
 
 
-# non-finite generator outputs end in TrainingDiverged, not in numpy warnings
-@np.errstate(over="ignore", invalid="ignore")
 def compute_metrics(state: TrainState, cfg: RunConfig,
                     teacher: IsotropicGaussianMixture,
                     last: Optional[StepReport] = None) -> dict:
@@ -647,7 +643,7 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     z = rngmod.stream(cfg.seed, it, rngmod.METRICS, 3).standard_normal(
         (n, state.generator.latent_dim)
     )
-    y = _finite_output(state.generator.forward(z), it)
+    y = _finite_output(state.generator.forward(z))
     xs_q = y + s * rngmod.stream(cfg.seed, it, rngmod.METRICS, 4).standard_normal(
         (n, teacher.dim)
     )
@@ -712,11 +708,13 @@ def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
 
 
 def train(cfg: RunConfig, checkpoint_callback=None):
-    """Run total_iters steps; returns (state, metrics rows).
+    """Run total_iters steps; returns (state, metrics rows, samples).
 
     Metrics are logged every metrics_interval iterations and at the end.
     `checkpoint_callback(state, iteration)` fires every checkpoint_interval
-    iterations when set.
+    iterations when set. `samples` are 10,000 final generator outputs from the
+    (seed, total_iters, METRICS, 99) stream. A numerical failure of any
+    generator evaluation ends the run in TrainingDiverged (see `_aborts_at`).
     """
     teacher = make_teacher(cfg.teacher)
     schedule = cfg.schedule()
@@ -729,20 +727,21 @@ def train(cfg: RunConfig, checkpoint_callback=None):
             value = getattr(report, key)
             if value is not None:
                 setattr(merged, key, value)
-        done = state.iteration
+        done = merged.iteration = state.iteration
         if cfg.metrics_interval > 0 and (
             done % cfg.metrics_interval == 0 or done == cfg.total_iters
         ):
-            try:
+            with _aborts_at(done, merged):
                 metrics.append(compute_metrics(state, cfg, teacher, merged))
-            except TrainingDiverged as exc:   # report the statistics of the steps run
-                merged.iteration = done
-                exc.report = merged
-                raise
         if (
             checkpoint_callback is not None
             and cfg.checkpoint_interval > 0
             and done % cfg.checkpoint_interval == 0
         ):
             checkpoint_callback(state, done)
-    return state, metrics
+    z = rngmod.stream(cfg.seed, cfg.total_iters, rngmod.METRICS, 99).standard_normal(
+        (10000, state.generator.latent_dim)
+    )
+    with _aborts_at(state.iteration, merged):
+        samples = _finite_output(state.generator.forward(z))
+    return state, metrics, samples

@@ -54,8 +54,10 @@ def _as_float_array(x, name: str):
 
 def _check_positive_ratio(r):
     a = _as_float_array(r, "ratio r")
-    if np.any(a <= 0.0):
-        raise DomainError(f"ratio r must be > 0, got {r!r}")
+    bad = a <= 0.0
+    if bad.any():   # one line, whatever the array's size
+        raise DomainError(f"ratio r must be > 0, got {float(a[bad][0])!r} "
+                          f"({int(bad.sum())} of {a.size} values)")
     return a
 
 

@@ -36,10 +36,6 @@ class Denoiser:
     net: FeedForwardNet
     sigma_data: float = 1.0
 
-    @property
-    def dim(self) -> int:
-        return self.net.widths[-1]
-
 
 def denoiser_init(dim, gen, sigma_data=1.0) -> Denoiser:
     # zero-initialized head: the initial score is that of N(0, (sigma_data^2+sigma^2) I)

@@ -300,12 +300,10 @@ def affine_pushforward(gen: AffineGenerator, sigma: float) -> IsotropicGaussianM
 
 
 # One block of `particle_log_density`'s (points x centers) matrix: about 2^17
-# entries (1 MiB), in a multiple of 64 rows and never fewer than 64, since
-# OpenBLAS takes other GEMM kernels for blocks of a few rows (1- and 3-row
-# blocks change the last bits for d >= 2) and `row_blocks` needs a multiple
-# of 64.
+# entries (1 MiB); `row_blocks` rounds its rows to a multiple of 64, never
+# fewer than 64, since OpenBLAS takes other GEMM kernels for blocks of a few
+# rows (1- and 3-row blocks change the last bits for d >= 2).
 _PARTICLE_BLOCK_ENTRIES = 1 << 17
-_PARTICLE_BLOCK_MIN_ROWS = 64
 
 
 def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarray:
@@ -335,8 +333,7 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
         raise DomainError(f"sigma batch must have shape ({n},), got {sig.shape}")
     const = -0.5 * d * (_LOG_2PI + np.log(var))
     out = np.empty(n)
-    rows = max(_PARTICLE_BLOCK_MIN_ROWS, _PARTICLE_BLOCK_ENTRIES // m) // 64 * 64
-    for start, stop in row_blocks(n, rows):
+    for start, stop in row_blocks(n, _PARTICLE_BLOCK_ENTRIES // m):
         at = slice(start, stop) if per_row else slice(None)
         out[start:stop] = logsumexp(
             _gaussian_logs(const[at], pts[start:stop], centers, var[at]), overwrite_a=True)

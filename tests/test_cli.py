@@ -1,13 +1,18 @@
 """Command-line surface: config handling, outputs, checkpoint format."""
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
 import pkgutil
+import re
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -322,6 +327,92 @@ class TestConfigFuzz:
         self.load(tmp_path, path, mixture)
 
 
+def extreme(lo, hi):
+    """Floats from lo to hi (0 < lo), log-uniform, with both ends drawn often."""
+    return st.sampled_from([lo, hi]) | st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: 10.0 ** e)
+
+
+LEARNING_RATES = extreme(1e-150, 1e308)
+TERM_WEIGHTS = st.just(0.0) | extreme(1e-150, 1e300)
+SIGMA_LADDER = (1e-150, 1e-3, 1.0, 80.0, 1e150)   # the schema allows 1e-150 to 1e150
+RUNS = st.fixed_dictionaries({
+    "teacher": st.sampled_from([
+        {"weights": [0.5, 0.5], "means": [[-2.0], [2.0]], "variances": [0.25, 0.25]},
+        "ring8", "grid25",
+        {"weights": [0.5, 0.5], "means": [[-2.0, 0.0, 1.0], [2.0, 0.0, -1.0]],
+         "variances": [0.25, 0.25]},
+    ]),
+    "divergence": st.sampled_from(KINDS),
+    "generator_kind": st.sampled_from(["mlp", "affine"]),
+    "ratio_source": st.sampled_from(["discriminator", "exact-oracle"]),
+    "score_source": st.sampled_from(["denoiser", "exact-oracle"]),
+    "lr_generator": LEARNING_RATES,
+    "lr_denoiser": LEARNING_RATES,
+    "lr_discriminator": LEARNING_RATES,
+    "gan_weight": TERM_WEIGHTS,
+    "r1_gamma": TERM_WEIGHTS,
+    "r_min": st.sampled_from([5e-324, 1e-300, 1e-3, 1.0]),
+    "r_max": st.sampled_from([1.0, 1e3, 1e300, sys.float_info.max]),
+    "normalize_stage1": st.booleans(),
+    "normalize_stage2": st.booleans(),
+    "tau": st.integers(1, 2),
+    "time_bins": st.integers(1, 2),
+    "metrics_interval": st.integers(0, 2),
+    "checkpoint_interval": st.integers(0, 2),
+    "total_iters": st.integers(1, 6),
+    "seed": st.integers(0, 2**16),
+}).flatmap(lambda run: st.lists(st.sampled_from(SIGMA_LADDER), min_size=2, max_size=2,
+                                unique=True).map(
+    lambda ends: {**run, "sigma_min": min(ends), "sigma_max": max(ends)}))
+# small batches keep an example to a few tens of milliseconds
+SMALL = {"batch_size": 8, "metrics_samples": 16, "metrics_centers": 16,
+         "oracle_ratio_particles": 16, "modes": {"n_samples": 4096}}
+
+
+def main_outcome(argv):
+    """(exit code, stderr) of `cli.main(argv)` run in-process, with every
+    warning raised as an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def keeps_exit_code_contract(code, err):
+    """Exit 0 prints nothing to stderr, exit 2 one `error:` line, exit 3 one
+    `numerical abort: iteration N` line and at most its step report."""
+    lines = err.splitlines()
+    if code == 0:
+        return err == ""
+    if code == 2:
+        return len(lines) == 1 and lines[0].startswith("error: ")
+    return (code == 3 and len(lines) in (1, 2)
+            and re.match(r"numerical abort: iteration \d+: ", lines[0]) is not None
+            and all(line.startswith("step report: StepReport(") for line in lines[1:]))
+
+
+class TestExitCodeFuzz:
+    """Schema-valid runs biased to the extremes: `train` for a few iterations,
+    then `modes` on every checkpoint it wrote. Each command ends in one of the
+    documented outcomes, with no warning, traceback or other output."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(run=RUNS)
+    def test_train_and_modes_keep_the_exit_code_contract(self, run):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), {**run, **SMALL})
+            out = Path(tmp) / "o"
+            outcomes = [main_outcome(["train", "--config", cfg, "--out", str(out)])]
+            for checkpoint in sorted(out.glob("checkpoint_*.fdst")):
+                outcomes.append(main_outcome(["modes", "--config", cfg, "--out", str(out),
+                                              "--checkpoint", str(checkpoint)]))
+        for code, err in outcomes:
+            assert keeps_exit_code_contract(code, err), (code, err)
+
+
 class TestTableCommand:
     def test_catalog_row_values(self, tmp_path):
         cfg = write_config(tmp_path, {"table": {"r_values": [2.0]}})
@@ -425,11 +516,8 @@ class TestTrainCommand:
         the iteration, with no numpy warning or traceback on stderr."""
         cfg = write_config(tmp_path, {"teacher": "ring8", "lr_generator": 1e300,
                                       "total_iters": 30, **overrides})
-        script = ("import sys, warnings\n"
-                  "warnings.simplefilter('default')\n"
-                  "from fdistill.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        proc = run_python(script, ["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        proc = run_python(WARNINGS_SHOWN_MAIN,
+                          ["train", "--config", cfg, "--out", str(tmp_path / "o")])
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 2, proc.stderr
@@ -447,11 +535,8 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, {"teacher": "ring8", "generator_kind": "affine",
                                       "lr_generator": 1e300, "total_iters": 30,
                                       "metrics_interval": 1, **overrides})
-        script = ("import sys, warnings\n"
-                  "warnings.simplefilter('default')\n"
-                  "from fdistill.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        proc = run_python(script, ["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        proc = run_python(WARNINGS_SHOWN_MAIN,
+                          ["train", "--config", cfg, "--out", str(tmp_path / "o")])
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         lines = proc.stderr.splitlines()
@@ -459,6 +544,23 @@ class TestTrainCommand:
         assert lines[0].startswith("numerical abort: iteration ")
         assert lines[1].startswith("step report: StepReport(")
         assert "fdistill_loss=None" not in lines[1] and "fdistill_loss=" in lines[1]
+
+    def test_overflowing_final_samples_exit_3_and_write_nothing(self, tmp_path):
+        """One generator step at lr 1e308 leaves outputs that overflow only
+        in the final samples draw; with metrics off, that draw is the run's
+        only evaluation after the step, and it aborts like any other."""
+        cfg = write_config(tmp_path, {"teacher": "ring8", "lr_generator": 1e308,
+                                      "total_iters": 1, "tau": 1, "metrics_interval": 0})
+        out = tmp_path / "o"
+        proc = run_python(WARNINGS_SHOWN_MAIN, ["train", "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2, proc.stderr
+        assert lines[0] == "numerical abort: iteration 1: non-finite generator output"
+        assert lines[1].startswith("step report: StepReport(")
+        assert "fdistill_loss=None" not in lines[1] and "fdistill_loss=" in lines[1]
+        assert not (out / "samples.csv").exists()
+        assert not (out / "checkpoint_final.fdst").exists()
 
 
 class TestGradcheckCommand:
@@ -867,6 +969,14 @@ class TestCheckpointFormat:
             ckpt.load_checkpoint(path)
 
 
+# `fdistill.cli.main` with numpy's RuntimeWarnings printed to stderr, as they
+# are outside pytest.
+WARNINGS_SHOWN_MAIN = ("import sys, warnings\n"
+                       "warnings.simplefilter('default')\n"
+                       "from fdistill.cli import main\n"
+                       "sys.exit(main(sys.argv[1:]))\n")
+
+
 def run_python(script, args, env=None, via_shell=False):
     """Run `script` in a fresh interpreter that imports this checkout's package;
     `via_shell` starts it as the child of a shell rather than of this process."""
@@ -1035,6 +1145,24 @@ class TestModesBlocks:
         proc = run_python(script, [cfg, out])
         assert proc.stderr == ""
         assert proc.stdout.strip().splitlines()[-1] == "[0, 0] 0"
+
+    @pytest.mark.parametrize("student", [{}, {"generator_kind": "affine"}],
+                             ids=["mlp", "affine"])
+    def test_overflowing_checkpoint_counts_nothing_silently(self, tmp_path, student):
+        """A checkpoint written one step before the run aborts holds a
+        generator whose outputs overflow to inf or NaN in the forward pass;
+        `modes` counts none of them in a ball and prints no numpy warning."""
+        cfg = write_config(tmp_path, {
+            "teacher": "ring8", "lr_generator": 1e308, "total_iters": 2, "tau": 1,
+            "metrics_interval": 0, "checkpoint_interval": 1, "modes": {"n_samples": 4096},
+            **student})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
+        proc = run_python(WARNINGS_SHOWN_MAIN, [
+            "modes", "--config", cfg, "--out", str(out),
+            "--checkpoint", str(out / "checkpoint_0000001.fdst")])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads((out / "modes.json").read_text())["modes_covered"] == 0
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")

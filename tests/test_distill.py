@@ -1,6 +1,7 @@
 """Training loop: weighting path, normalizations, sign convention, schedule."""
 
 import copy
+import dataclasses
 import functools
 import math
 
@@ -300,6 +301,20 @@ class TestTrainStep:
         assert err.value.report is not None and err.value.report.iteration == 0
         assert state.iteration == 0
 
+    def test_non_finite_parameters_abort_with_the_step_report(self):
+        """An infinite learning rate leaves every generator output finite but
+        makes the updated parameters non-finite; the abort names the
+        iteration first and carries the report of the step that ran."""
+        cfg = gaussian_cfg()
+        teacher = tc.make_teacher(cfg.teacher)
+        state = distill.init_state(cfg, teacher)
+        state.opt_generator.state = dataclasses.replace(state.opt_generator.state, lr=math.inf)
+        with pytest.raises(TrainingDiverged,
+                           match="^iteration 0: non-finite generator parameters") as err:
+            distill.train_step(state, cfg, teacher, cfg.schedule())
+        assert err.value.report.updated == ("generator",)
+        assert err.value.report.fdistill_loss is not None
+
     def test_noise_is_drawn_on_generator_iterations_only(self):
         """The auxiliary step never reads the output noise, so it is drawn
         only where iteration % tau == 0, from the same stream as before."""
@@ -325,7 +340,7 @@ class TestTrainStep:
             metrics_interval=0,
             seed=7,
         )
-        state, metrics = distill.train(cfg)
+        state, metrics, _ = distill.train(cfg)
         assert state.iteration == 6
         assert metrics == []
 
@@ -343,14 +358,14 @@ class TestTrainStep:
             metrics_interval=0,
             seed=9,
         )
-        state, _ = distill.train(cfg)
+        state, _, _ = distill.train(cfg)
         assert state.iteration == 4
 
 
 class TestTrain:
     def test_zero_iterations(self):
         cfg = gaussian_cfg(total_iters=0)
-        state, metrics = distill.train(cfg)
+        state, metrics, _ = distill.train(cfg)
         assert state.iteration == 0
         assert metrics == []
 
@@ -367,8 +382,8 @@ class TestTrain:
             metrics_centers=64,
             seed=11,
         )
-        _, m1 = distill.train(cfg)
-        _, m2 = distill.train(cfg)
+        _, m1, _ = distill.train(cfg)
+        _, m2, _ = distill.train(cfg)
         assert [row["iteration"] for row in m1] == [4, 8]
         for r1, r2 in zip(m1, m2):
             assert r1.keys() == r2.keys()
@@ -502,7 +517,7 @@ class TestCheckpointBridge:
             divergence="jensen-shannon", batch_size=32, time_bins=4, total_iters=7,
             tau=3, teacher=SINGLE_2D, metrics_interval=0, seed=17,
         )
-        state, _ = distill.train(cfg)
+        state, _, _ = distill.train(cfg)
         path = tmp_path / "state.fdst"
         save_checkpoint(path, cfg.to_dict(), state.iteration, distill.state_payloads(state))
         config_echo, iteration, payloads = load_checkpoint(path)

@@ -79,6 +79,15 @@ class TestClosedFormAnchors:
         with pytest.raises(DomainError):
             dv.weight_h("reverse-kl", np.nan)
 
+    def test_non_positive_ratio_error_is_one_line(self):
+        """A training batch with an underflowed ratio aborts with one stderr
+        line, however long the batch."""
+        r = np.ones(100)
+        r[[3, 50]] = 0.0
+        with pytest.raises(DomainError) as err:
+            dv.weight_h("reverse-kl", r)
+        assert str(err.value) == "ratio r must be > 0, got 0.0 (2 of 100 values)"
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError, match="unsupported divergence"):
             dv.catalog("total-variation")

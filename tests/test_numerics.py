@@ -243,6 +243,12 @@ class TestRowBlocks:
             assert len(lengths) == k
             assert all(length >= rows and abs(length - n / k) < 64 for length in lengths)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 5000), rows=st.integers(1, 3000))
+    def test_rows_are_rounded_to_a_multiple_of_64(self, n, rows):
+        """Any `rows` is rounded down to a multiple of 64, never below 64."""
+        assert nm.row_blocks(n, rows) == nm.row_blocks(n, max(64, rows // 64 * 64))
+
     def test_default_block_length(self):
         assert nm.row_blocks(5000) == [(0, 1216), (1216, 2496), (2496, 3712), (3712, 5000)]
         assert nm.row_blocks(2047) == [(0, 2047)]
