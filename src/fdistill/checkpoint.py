@@ -17,14 +17,15 @@ Layout (all integers little-endian):
     checksum         u64 over every preceding byte: CRC-32 (zlib.crc32,
                      zero-extended)
 
-The fifth Adam float is the weight-decay slot of earlier writers; it is
-always written as 0.0. Round trips are bitwise lossless; loads reject bad
+beta1, beta2 and eps are the constants `nets.ADAM_BETA1`, `ADAM_BETA2` and
+`ADAM_EPS`, and the fifth Adam float is the weight-decay slot of earlier
+writers, always 0.0. Round trips are bitwise lossless; loads reject bad
 magic, any version but 2 (version 1, checksummed with FNV-1a, included),
 truncation, checksum mismatches, text fields that are not UTF-8, a config
-echo that is not a JSON object and a non-zero weight decay, each with
-`CheckpointError`. A save writes a hidden temporary file in the target
-directory and renames it over the target, so a reader never sees a partial
-checkpoint.
+echo that is not a JSON object and Adam slots other than 0.9 / 0.999 / 1e-8 /
+0.0, each with `CheckpointError`. A save writes a hidden temporary file in
+the target directory and renames it over the target, so a reader never sees a
+partial checkpoint.
 """
 
 import contextlib
@@ -37,18 +38,22 @@ import zlib
 import numpy as np
 
 from .errors import CheckpointError
-from .nets import AdamState
+from .nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam
 
 __all__ = ["MAGIC", "VERSION", "NetworkPayload", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"FDST"
 VERSION = 2
+# The four Adam slots after the learning rate, each (name, the one value
+# written and accepted).
+_FIXED_ADAM_SLOTS = (("Adam beta1", ADAM_BETA1), ("Adam beta2", ADAM_BETA2),
+                     ("Adam eps", ADAM_EPS), ("Adam weight decay", 0.0))
 
 
 class NetworkPayload:
     """Name, layer widths, flat parameters, and optimizer state of one net."""
 
-    def __init__(self, name: str, widths, params: np.ndarray, adam: AdamState):
+    def __init__(self, name: str, widths, params: np.ndarray, adam: Adam):
         self.name = name
         self.widths = tuple(int(w) for w in widths)
         self.params = np.asarray(params, dtype="<f8")
@@ -69,7 +74,7 @@ def _header_and_arrays(config_dict: dict, iteration: int, networks):
         yield struct.pack("<Q", net.params.size)
         yield np.ascontiguousarray(net.params, dtype="<f8")
         a = net.adam
-        yield struct.pack("<Q5d", a.step, a.lr, a.beta1, a.beta2, a.eps, 0.0)
+        yield struct.pack("<Q5d", a.step, a.lr, *(value for _, value in _FIXED_ADAM_SLOTS))
         yield np.ascontiguousarray(a.m, dtype="<f8")
         yield np.ascontiguousarray(a.v, dtype="<f8")
 
@@ -161,13 +166,12 @@ def load_checkpoint(path):
         n_params = reader.u64()
         params = reader.f64s(n_params)
         step = reader.u64()
-        lr, beta1, beta2, eps, decay = struct.unpack("<5d", reader.take(40))
-        if decay != 0.0:
-            raise CheckpointError(f"network {name!r} has Adam weight decay {decay!r}; "
-                                  "only 0.0 is supported")
-        m = reader.f64s(n_params)
-        v = reader.f64s(n_params)
-        adam = AdamState(m=m, v=v, step=step, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        lr, *slots = struct.unpack("<5d", reader.take(40))
+        for (what, fixed), value in zip(_FIXED_ADAM_SLOTS, slots):
+            if value != fixed:
+                raise CheckpointError(f"network {name!r} has {what} {value!r}; "
+                                      f"only {fixed!r} is supported")
+        adam = Adam(m=reader.f64s(n_params), v=reader.f64s(n_params), step=step, lr=lr)
         networks.append(NetworkPayload(name, widths, params, adam))
     if reader.pos != len(body):
         raise CheckpointError("trailing bytes after checkpoint payload")

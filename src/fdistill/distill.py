@@ -26,24 +26,18 @@ import numbers
 import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from . import rng as rngmod
-from .divergence import KINDS, DivergenceSpec, catalog, weight_h
+from .divergence import KINDS, weight_h
 from .errors import CheckpointError, ConfigError, DomainError, NumericsError, TrainingDiverged
-from .nets import HIDDEN_WIDTHS, Adam, FeedForwardNet, backward, forward, init_net, predict
-from .ratio_gan import (
-    Discriminator,
-    RatioClip,
-    clipped_log_ratio,
-    disc_init,
-    disc_update,
-    gan_generator_grad,
-)
-from .scorematch import Denoiser, denoiser_init, dsm_update, fake_score
+from .nets import (HIDDEN_WIDTHS, Adam, ConditionedNet, FeedForwardNet, adam_init, adam_step,
+                   backward, conditioned_init, forward, init_net, predict)
+from .ratio_gan import RatioClip, clipped_log_ratio, disc_update, gan_generator_grad
+from .scorematch import dsm_update, fake_score
 from .teacher import (
     AffineGenerator,
     IsotropicGaussianMixture,
@@ -168,8 +162,9 @@ class RunConfig:
     total_iters: int = _key(20000, integer(ge=0))
     tau: int = _key(5, integer(ge=1))
     gan_weight: float = _key(1e-3, number(ge=0))
-    r_min: float = _key(1e-3, number(gt=0, le=1))   # the ratio clip, see RatioClip
-    r_max: float = _key(1e3, number(ge=1))
+    # the ratio clip (see RatioClip); a bin-normalized ratio stays >= 1e-300
+    r_min: float = _key(1e-3, number(ge=1e-150, le=1))
+    r_max: float = _key(1e3, number(ge=1, le=1e150))
     time_bins: int = _key(8, integer(ge=1))
     normalize_stage1: bool = _key(True, BOOL)
     normalize_stage2: bool = _key(True, BOOL)
@@ -231,9 +226,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dict(vars(self))
-
-    def divergence_spec(self) -> DivergenceSpec:
-        return catalog(self.divergence)
 
     def ratio_clip(self) -> RatioClip:
         return RatioClip(self.r_min, self.r_max)
@@ -299,8 +291,8 @@ class MLPGenerator:
 @dataclass
 class TrainState:
     generator: Union[MLPGenerator, AffineGenerator]
-    denoiser: Denoiser
-    discriminator: Discriminator
+    denoiser: ConditionedNet
+    discriminator: ConditionedNet
     opt_generator: Adam
     opt_denoiser: Adam
     opt_discriminator: Adam
@@ -412,17 +404,17 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
         net = init_net((dim, *HIDDEN_WIDTHS, dim),
                        rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR), final=0.1)
         generator = MLPGenerator(net)
-    denoiser = denoiser_init(dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER),
-                             sigma_data=sigma_data)
-    disc = disc_init(dim, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR),
-                     sigma_data=sigma_data)
+    denoiser = conditioned_init(dim, dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER),
+                                sigma_data)
+    disc = conditioned_init(dim, 1, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR),
+                            sigma_data)
     return TrainState(
         generator=generator,
         denoiser=denoiser,
         discriminator=disc,
-        opt_generator=Adam(generator.params.size, cfg.lr_generator),
-        opt_denoiser=Adam(denoiser.net.params.size, cfg.lr_denoiser),
-        opt_discriminator=Adam(disc.net.params.size, cfg.lr_discriminator),
+        opt_generator=adam_init(generator.params.size, cfg.lr_generator),
+        opt_denoiser=adam_init(denoiser.net.params.size, cfg.lr_denoiser),
+        opt_discriminator=adam_init(disc.net.params.size, cfg.lr_discriminator),
     )
 
 
@@ -537,7 +529,7 @@ def generator_step(state: TrainState, cfg: RunConfig,
         r_used = normalize_stage1(r, bins)
     else:
         r_used = r
-    h = weight_h(cfg.divergence_spec(), r_used)
+    h = weight_h(cfg.divergence, r_used)
     h_used = normalize_stage2(h) if cfg.normalize_stage2 else h
 
     w = schedule.time_weight(batch.sigma)
@@ -553,7 +545,7 @@ def generator_step(state: TrainState, cfg: RunConfig,
         gan_loss = float(np.mean(np.logaddexp(0.0, -ell)))
 
     pgrad = state.generator.backward(ctx, out_grad)
-    state.generator.params = state.opt_generator.step(state.generator.params, pgrad)
+    state.generator.params = adam_step(state.opt_generator, state.generator.params, pgrad)
 
     report = StepReport(
         iteration=it,
@@ -678,10 +670,11 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
 
 
 def state_payloads(state: TrainState):
-    """Serializable (name, widths, params, adam) tuples for checkpointing."""
+    """Serializable (name, widths, params, adam) payloads for checkpointing: a
+    snapshot that later steps leave unchanged (see `nets.Adam`)."""
     from .checkpoint import NetworkPayload  # loaded at the first save, not before training
 
-    return [NetworkPayload(name, holder.widths, holder.params, opt.state)
+    return [NetworkPayload(name, holder.widths, holder.params, replace(opt))
             for name, holder, opt in _trained_nets(state)]
 
 
@@ -694,7 +687,7 @@ def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
         raise CheckpointError(f"checkpoint missing networks: {sorted(missing)}")
     teacher = make_teacher(cfg.teacher)
     state = init_state(cfg, teacher)
-    for name, holder, opt in _trained_nets(state):
+    for name, holder, _ in _trained_nets(state):
         payload = by_name[name]
         if payload.params.shape != holder.params.shape:
             raise CheckpointError(
@@ -702,7 +695,7 @@ def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
                 f"config implies {holder.params.size}"
             )
         holder.params = payload.params.copy()
-        opt.state = payload.adam
+        setattr(state, f"opt_{name}", replace(payload.adam))
     state.iteration = int(iteration)
     return state
 

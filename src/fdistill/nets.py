@@ -1,8 +1,9 @@
 """Fixed-topology MLP with explicit forward/backward passes and Adam.
 
 This is the whole network stack: the generator, the denoiser and the
-discriminator are all instances of `FeedForwardNet` with different heads,
-and every hidden layer uses the silu activation z * sigmoid(z).
+discriminator are all instances of `FeedForwardNet` with different heads
+(the latter two inside a sigma-conditioned `ConditionedNet`), and every
+hidden layer uses the silu activation z * sigmoid(z).
 Gradients are closed-form reverse mode for the scalar objective
 sum_batch output . output_grad; there is no autodiff graph. A second-order
 routine (`input_grad_param_grad`) differentiates the input gradient with
@@ -25,7 +26,7 @@ with a one-row weight (the scalar head) is a broadcast multiply that gives
 the bits of the matrix product.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -36,7 +37,8 @@ from .errors import DomainError, NumericsError
 __all__ = [
     "FeedForwardNet",
     "ForwardCache",
-    "AdamState",
+    "ConditionedNet",
+    "Adam",
     "param_count",
     "init_net",
     "forward",
@@ -46,7 +48,11 @@ __all__ = [
     "input_grad_param_grad",
     "adam_init",
     "adam_step",
+    "ADAM_BETA1",
+    "ADAM_BETA2",
+    "ADAM_EPS",
     "sigma_embedding",
+    "conditioned_init",
     "conditioned_input",
     "EMBED_DIM",
     "HIDDEN_WIDTHS",
@@ -411,13 +417,35 @@ def sigma_embedding(sigma) -> np.ndarray:
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
 
 
-def conditioned_input(x, sig, sigma_data):
-    """(rows [c_in x, sigma_embedding(sig)] of a sigma-conditioned net, c_in),
-    with the EDM whitening c_in = 1 / sqrt(sig^2 + sigma_data^2) (Karras et
-    al. 2022). `x` may stack batches that share the B levels `sig`, shape
-    (k B, dim); the embedding is computed once for all of them."""
+@dataclass
+class ConditionedNet:
+    """A net that reads rows [c_in x, sigma_embedding(sigma)] (see
+    `conditioned_input`): the denoiser (a dim-wide head) and the
+    discriminator (a scalar head)."""
+
+    net: FeedForwardNet
+    sigma_data: float
+
+    @property
+    def dim(self) -> int:
+        return self.net.widths[0] - EMBED_DIM
+
+
+def conditioned_init(dim, out, gen, sigma_data) -> ConditionedNet:
+    """He-initialized hidden layers and a zero head: the initial denoiser's
+    score is that of N(0, (sigma_data^2 + sigma^2) I), and the initial
+    discriminator's ratio estimate is exactly 1."""
+    net = init_net((dim + EMBED_DIM, *HIDDEN_WIDTHS, out), gen, final="zero")
+    return ConditionedNet(net=net, sigma_data=float(sigma_data))
+
+
+def conditioned_input(cnet: ConditionedNet, x, sig):
+    """(rows [c_in x, sigma_embedding(sig)] of `cnet`, c_in), with the EDM
+    whitening c_in = 1 / sqrt(sig^2 + sigma_data^2) (Karras et al. 2022).
+    `x` may stack batches that share the B levels `sig`, shape (k B, dim);
+    the embedding is computed once for all of them."""
     n, dim = sig.shape[0], x.shape[1]
-    c_in = 1.0 / np.sqrt(sig**2 + sigma_data**2)
+    c_in = 1.0 / np.sqrt(sig**2 + cnet.sigma_data**2)
     inp = np.empty((x.shape[0], dim + EMBED_DIM))
     blocks = inp.reshape(-1, n, dim + EMBED_DIM)
     blocks[:, :, :dim] = c_in[:, None] * x.reshape(-1, n, dim)
@@ -425,60 +453,55 @@ def conditioned_input(x, sig, sigma_data):
     return inp, c_in
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
-class AdamState:
+class Adam:
+    """One network's Adam moments, step count and learning rate. `adam_step`
+    rebinds `m` and `v` to fresh arrays and never writes into them, so a
+    shallow `dataclasses.replace` is a snapshot."""
+
     m: np.ndarray
     v: np.ndarray
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(n_params: int, lr: float) -> AdamState:
-    return AdamState(m=np.zeros(n_params), v=np.zeros(n_params), step=0, lr=lr)
+def adam_init(n_params: int, lr: float) -> Adam:
+    return Adam(m=np.zeros(n_params), v=np.zeros(n_params), step=0, lr=lr)
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
-    """One Adam update with bias correction.
+def adam_step(opt: Adam, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """One Adam update with bias correction; advances `opt`.
 
-    Functional: returns (new_params, new_state) with fresh arrays, so stale
-    forward caches can be detected by identity.
+    Returns the new parameters in a fresh array, so stale forward caches can
+    be detected by identity. A rejected gradient leaves `opt` unchanged.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    if params.shape != grads.shape or params.shape != opt.m.shape:
         raise DomainError("params, grads and moments must have equal length")
     if not np.isfinite(grads).all():
         raise NumericsError(
             f"non-finite gradient at index {int(np.argmin(np.isfinite(grads)))}"
         )
-    step = state.step + 1
+    step = opt.step + 1
     # The textbook expressions evaluated op for op in a few buffers.
-    tmp = np.multiply(grads, 1.0 - state.beta1)
-    m = np.multiply(state.m, state.beta1)
+    tmp = np.multiply(grads, 1.0 - ADAM_BETA1)
+    m = np.multiply(opt.m, ADAM_BETA1)
     m += tmp                                    # m = b1 m + (1 - b1) g
     np.square(grads, out=tmp)
-    tmp *= 1.0 - state.beta2
-    v = np.multiply(state.v, state.beta2)
+    tmp *= 1.0 - ADAM_BETA2
+    v = np.multiply(opt.v, ADAM_BETA2)
     v += tmp                                    # v = b2 v + (1 - b2) g^2
-    update = np.divide(v, 1.0 - state.beta2**step)
+    update = np.divide(v, 1.0 - ADAM_BETA2**step)
     np.sqrt(update, out=update)
-    update += state.eps
-    np.divide(m, 1.0 - state.beta1**step, out=tmp)
+    update += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**step, out=tmp)
     np.divide(tmp, update, out=update)          # m_hat / (sqrt(v_hat) + eps)
-    update *= state.lr
-    new_params = np.subtract(params, update, out=update)
-    return new_params, replace(state, m=m, v=v, step=step)
-
-
-class Adam:
-    """Mutable handle around AdamState for single-owner update loops."""
-
-    def __init__(self, n_params: int, lr: float):
-        self.state = adam_init(n_params, lr)
-
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        new_params, self.state = adam_step(self.state, params, grads)
-        return new_params
+    update *= opt.lr
+    opt.m, opt.v, opt.step = m, v, step
+    return np.subtract(params, update, out=update)

@@ -20,23 +20,11 @@ import numpy as np
 
 from ._numerics import sigma_batch, sigmoid, softplus
 from .errors import DomainError, NumericsError
-from .nets import (
-    EMBED_DIM,
-    HIDDEN_WIDTHS,
-    FeedForwardNet,
-    backward,
-    conditioned_input,
-    forward,
-    init_net,
-    input_grad_param_grad,
-    predict,
-    scalar_input_grad,
-)
+from .nets import (Adam, ConditionedNet, adam_step, backward, conditioned_input, forward,
+                   input_grad_param_grad, predict, scalar_input_grad)
 
 __all__ = [
-    "Discriminator",
     "RatioClip",
-    "disc_init",
     "logit",
     "clipped_log_ratio",
     "disc_update",
@@ -61,37 +49,21 @@ class RatioClip:
         return np.log(self.r_min), np.log(self.r_max)
 
 
-@dataclass
-class Discriminator:
-    net: FeedForwardNet
-    sigma_data: float = 1.0
-
-    @property
-    def dim(self) -> int:
-        return self.net.widths[0] - EMBED_DIM
-
-
-def disc_init(dim, gen, sigma_data=1.0) -> Discriminator:
-    # zero-initialized head: the initial ratio estimate is exactly 1
-    net = init_net((dim + EMBED_DIM, *HIDDEN_WIDTHS, 1), gen, final="zero")
-    return Discriminator(net=net, sigma_data=float(sigma_data))
-
-
-def _logit_cached(disc: Discriminator, x: np.ndarray, sig: np.ndarray):
-    inp, c_in = conditioned_input(x, sig, disc.sigma_data)
+def _logit_cached(disc: ConditionedNet, x: np.ndarray, sig: np.ndarray):
+    inp, c_in = conditioned_input(disc, x, sig)
     out, cache = forward(disc.net, inp)
     return out[:, 0], inp, cache, c_in
 
 
-def logit(disc: Discriminator, x, sigma) -> np.ndarray:
+def logit(disc: ConditionedNet, x, sigma) -> np.ndarray:
     """Raw logit of D(x, sigma), shape (B,)."""
     x = np.asarray(x, dtype=float)
     sig = sigma_batch(sigma, x.shape[0])
-    inp, _ = conditioned_input(x, sig, disc.sigma_data)
+    inp, _ = conditioned_input(disc, x, sig)
     return predict(disc.net, inp)[:, 0]
 
 
-def clipped_log_ratio(disc: Discriminator, x, sigma, clip: RatioClip) -> np.ndarray:
+def clipped_log_ratio(disc: ConditionedNet, x, sigma, clip: RatioClip) -> np.ndarray:
     """log of the clipped ratio estimate; stays in log space throughout."""
     ell = logit(disc, x, sigma)
     if not np.all(np.isfinite(ell)):
@@ -100,7 +72,7 @@ def clipped_log_ratio(disc: Discriminator, x, sigma, clip: RatioClip) -> np.ndar
     return np.clip(ell, lo, hi)
 
 
-def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
+def disc_update(disc: ConditionedNet, opt: Adam, real, fake, sigma, noise_real,
                 noise_fake, r1_gamma: float = 0.0) -> float:
     """One Adam step on the noised logistic loss with R1 on real inputs.
 
@@ -126,7 +98,7 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
     sig = sigma_batch(sigma, n)
     x = np.concatenate([real + sig[:, None] * np.asarray(noise_real, dtype=float),
                         fake + sig[:, None] * np.asarray(noise_fake, dtype=float)])
-    inp, c_in = conditioned_input(x, sig, disc.sigma_data)
+    inp, c_in = conditioned_input(disc, x, sig)
 
     out, cache = forward(disc.net, inp)
     ell_r, ell_f = out[:n, 0], out[n:, 0]
@@ -150,11 +122,11 @@ def disc_update(disc: Discriminator, adam, real, fake, sigma, noise_real,
 
     if not np.isfinite(loss):
         raise NumericsError("non-finite discriminator loss")
-    disc.net.params = adam.step(disc.net.params, pgrad)
+    disc.net.params = adam_step(opt, disc.net.params, pgrad)
     return loss
 
 
-def gan_generator_grad(disc: Discriminator, y, sigma, noise):
+def gan_generator_grad(disc: ConditionedNet, y, sigma, noise):
     """Gradient w.r.t. clean generator outputs y of the non-saturating
     generator GAN loss mean -log D(y + sigma eps).
 

@@ -11,39 +11,17 @@ mixed back as x0_hat = c_skip x + c_out F (the EDM parameterization, Karras et
 al. 2022), so one set of weights serves the whole sigma ladder.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._numerics import sigma_batch
 from .errors import DomainError, NumericsError
-from .nets import (
-    EMBED_DIM,
-    HIDDEN_WIDTHS,
-    FeedForwardNet,
-    backward,
-    conditioned_input,
-    forward,
-    init_net,
-    predict,
-)
+from .nets import (Adam, ConditionedNet, adam_step, backward, conditioned_input, forward,
+                   predict)
 
-__all__ = ["Denoiser", "denoiser_init", "denoise", "fake_score", "dsm_update"]
+__all__ = ["denoise", "fake_score", "dsm_update"]
 
 
-@dataclass
-class Denoiser:
-    net: FeedForwardNet
-    sigma_data: float = 1.0
-
-
-def denoiser_init(dim, gen, sigma_data=1.0) -> Denoiser:
-    # zero-initialized head: the initial score is that of N(0, (sigma_data^2+sigma^2) I)
-    net = init_net((dim + EMBED_DIM, *HIDDEN_WIDTHS, dim), gen, final="zero")
-    return Denoiser(net=net, sigma_data=float(sigma_data))
-
-
-def _coeffs(den: Denoiser, sig: np.ndarray):
+def _coeffs(den: ConditionedNet, sig: np.ndarray):
     """(c_skip, c_out); the input whitening c_in is `nets.conditioned_input`'s."""
     # c_out ~ sigma^2: the raw net output is a whitened score residual, so the
     # 1/sigma^2 DSM weight exerts uniform pressure on score accuracy across
@@ -55,10 +33,10 @@ def _coeffs(den: Denoiser, sig: np.ndarray):
     return c_skip, c_out
 
 
-def _denoise(den: Denoiser, x: np.ndarray, sig: np.ndarray, cached: bool):
+def _denoise(den: ConditionedNet, x: np.ndarray, sig: np.ndarray, cached: bool):
     """x0_hat with (cache, c_out) for a backward pass when `cached`, else
     with (None, c_out)."""
-    inp, _ = conditioned_input(x, sig, den.sigma_data)
+    inp, _ = conditioned_input(den, x, sig)
     c_skip, c_out = _coeffs(den, sig)
     if cached:
         raw, cache = forward(den.net, inp)
@@ -68,7 +46,7 @@ def _denoise(den: Denoiser, x: np.ndarray, sig: np.ndarray, cached: bool):
     return x0_hat, cache, c_out
 
 
-def denoise(den: Denoiser, x, sigma) -> np.ndarray:
+def denoise(den: ConditionedNet, x, sigma) -> np.ndarray:
     """Predicted clean samples x0_hat(x, sigma)."""
     x = np.asarray(x, dtype=float)
     sig = sigma_batch(sigma, x.shape[0])
@@ -82,7 +60,7 @@ def fake_score(den, x, sigma) -> np.ndarray:
     """Tweedie conversion (x0_hat - x) / sigma^2.
 
     Accepts anything with a denoise(x, sigma) method (e.g. analytic ideal
-    denoisers in tests) in addition to Denoiser.
+    denoisers in tests) in addition to a `ConditionedNet` denoiser.
     """
     x = np.asarray(x, dtype=float)
     sig = sigma_batch(sigma, x.shape[0])
@@ -90,14 +68,15 @@ def fake_score(den, x, sigma) -> np.ndarray:
         raise DomainError("score undefined at zero noise for denoiser parameterization")
     if np.any(sig < 0.0):
         raise DomainError("sigma must be >= 0")
-    if isinstance(den, Denoiser):
+    if isinstance(den, ConditionedNet):
         x0_hat = denoise(den, x, sig)
     else:
         x0_hat = np.asarray(den.denoise(x, sig), dtype=float)
     return (x0_hat - x) / (sig**2)[:, None]
 
 
-def dsm_update(den: Denoiser, adam, x0, sigma, noise, sigma_cap: float = 0.002) -> float:
+def dsm_update(den: ConditionedNet, opt: Adam, x0, sigma, noise,
+               sigma_cap: float = 0.002) -> float:
     """One Adam step of denoising score matching on generator outputs.
 
     Loss: mean_i w_i ||x0_hat(x0_i + sigma_i eps_i, sigma_i) - x0_i||^2 with
@@ -121,5 +100,5 @@ def dsm_update(den: Denoiser, adam, x0, sigma, noise, sigma_cap: float = 0.002) 
         raise NumericsError("non-finite DSM loss: training has diverged")
     out_grad = (2.0 / n) * (w * c_out)[:, None] * resid
     pgrad, _ = backward(den.net, cache, out_grad, input_grad=False)
-    den.net.params = adam.step(den.net.params, pgrad)
+    den.net.params = adam_step(opt, den.net.params, pgrad)
     return loss

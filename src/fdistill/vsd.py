@@ -13,6 +13,7 @@ update bit for bit on shared randomness.
 
 import numpy as np
 
+from .nets import adam_step
 from .teacher import score
 
 __all__ = ["vsd_generator_signal", "vsd_generator_step"]
@@ -43,4 +44,4 @@ def vsd_generator_step(state, cfg, teacher, schedule, batch) -> None:
     w = schedule.time_weight(batch.sigma)
     g = vsd_generator_signal(ts, fs, w)
     pgrad = state.generator.backward(ctx, -g / n)
-    state.generator.params = state.opt_generator.step(state.generator.params, pgrad)
+    state.generator.params = adam_step(state.opt_generator, state.generator.params, pgrad)

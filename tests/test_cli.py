@@ -8,6 +8,7 @@ import math
 import os
 import pkgutil
 import re
+import runpy
 import struct
 import subprocess
 import sys
@@ -117,11 +118,14 @@ class TestConfigHandling:
         ("sigma_min", {"sigma_min": 1e-200, **AFFINE_EXACT}),
         ("sigma_min", {"sigma_min": 1e-200, "ratio_source": "exact-oracle"}),
         ("sigma_max", {"sigma_max": 1e200, **AFFINE_EXACT}),
-    ], ids=["sigma_min-affine", "sigma_min-mlp", "sigma_max-affine"])
+        ("r_min", {"r_min": 1e-151}),
+        ("r_max", {"r_max": 1e151}),
+    ], ids=["sigma_min-affine", "sigma_min-mlp", "sigma_max-affine", "r_min", "r_max"])
     def test_sigma_whose_square_leaves_the_float_range_exits_2(self, tmp_path, capsys,
                                                                key, overrides):
         """sigma**2 or sigma**-2 of these overflows or underflows once training
-        runs; the schema rejects the value before any step."""
+        runs, and a ratio clip this wide can normalize a ratio to 0; the
+        schema rejects the value before any step."""
         cfg = write_config(tmp_path, {"teacher": "ring8", "tau": 2, "total_iters": 3,
                                       **overrides})
         code = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -135,7 +139,9 @@ class TestConfigHandling:
         {"sigma_max": 1e150, **AFFINE_EXACT},
         {"sigma_min": 1e-150, "ratio_source": "exact-oracle"},
         {"sigma_max": 1e150},
-    ], ids=["sigma_min-affine", "sigma_max-affine", "sigma_min-mlp", "sigma_max-mlp"])
+        {"r_min": 1e-150, "r_max": 1e150, "ratio_source": "exact-oracle"},
+    ], ids=["sigma_min-affine", "sigma_max-affine", "sigma_min-mlp", "sigma_max-mlp",
+            "ratio_clip"])
     def test_sigma_at_its_bound_trains(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, {"teacher": "ring8", "tau": 2, "total_iters": 6,
                                       **overrides})
@@ -352,8 +358,8 @@ RUNS = st.fixed_dictionaries({
     "lr_discriminator": LEARNING_RATES,
     "gan_weight": TERM_WEIGHTS,
     "r1_gamma": TERM_WEIGHTS,
-    "r_min": st.sampled_from([5e-324, 1e-300, 1e-3, 1.0]),
-    "r_max": st.sampled_from([1.0, 1e3, 1e300, sys.float_info.max]),
+    "r_min": st.sampled_from([1e-150, 1e-100, 1e-3, 1.0]),   # the schema allows 1e-150 to 1
+    "r_max": st.sampled_from([1.0, 1e3, 1e100, 1e150]),     # and 1 to 1e150
     "normalize_stage1": st.booleans(),
     "normalize_stage2": st.booleans(),
     "tau": st.integers(1, 2),
@@ -883,17 +889,33 @@ class TestCheckpointFormat:
         assert err.startswith("error: unsupported checkpoint version 1 ")
         assert len(err.strip().splitlines()) == 1
 
-    def test_weight_decay_slot_written_as_zero_and_nonzero_rejected(self, tmp_path):
+    def test_weight_decay_slot_written_as_zero_and_nonzero_rejected(self, tmp_path, capsys):
+        """The four Adam slots after the learning rate (beta1, beta2, eps and
+        the weight decay of earlier writers) are written as the constants
+        0.9, 0.999, 1e-8 and 0.0; a file holding any other value there is
+        refused by the loader and by `fdistill modes`, with one error line."""
         path = tmp_path / "x.fdst"
         nets = self._payload()
         ckpt.save_checkpoint(path, {}, 0, nets)
-        data = bytearray(path.read_bytes())
-        slot = len(data) - 8 - 2 * 8 * nets[0].params.size - 8   # before the m and v moments
-        assert struct.unpack_from("<d", data, slot)[0] == 0.0
-        struct.pack_into("<d", data, slot, 0.01)
-        path.write_bytes(with_valid_checksum(bytes(data[:-8])))
-        with pytest.raises(CheckpointError, match="weight decay 0.01"):
-            ckpt.load_checkpoint(path)
+        data = path.read_bytes()
+        end = len(data) - 8 - 2 * 8 * nets[0].params.size   # before the m and v moments
+        assert struct.unpack_from("<4d", data, end - 32) == (0.9, 0.999, 1e-8, 0.0)
+        cfg = write_config(tmp_path, TINY_TRAIN)
+        for index, (value, message) in enumerate([(0.5, "Adam beta1 0.5"),
+                                                  (0.9, "Adam beta2 0.9"),
+                                                  (1.0, "Adam eps 1.0"),
+                                                  (0.01, "Adam weight decay 0.01")]):
+            changed = bytearray(data)
+            struct.pack_into("<d", changed, end - 32 + 8 * index, value)
+            path.write_bytes(with_valid_checksum(bytes(changed[:-8])))
+            with pytest.raises(CheckpointError, match=f"{message}; only "):
+                ckpt.load_checkpoint(path)
+            code = cli.main(["modes", "--config", cfg, "--out", str(tmp_path / "o"),
+                             "--checkpoint", str(path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: network 'generator' has {message}; only ")
+            assert len(err.strip().splitlines()) == 1
 
     def test_save_is_atomic(self, tmp_path, monkeypatch):
         """A failed save leaves the previous file whole and no temporary
@@ -1060,6 +1082,17 @@ class TestPublicNames:
             assert getattr(fdistill, name) is getattr(
                 importlib.import_module(f"fdistill.{home}"), name)
         assert set(fdistill.__all__) == {*fdistill._EXPORTS, "__version__"}
+
+    def test_every_traced_name_is_callable(self):
+        """The benchmark's tracer wraps each function of its `TRACED` table,
+        so a refactor that drops or renames one fails here, not only in a
+        traced benchmark run. The table is read without importing `bench`."""
+        tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        traced = runpy.run_path(str(tracing))["TRACED"]
+        missing = [f"{module}.{name}" for module, names in traced.items() for name in names
+                   if not callable(getattr(importlib.import_module(f"fdistill.{module}"),
+                                           name, None))]
+        assert not missing
 
 
 def modes_report(cfg, out, checkpoint, n_samples, tmp_path):

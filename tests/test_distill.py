@@ -1,7 +1,6 @@
 """Training loop: weighting path, normalizations, sign convention, schedule."""
 
 import copy
-import dataclasses
 import functools
 import math
 
@@ -254,9 +253,7 @@ class TestVsdEquivalence:
         vsd.vsd_generator_step(state_b, cfg, teacher, schedule, batch)
 
         np.testing.assert_array_equal(state_a.generator.params, state_b.generator.params)
-        np.testing.assert_array_equal(
-            state_a.opt_generator.state.m, state_b.opt_generator.state.m
-        )
+        np.testing.assert_array_equal(state_a.opt_generator.m, state_b.opt_generator.m)
 
 
 class TestTrainStep:
@@ -308,7 +305,7 @@ class TestTrainStep:
         cfg = gaussian_cfg()
         teacher = tc.make_teacher(cfg.teacher)
         state = distill.init_state(cfg, teacher)
-        state.opt_generator.state = dataclasses.replace(state.opt_generator.state, lr=math.inf)
+        state.opt_generator.lr = math.inf
         with pytest.raises(TrainingDiverged,
                            match="^iteration 0: non-finite generator parameters") as err:
             distill.train_step(state, cfg, teacher, cfg.schedule())
@@ -528,10 +525,32 @@ class TestCheckpointBridge:
         np.testing.assert_array_equal(
             restored.denoiser.net.params, state.denoiser.net.params
         )
-        np.testing.assert_array_equal(
-            restored.opt_discriminator.state.v, state.opt_discriminator.state.v
-        )
+        np.testing.assert_array_equal(restored.opt_discriminator.v, state.opt_discriminator.v)
         assert restored.iteration == state.iteration
+
+    def test_payloads_are_a_snapshot(self):
+        """A later step leaves the payloads taken before it unchanged: the
+        parameters, both Adam moments and the step count."""
+        cfg = distill.RunConfig(
+            divergence="jensen-shannon", batch_size=32, time_bins=4, tau=3,
+            teacher=SINGLE_2D, metrics_interval=0, seed=23,
+        )
+        teacher = tc.make_teacher(cfg.teacher)
+        schedule = cfg.schedule()
+        state = distill.init_state(cfg, teacher)
+        for _ in range(4):
+            distill.train_step(state, cfg, teacher, schedule)
+
+        def contents(payloads):
+            return [(p.params.tobytes(), p.adam.m.tobytes(), p.adam.v.tobytes(), p.adam.step)
+                    for p in payloads]
+
+        payloads = distill.state_payloads(state)
+        before = contents(payloads)
+        for _ in range(3):   # a generator and an auxiliary step both run
+            distill.train_step(state, cfg, teacher, schedule)
+        assert contents(payloads) == before
+        assert contents(distill.state_payloads(state)) != before
 
     def test_resume_is_bitwise_identical(self, tmp_path):
         from fdistill.checkpoint import load_checkpoint, save_checkpoint

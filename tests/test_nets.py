@@ -514,16 +514,16 @@ class TestInputGradParamGrad:
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        state = nets.adam_init(4, lr=0.1)
+        opt = nets.adam_init(4, lr=0.1)
         params = np.array([1.0, -2.0, 0.5, 3.0])
-        new_params, new_state = nets.adam_step(state, params, np.zeros(4))
+        new_params = nets.adam_step(opt, params, np.zeros(4))
         np.testing.assert_array_equal(new_params, params)
-        assert new_state.step == 1
+        assert opt.step == 1
 
     def test_first_step_is_bias_corrected_unit_step(self):
-        state = nets.adam_init(1, lr=0.1)
+        opt = nets.adam_init(1, lr=0.1)
         params = np.array([5.0])
-        new_params, _ = nets.adam_step(state, params, np.array([1.0]))
+        new_params = nets.adam_step(opt, params, np.array([1.0]))
         assert new_params[0] == pytest.approx(5.0 - 0.1, abs=1e-8)
 
     def test_identical_inputs_identical_updates(self):
@@ -531,42 +531,50 @@ class TestAdam:
         params = gen.standard_normal(10)
         grads = gen.standard_normal(10)
         a1, a2 = nets.adam_init(10, lr=0.01), nets.adam_init(10, lr=0.01)
-        p1, _ = nets.adam_step(a1, params.copy(), grads.copy())
-        p2, _ = nets.adam_step(a2, params.copy(), grads.copy())
+        p1 = nets.adam_step(a1, params.copy(), grads.copy())
+        p2 = nets.adam_step(a2, params.copy(), grads.copy())
         np.testing.assert_array_equal(p1, p2)
 
     def test_matches_textbook_update_bitwise(self):
+        """The textbook update with the module's constant betas and eps; the
+        step returns fresh arrays and leaves the ones held before it as they
+        were, parameters and moments alike."""
         gen = rngmod.stream(5, 2)
-        state = nets.adam_init(50, lr=2e-3)
+        opt = nets.adam_init(50, lr=2e-3)
+        b1, b2, eps = nets.ADAM_BETA1, nets.ADAM_BETA2, nets.ADAM_EPS
+        assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
         params = gen.standard_normal(50)
         for _ in range(3):
             grads = gen.standard_normal(50)
-            b1, b2, step = state.beta1, state.beta2, state.step + 1
-            m = b1 * state.m + (1.0 - b1) * grads
-            v = b2 * state.v + (1.0 - b2) * grads**2
-            update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + state.eps)
-            expected = params - state.lr * update
-            old_m, old_v = state.m.copy(), state.v.copy()
-            new_params, new_state = nets.adam_step(state, params, grads)
+            step = opt.step + 1
+            m = b1 * opt.m + (1.0 - b1) * grads
+            v = b2 * opt.v + (1.0 - b2) * grads**2
+            update = (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+            expected = params - opt.lr * update
+            held = (params, opt.m, opt.v)
+            copies = [a.copy() for a in held]
+            new_params = nets.adam_step(opt, params, grads)
             assert new_params.tobytes() == expected.tobytes()
-            assert new_state.m.tobytes() == m.tobytes()
-            assert new_state.v.tobytes() == v.tobytes()
-            assert new_params is not params and new_state.m is not state.m
-            np.testing.assert_array_equal(state.m, old_m)
-            np.testing.assert_array_equal(state.v, old_v)
-            params, state = new_params, new_state
+            assert opt.m.tobytes() == m.tobytes()
+            assert opt.v.tobytes() == v.tobytes()
+            assert opt.step == step
+            assert all(new is not old for new, old in zip((new_params, opt.m, opt.v), held))
+            for old, copy in zip(held, copies):
+                assert old.tobytes() == copy.tobytes()
+            params = new_params
 
     def test_nonfinite_gradient_reports_index(self):
-        state = nets.adam_init(3, lr=0.1)
+        opt = nets.adam_init(3, lr=0.1)
         grads = np.array([0.0, np.nan, 0.0])
         with pytest.raises(NumericsError, match="index 1"):
-            nets.adam_step(state, np.zeros(3), grads)
+            nets.adam_step(opt, np.zeros(3), grads)
+        assert opt.step == 0
 
     def test_first_nonfinite_index_reported(self):
-        state = nets.adam_init(5, lr=0.1)
+        opt = nets.adam_init(5, lr=0.1)
         grads = np.array([1.0, 2.0, -np.inf, np.nan, np.inf])
         with pytest.raises(NumericsError, match="index 2"):
-            nets.adam_step(state, np.zeros(5), grads)
+            nets.adam_step(opt, np.zeros(5), grads)
 
 
 class TestSigmaEmbedding:

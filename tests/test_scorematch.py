@@ -47,7 +47,7 @@ class TestFakeScore:
     def test_identity_net_scores_zero(self):
         dim = 2
         # exact construction (see TestExactConstruction): c_skip = 1, zero head
-        den = sm.denoiser_init(dim, rngmod.stream(1, 1), sigma_data=2**30)
+        den = nets.conditioned_init(dim, dim, rngmod.stream(1, 1), 2**30)
         x = rngmod.stream(1, 2).standard_normal((8, dim))
         np.testing.assert_allclose(sm.fake_score(den, x, 0.7), np.zeros_like(x), atol=1e-14)
 
@@ -58,7 +58,7 @@ class TestFakeScore:
 
     def test_continuity_in_sigma(self):
         gen = rngmod.stream(1, 3)
-        den = sm.denoiser_init(2, gen, sigma_data=1.0)
+        den = nets.conditioned_init(2, 2, gen, 1.0)
         x = gen.standard_normal((32, 2)) * 3.0
         for sigma in (0.05, 0.5, 5.0):
             a = sm.fake_score(den, x, sigma)
@@ -69,7 +69,7 @@ class TestFakeScore:
     def test_zero_init_denoiser_scores_like_prior(self):
         """Zero head + preconditioning: score of N(0, (sigma_d^2+sigma^2) I)."""
         gen = rngmod.stream(1, 4)
-        den = sm.denoiser_init(2, gen, sigma_data=2.0)
+        den = nets.conditioned_init(2, 2, gen, 2.0)
         x = gen.standard_normal((16, 2))
         got = sm.fake_score(den, x, 0.5)
         np.testing.assert_allclose(got, -x / (4.0 + 0.25), rtol=1e-12)
@@ -78,11 +78,11 @@ class TestFakeScore:
 class TestDsmUpdate:
     def _raw_identity_denoiser(self, dim):
         """x0_hat(x, sigma) = x exactly for sigma^2 < 128 (TestExactConstruction)."""
-        return sm.denoiser_init(dim, rngmod.stream(1, 1), sigma_data=2**30)
+        return nets.conditioned_init(dim, dim, rngmod.stream(1, 1), 2**30)
 
     def test_perfect_denoiser_zero_noise_no_update(self):
         den = self._raw_identity_denoiser(2)
-        adam = nets.Adam(den.net.params.size, lr=0.1)
+        adam = nets.adam_init(den.net.params.size, lr=0.1)
         x0 = rngmod.stream(2, 1).standard_normal((16, 2))
         before = den.net.params.copy()
         loss = sm.dsm_update(den, adam, x0, np.full(16, 0.3), np.zeros((16, 2)))
@@ -100,8 +100,8 @@ class TestDsmUpdate:
         drops = []
         for seed in range(5):
             gen = rngmod.stream(seed, 0xA)
-            den = sm.denoiser_init(2, gen, sigma_data=teacher.per_coord_std())
-            adam = nets.Adam(den.net.params.size, lr=2e-3)
+            den = nets.conditioned_init(2, 2, gen, teacher.per_coord_std())
+            adam = nets.adam_init(den.net.params.size, lr=2e-3)
             x0 = tc.sample(teacher, 256, seed=seed, counter=99)
             losses = []
             for step in range(500):
@@ -115,7 +115,7 @@ class TestDsmUpdate:
 
     def test_misaligned_batches_rejected(self):
         den = self._raw_identity_denoiser(2)
-        adam = nets.Adam(den.net.params.size, lr=0.1)
+        adam = nets.adam_init(den.net.params.size, lr=0.1)
         with pytest.raises(DomainError):
             sm.dsm_update(den, adam, np.zeros((4, 2)), np.full(4, 1.0), np.zeros((3, 2)))
 
@@ -127,8 +127,8 @@ class TestScoreRecovery:
         student = tc.AffineGenerator(scale=1.2, bias=np.array([0.8, -0.4]))
         sched = tc.NoiseSchedule()
         gen = rngmod.stream(31, 0xB)
-        den = sm.denoiser_init(2, gen, sigma_data=1.2)
-        adam = nets.Adam(den.net.params.size, lr=1e-2)
+        den = nets.conditioned_init(2, 2, gen, 1.2)
+        adam = nets.adam_init(den.net.params.size, lr=1e-2)
         batch = 1024
         for step in range(2000):
             z = gen.standard_normal((batch, 2))
@@ -161,20 +161,20 @@ class TestExactConstruction:
     @pytest.mark.parametrize("sigma", [0.002, 0.3, 0.5, 11.0])
     def test_coefficients_exact(self, sigma):
         sig = np.full(3, sigma)
-        den = sm.denoiser_init(2, rngmod.stream(1, 1), sigma_data=2**30)
+        den = nets.conditioned_init(2, 2, rngmod.stream(1, 1), 2**30)
         c_skip, c_out = sm._coeffs(den, sig)
         np.testing.assert_array_equal(c_skip, np.ones(3))
         np.testing.assert_array_equal(c_out, sig**2)
         # the whitening both the denoiser and the discriminator use
         x = rngmod.stream(1, 2).standard_normal((3, 2))
-        inp, c_in = nets.conditioned_input(x, sig, float(2**30))
+        inp, c_in = nets.conditioned_input(den, x, sig)
         np.testing.assert_array_equal(c_in, np.full(3, 2.0**-30))
         np.testing.assert_array_equal(inp[:, :2] * 2.0**30, x)
-        disc = rg.disc_init(2, rngmod.stream(1, 3), sigma_data=2**30)
+        disc = nets.conditioned_init(2, 1, rngmod.stream(1, 3), 2**30)
         np.testing.assert_array_equal(rg._logit_cached(disc, x, sig)[3], c_in)
 
     def test_breaks_once_sigma_squared_exceeds_128(self):
         # sigma^2 + 2**60 rounds up to 2**60 + 256, so c_skip is below 1
-        den = sm.denoiser_init(2, rngmod.stream(1, 1), sigma_data=2**30)
+        den = nets.conditioned_init(2, 2, rngmod.stream(1, 1), 2**30)
         c_skip, _ = sm._coeffs(den, np.full(1, 12.0))
         assert c_skip[0] < 1.0
