@@ -79,10 +79,11 @@ def _section_keys():
             "kinds": (list(KINDS), list_of(one_of(KINDS))),
         },
         "table": {
-            "r_min": (1e-2, number(gt=0)),
-            "r_max": (1e2, number(gt=0)),
+            # ratios within 1e+-100 keep every catalog f, f', f'' and h finite
+            "r_min": (1e-2, number(ge=1e-100, le=1e100)),
+            "r_max": (1e2, number(ge=1e-100, le=1e100)),
             "n_points": (200, integer(ge=1)),
-            "r_values": (None, optional(list_of(number(gt=0), nonempty=True))),
+            "r_values": (None, optional(list_of(number(ge=1e-100, le=1e100), nonempty=True))),
         },
         "weightmap": {
             "sigma": (0.5, number(ge=0)),
@@ -238,7 +239,10 @@ def _cmd_weightmap(cfg, params, out_dir: Path) -> int:
         student = make_teacher(params["student"])
         if student.dim != 2:
             raise ConfigError("weightmap.student", "weightmap requires a 2-D student")
-    axis = np.linspace(-params["bound"], params["bound"], params["resolution"])
+    # a bound past half the float range overflows the axis span; the map then
+    # refuses the non-finite points with one DomainError line
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = np.linspace(-params["bound"], params["bound"], params["resolution"])
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
     score_diff, h = weight_score_map(cfg.divergence, teacher, student, params["sigma"], grid)

@@ -10,8 +10,8 @@ routine (`input_grad_param_grad`) differentiates the input gradient with
 respect to the parameters, which is what the R1 penalty needs.
 
 `forward` keeps what the backward passes reuse (layer inputs,
-pre-activations, their sigmoids and, once asked for, the activation's
-derivatives and the reverse chain from a unit output gradient);
+pre-activations, their sigmoids and the activation's first derivatives,
+plus, once asked for, the reverse chain from a unit output gradient);
 `predict` computes the same output without keeping any of it, for callers
 that only read the output, and evaluates a large batch in row blocks so its
 memory stays bounded.
@@ -181,37 +181,18 @@ class ForwardCache:
     inputs: list                # a_{l-1} per layer
     preacts: list               # z_l per layer
     shared: list                # sigmoid(z_l) per hidden layer
-    d1: list = None             # per hidden layer, filled on first use
-    d2: list = None
+    d1: list                    # the first silu derivative at z_l per hidden layer
     chain: list = None          # per layer (du, dt) from out_grad = ones, see `_ones_chain`
 
-    def __post_init__(self):
-        if self.d1 is None:
-            self.d1 = [None] * len(self.shared)
-        if self.d2 is None:
-            self.d2 = [None] * len(self.shared)
-
-    def act_d1(self, l):
-        """First activation derivative at hidden layer l, computed once."""
-        if self.d1[l] is None:
-            self.d1[l] = _silu_d1(self.preacts[l], self.shared[l])
-        return self.d1[l]
-
-    def act_d2(self, l):
-        """Second activation derivative at hidden layer l, computed once."""
-        if self.d2[l] is None:
-            self.d2[l] = _silu_d2(self.preacts[l], self.shared[l])
-        return self.d2[l]
-
     def rows(self, stop: int) -> "ForwardCache":
-        """The cache of the first `stop` batch rows, as views; derivatives
-        already computed carry over, the reverse chain does not."""
+        """The cache of the first `stop` batch rows, as views; the reverse
+        chain does not carry over."""
         def head(arrays):
-            return [None if a is None else a[:stop] for a in arrays]
+            return [a[:stop] for a in arrays]
 
         return ForwardCache(
             params_ref=self.params_ref, inputs=head(self.inputs), preacts=head(self.preacts),
-            shared=head(self.shared), d1=head(self.d1), d2=head(self.d2),
+            shared=head(self.shared), d1=head(self.d1),
         )
 
 
@@ -228,7 +209,7 @@ def forward(net: FeedForwardNet, x: np.ndarray):
     """Batched forward pass; returns (output (B, out), cache for backward)."""
     a = _check_input(net, x)
     layers = net.layers()
-    inputs, preacts, shared = [], [], []
+    inputs, preacts, shared, d1 = [], [], [], []
     for i, (w, b) in enumerate(layers):
         inputs.append(a)
         z = a @ w.T
@@ -237,11 +218,12 @@ def forward(net: FeedForwardNet, x: np.ndarray):
         if i < len(layers) - 1:
             s = sigmoid(z)
             shared.append(s)
+            d1.append(_silu_d1(z, s))
             a = _silu_value(z, s)
         else:
             a = z
     cache = ForwardCache(params_ref=net.params, inputs=inputs, preacts=preacts,
-                         shared=shared)
+                         shared=shared, d1=d1)
     return a, cache
 
 
@@ -313,7 +295,7 @@ def backward(net: FeedForwardNet, cache: ForwardCache, out_grad: np.ndarray,
             return flat, None
         delta = _product(delta, weights[l])
         if l > 0:
-            delta *= cache.act_d1(l - 1)
+            delta *= cache.d1[l - 1]
     return flat, delta
 
 
@@ -321,7 +303,7 @@ def _ones_chain(net: FeedForwardNet, cache: ForwardCache):
     """The reverse pass of a scalar head from out_grad = ones, once per cache.
 
     Entry l is (du, dt): the gradient at layer l's output and at its
-    pre-activation, with dt = du at the head and dt = du * act_d1(l) below
+    pre-activation, with dt = du at the head and dt = du * d1[l] below
     it; du of layer l - 1 is dt @ W_l. These are `backward`'s deltas for
     out_grad = ones, operation for operation.
     """
@@ -331,7 +313,7 @@ def _ones_chain(net: FeedForwardNet, cache: ForwardCache):
         chain = [(dt, dt)]
         for l in reversed(range(1, len(weights))):
             du = _product(dt, weights[l])
-            dt = du * cache.act_d1(l - 1)
+            dt = du * cache.d1[l - 1]
             chain.append((du, dt))
         cache.chain = chain[::-1]
     return cache.chain
@@ -379,13 +361,14 @@ def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarra
         tangents_in.append(u)
         t = u @ w.T
         tangents_pre.append(t)
-        u = cache.act_d1(l) * t if l < n_layers - 1 else t
+        u = cache.d1[l] * t if l < n_layers - 1 else t
     dots = u[:, 0].copy()
 
     # Reverse over the combined graph. The primal-tangent adjoints (du, dt)
     # are the chain from out_grad = ones; the tangent-primal adjoint da
     # starts at zero, and its pre-activation adjoint is
-    # dz = act_d2 * t * du + act_d1 * da.
+    # dz = d2 * t * du + d1 * da, with the second silu derivative d2 computed
+    # here, the one place that reads it.
     chain = _ones_chain(net, cache)
     da = np.zeros_like(u)
     flat = np.empty(net.params.size)
@@ -395,9 +378,9 @@ def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarra
         if l == n_layers - 1:
             dz = da
         else:
-            dz = np.multiply(cache.act_d2(l), tangents_pre[l])
+            dz = np.multiply(_silu_d2(cache.preacts[l], cache.shared[l]), tangents_pre[l])
             dz *= du
-            da *= cache.act_d1(l)
+            da *= cache.d1[l]
             dz += da
         gw, gb = grads[l]
         np.matmul(dt.T, tangents_in[l], out=gw)

@@ -25,7 +25,6 @@ from .teacher import (
     AffineGenerator,
     IsotropicGaussianMixture,
     ModeCoverage,
-    affine_pushforward,
     log_density,
     mode_coverage,
     perturb,
@@ -114,7 +113,7 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
     s = float(sigma)
 
     def q_at(bias):
-        return affine_pushforward(AffineGenerator(gen.scale, bias), s)
+        return perturb(AffineGenerator(gen.scale, bias).exact_law(), s)
 
     q_law = q_at(gen.bias)
     spread = math.sqrt(q_law.variances[0]) * nodes

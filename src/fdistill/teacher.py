@@ -12,9 +12,10 @@ memory does not grow with the number of samples, points or centers.
 
 `AffineGenerator` is the package's one affine student: pushing a standard
 normal latent through x = a z + b gives the exactly Gaussian output law
-N(b, a^2 I), a one-component mixture, so the student's perturbed density and
-score are closed form too. It trains (flat parameters [a, *b]) under the
-exact-oracle ratio and score sources and is the student of the gradient gate.
+N(b, a^2 I) (`exact_law`), a one-component mixture, so the student's perturbed
+law `perturb(exact_law(), sigma)`, its density and its score are closed form
+too. It trains (flat parameters [a, *b]) under the exact-oracle ratio and
+score sources and is the student of the gradient gate.
 """
 
 import math
@@ -36,7 +37,6 @@ __all__ = [
     "perturb",
     "sample",
     "draw",
-    "affine_pushforward",
     "particle_log_density",
     "ModeCoverage",
     "mode_coverage",
@@ -160,15 +160,21 @@ def score(gm: IsotropicGaussianMixture, x, sigma=0.0):
 
 
 def perturb(gm: IsotropicGaussianMixture, sigma: float) -> IsotropicGaussianMixture:
-    """Convolve with N(0, sigma^2 I): adds sigma^2 to every component variance."""
+    """Convolve with N(0, sigma^2 I): adds sigma^2 to every component variance;
+    NumericsError when sigma^2 or a perturbed variance leaves the float range."""
     s = float(sigma)
     if s < 0.0 or not math.isfinite(s):
         raise DomainError(f"sigma must be finite and >= 0, got {sigma!r}")
     if s == 0.0:
         return gm
-    return IsotropicGaussianMixture(
-        weights=gm.weights, means=gm.means, variances=gm.variances + s**2
-    )
+    with np.errstate(over="ignore"):
+        try:
+            variances = gm.variances + s**2
+        except OverflowError:  # Python's float power raises where numpy gives inf
+            variances = gm.variances + math.inf
+    if not np.all(np.isfinite(variances)):
+        raise NumericsError(f"sigma {s!r} overflows the perturbed variance")
+    return IsotropicGaussianMixture(weights=gm.weights, means=gm.means, variances=variances)
 
 
 def sample(gm: IsotropicGaussianMixture, n: int, seed: int, counter: int = 0) -> np.ndarray:
@@ -278,25 +284,17 @@ class AffineGenerator:
         return np.concatenate([[float(np.sum(out_grad * z))], out_grad.sum(axis=0)])
 
     def exact_law(self) -> IsotropicGaussianMixture:
+        """The output law N(b, a^2 I), a one-component mixture; `perturb` gives
+        the law of G(z) + sigma eps. NumericsError when a^2 overflows."""
         if self.scale == 0.0:
             raise DomainError("affine student degenerated to zero scale")
-        return affine_pushforward(self, 0.0)
-
-
-def affine_pushforward(gen: AffineGenerator, sigma: float) -> IsotropicGaussianMixture:
-    """Exact law of G(z) + sigma * eps for standard normal z, eps: the
-    one-component mixture N(b, (a^2 + sigma^2) I); NumericsError when a^2
-    overflows."""
-    s = float(sigma)
-    if s < 0.0:
-        raise DomainError("sigma must be >= 0")
-    try:
-        variance = gen.scale**2 + s**2
-    except OverflowError:
-        raise NumericsError(f"affine student scale {gen.scale!r} overflows its variance") from None
-    return IsotropicGaussianMixture(
-        weights=np.array([1.0]), means=gen.bias[None, :], variances=np.array([variance]),
-    )
+        try:
+            variance = self.scale**2
+        except OverflowError:
+            raise NumericsError(f"affine student scale {self.scale!r} overflows its variance") from None
+        return IsotropicGaussianMixture(
+            weights=np.array([1.0]), means=self.bias[None, :], variances=np.array([variance]),
+        )
 
 
 # One block of `particle_log_density`'s (points x centers) matrix: about 2^17

@@ -29,7 +29,7 @@ from fdistill import checkpoint as ckpt
 from fdistill import cli
 from fdistill.distill import RETIRED_KEYS, RunConfig, checked
 from fdistill.divergence import KINDS
-from fdistill.errors import CheckpointError, ConfigError
+from fdistill.errors import CheckpointError, ConfigError, DomainError
 from fdistill.nets import adam_init
 
 TINY_TRAIN = {
@@ -198,6 +198,9 @@ class TestConfigHandling:
         ("weightmap", {"bound": -1.0}, "weightmap.bound"),
         ("variance", {"gaps": [1.0, float("inf")]}, "variance.gaps"),
         ("gradcheck", {"sigmas": []}, "gradcheck.sigmas"),
+        ("table", {"r_min": 1e-101}, "table.r_min"),
+        ("table", {"r_max": 1e101}, "table.r_max"),
+        ("table", {"r_values": [1e101]}, "table.r_values"),
     ])
     def test_bad_command_section_value_exits_2(self, tmp_path, capsys, command, section,
                                                field):
@@ -245,6 +248,14 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("numerical abort: ") and "quadrature node" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_sigma_whose_square_overflows_exits_3_with_one_line(self, tmp_path, capsys):
+        """A gate sigma the schema accepts whose square leaves the float
+        range: the perturbed variance names sigma, with no numpy warning."""
+        cfg = write_config(tmp_path, {"gradcheck": {"sigmas": [1e200]}})
+        code, err = main_outcome(["gradcheck", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert err == "numerical abort: sigma 1e+200 overflows the perturbed variance\n"
 
     @pytest.mark.parametrize("command", ["gradcheck", "variance"])
     def test_removed_sample_count_is_an_unknown_key(self, tmp_path, capsys, command):
@@ -419,6 +430,78 @@ class TestExitCodeFuzz:
             assert keeps_exit_code_contract(code, err), (code, err)
 
 
+# The values the figure-command fuzz draws: numbers at the extremes (each key
+# takes those its schema rule accepts), small counts, kind names and teachers
+# (one 1-D, two with extreme parameters).
+FIGURE_VALUES = (
+    -sys.float_info.max, -1e300, -9.0, -1.0, 0.0, 5e-324, 1e-300, 1e-100, 1e-3, 0.5, 2.0,
+    9.0, 1e100, 1e300, sys.float_info.max, 1, 2, 4, *KINDS, "ring8", "grid25",
+    {"weights": [1.0], "means": [[0.0]], "variances": [1.0]},
+    {"weights": [1.0], "means": [[1e300, -1e300]], "variances": [5e-324]},
+    {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [1e-300, 9.0]], "variances": [1e300, 1e-300]},
+)
+
+
+def accepted_values(rule):
+    """The FIGURE_VALUES `rule` accepts; failing any, lists of at most two
+    FIGURE_VALUES it accepts as items (empty if it takes []); None too where
+    the rule takes it."""
+    def takes(value):
+        try:
+            rule(value)
+        except DomainError:
+            return False
+        return True
+
+    scalars = [v for v in FIGURE_VALUES if takes(v)]
+    if scalars:
+        return st.sampled_from(scalars)
+    items = [v for v in FIGURE_VALUES if takes([v])]
+    lists = st.lists(st.sampled_from(items), min_size=0 if takes([]) else 1, max_size=2)
+    return st.none() | lists if takes(None) else lists
+
+
+def figure_config(command):
+    """A config of a drawn teacher and divergence and a drawn `command` section."""
+    return st.fixed_dictionaries({
+        "teacher": accepted_values(RunConfig.__dataclass_fields__["teacher"].metadata["rule"]),
+        "divergence": st.sampled_from(KINDS),
+        command: st.fixed_dictionaries({key: accepted_values(rule) for key, (_, rule)
+                                        in SECTION_KEYS[command].items()}),
+    })
+
+
+def keeps_figure_contract(command, code, err):
+    """Exit 0 prints nothing to stderr, exit 1 (the gate only) nothing, exit 2
+    one `error:` line and exit 3 one `numerical abort:` line."""
+    lines = err.splitlines()
+    if code in (0, 1):
+        return err == "" and (code == 0 or command == "gradcheck")
+    prefix = {2: "error: ", 3: "numerical abort: "}.get(code)
+    return prefix is not None and len(lines) == 1 and lines[0].startswith(prefix)
+
+
+class TestFigureExitCodeFuzz:
+    """Schema-valid `gradcheck`, `variance`, `table` and `weightmap` sections
+    with their numbers at the extremes: each command ends in one of the
+    documented outcomes, with no warning, traceback or other output."""
+
+    # the gate takes up to a second an example, the other commands milliseconds
+    @pytest.mark.parametrize("command, examples", [("gradcheck", 24), ("variance", 60),
+                                                   ("table", 60), ("weightmap", 60)])
+    def test_figure_commands_keep_the_exit_code_contract(self, command, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(data=figure_config(command))
+        def keeps_contract(data):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = write_config(Path(tmp), data)
+                code, err = main_outcome([command, "--config", cfg, "--out",
+                                          str(Path(tmp) / "o")])
+            assert keeps_figure_contract(command, code, err), (code, err)
+
+        keeps_contract()
+
+
 class TestTableCommand:
     def test_catalog_row_values(self, tmp_path):
         cfg = write_config(tmp_path, {"table": {"r_values": [2.0]}})
@@ -431,6 +514,18 @@ class TestTableCommand:
         assert float(row["r"]) == 2.0
         assert float(row["f"]) == pytest.approx(-np.log(2.0))
         assert float(row["h"]) == 1.0
+
+    def test_ratios_at_both_bounds_give_finite_rows(self, tmp_path):
+        """On a grid over the whole accepted range [1e-100, 1e100], every f,
+        f', f'' and h of every kind is finite, with no numpy warning."""
+        cfg = write_config(tmp_path, {"table": {"r_min": 1e-100, "r_max": 1e100,
+                                                "n_points": 401}})
+        out = tmp_path / "out"
+        assert main_outcome(["table", "--config", cfg, "--out", str(out)]) == (0, "")
+        rows = (out / "catalog.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 401 * len(KINDS)
+        assert {float(row.split(",")[1]) for row in rows} >= {1e-100, 1e100}
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
     def test_floats_round_trip_exactly(self, tmp_path):
         cfg = write_config(tmp_path, {"table": {"n_points": 7}})

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import t as student_t
 
-from fdistill import distill, divergence as dv, vsd
+from fdistill import distill, divergence as dv, oracle, vsd
 from fdistill import rng as rngmod
 from fdistill import teacher as tc
 from fdistill.errors import ConfigError, DomainError, TrainingDiverged
@@ -224,6 +225,87 @@ class TestSignConvention:
             distill.generator_step(state, cfg, teacher, schedule, batch)
             after = np.abs(state.generator.bias)
             assert np.all(after < before), (kind, sigma, before, after)
+
+
+EXPECTATION_BATCHES = 400
+# Each bias component of each kind is compared with its exact value: 12
+# comparisons, held to a family-wise false-alarm rate of 1e-6 by a two-sided
+# Bonferroni bound on Student's t with EXPECTATION_BATCHES - 1 degrees of freedom.
+EXPECTATION_K = float(student_t.ppf(1.0 - 1e-6 / (2 * 12), EXPECTATION_BATCHES - 1))
+
+
+def generator_step_deviations(monkeypatch, kind):
+    """|batch mean - exact| / standard error of each bias component of the
+    gradient `generator_step` hands to Adam, over EXPECTATION_BATCHES
+    iterations with the gate's `bimodal` student held fixed.
+
+    Both sources are exact oracles, the clip sits at its schema bounds, and
+    the GAN term and both normalizations are off, so the exact expectation is
+    mean_l sigma_l^2 grad_b D_f(p_sigma_l || q_sigma_l), each term the gate's
+    quadrature."""
+    teacher, student = oracle.gradcheck_cases()["bimodal"]
+    cfg = distill.RunConfig(
+        divergence=kind, teacher={"weights": teacher.weights.tolist(),
+                                  "means": teacher.means.tolist(),
+                                  "variances": teacher.variances.tolist()},
+        generator_kind="affine", ratio_source="exact-oracle", score_source="exact-oracle",
+        gan_weight=0.0, normalize_stage1=False, normalize_stage2=False, r_min=1e-150,
+        r_max=1e150, tau=1, batch_size=1024, sigma_min=0.05, sigma_max=2.0, n_levels=8,
+        time_bins=4, metrics_interval=0, seed=0,
+    )
+    schedule = cfg.schedule()
+    state = distill.init_state(cfg, teacher)
+    state.generator = tc.AffineGenerator(student.scale, student.bias)
+    grads = []
+
+    def recording_adam_step(opt, params, g):
+        grads.append(g)
+        return params
+
+    monkeypatch.setattr(distill, "adam_step", recording_adam_step)
+    for _ in range(EXPECTATION_BATCHES):
+        distill.train_step(state, cfg, teacher, schedule)
+    bias = np.array(grads)[:, 1:]
+    exact = np.mean([sigma**2 * np.array([rep.grad_analytic for rep in
+                                          oracle.theorem1_grad_check(kind, teacher, student,
+                                                                     sigma)])
+                     for sigma in schedule.levels], axis=0)
+    se = bias.std(axis=0, ddof=1) / math.sqrt(EXPECTATION_BATCHES)
+    return np.abs(bias.mean(axis=0) - exact) / se
+
+
+def some_kind_deviates(monkeypatch):
+    """Whether a bias component of some kind lies beyond EXPECTATION_K."""
+    return any(np.any(generator_step_deviations(monkeypatch, kind) > EXPECTATION_K)
+               for kind in dv.KINDS)
+
+
+class TestExpectedGeneratorStep:
+    """The training step follows the exact divergence gradient in expectation:
+    the signs, the time weight sigma^2, the clip and the affine backward
+    together, checked against the gate's quadrature."""
+
+    def test_bias_gradient_is_the_exact_gradient_in_expectation(self, monkeypatch):
+        deviations = {kind: generator_step_deviations(monkeypatch, kind).tolist()
+                      for kind in dv.KINDS}
+        assert all(d <= EXPECTATION_K for row in deviations.values() for d in row), (
+            EXPECTATION_K, deviations)
+
+    def test_another_kinds_weighting_deviates(self, monkeypatch):
+        shifted = dict(zip(dv.KINDS, dv.KINDS[1:] + dv.KINDS[:1]))
+        monkeypatch.setattr(distill, "weight_h", lambda kind, r: dv.weight_h(shifted[kind], r))
+        assert some_kind_deviates(monkeypatch)
+
+    def test_unit_time_weight_deviates(self, monkeypatch):
+        monkeypatch.setattr(tc.NoiseSchedule, "time_weight",
+                            lambda self, sigma: np.ones_like(np.asarray(sigma, dtype=float)))
+        assert some_kind_deviates(monkeypatch)
+
+    def test_flipped_output_gradient_deviates(self, monkeypatch):
+        backward = tc.AffineGenerator.backward
+        monkeypatch.setattr(tc.AffineGenerator, "backward",
+                            lambda self, z, out_grad: backward(self, z, -out_grad))
+        assert some_kind_deviates(monkeypatch)
 
 
 class TestVsdEquivalence:

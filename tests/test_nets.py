@@ -461,7 +461,7 @@ class TestInputGradParamGrad:
         x = gen.standard_normal((256, 18))
         v = gen.standard_normal((128, 18))
         _, cache = nets.forward(net, x)
-        nets.backward(net, cache, np.ones((256, 1)))  # memoises act_d1 on all rows
+        nets.backward(net, cache, np.ones((256, 1)))  # all rows first, as disc_update does
         dots, pgrad = nets.input_grad_param_grad(net, cache.rows(128), v)
         ref_dots, ref_pgrad = ref_input_grad_param_grad(net, x[:128], v)
         assert dots.tobytes() == ref_dots.tobytes()

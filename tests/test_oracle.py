@@ -243,7 +243,7 @@ def sampled_analytic_side(kind, teacher, gen, sigma, seed, n=100000):
     eps0 = stream.standard_normal((half, teacher.dim))
     z, eps = np.concatenate([z0, -z0]), np.concatenate([eps0, -eps0])
     x = gen.scale * z + gen.bias + sigma * eps
-    q_law = tc.affine_pushforward(gen, sigma)
+    q_law = tc.perturb(gen.exact_law(), sigma)
     log_r = tc.log_density(teacher, x, sigma) - tc.log_density(q_law, x)
     values = -weight_h_log(spec, log_r)[:, None] * (
         tc.score(tc.perturb(teacher, sigma), x) - tc.score(q_law, x))

@@ -141,7 +141,7 @@ class TestScoreRecovery:
         eval_gen = rngmod.stream(32, 0xC)
         worst = 0.0
         for sigma in levels[:: 4]:
-            law = tc.affine_pushforward(student, float(sigma))
+            law = tc.perturb(student.exact_law(), float(sigma))
             z = eval_gen.standard_normal((4096, 2))
             eps = eval_gen.standard_normal((4096, 2))
             x = student.forward(z) + float(sigma) * eps

@@ -1,6 +1,7 @@
 """Teacher distributions: exact densities, scores, sampling, perturbation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ class TestPerturb:
         np.testing.assert_allclose(twice.variances, once.variances, rtol=4e-16)
         np.testing.assert_array_equal(twice.means, once.means)
 
+    @pytest.mark.parametrize("variance, sigma", [(1.0, 1e200), (1e308, 1e154)])
+    def test_overflow_is_one_line_numerics_error(self, variance, sigma):
+        """sigma^2 beyond the float range (1e200), or a finite sigma^2 whose
+        sum with a variance is (1e308 + 1e308): no OverflowError and no numpy
+        warning, one line naming sigma."""
+        gm = tc.IsotropicGaussianMixture(weights=np.array([1.0]), means=np.zeros((1, 2)),
+                                         variances=np.array([variance]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError) as info:
+                tc.perturb(gm, sigma)
+        assert str(info.value) == f"sigma {sigma!r} overflows the perturbed variance"
+
     def test_sampling_perturbed_equals_sample_plus_noise(self):
         """Two-sample energy-distance test on axis projections at n = 1e5."""
         n, sigma = 100000, 1.3
@@ -216,24 +230,24 @@ class TestValidation:
 class TestAffinePushforward:
     def test_identity_map(self):
         gen = tc.AffineGenerator(scale=1.0, bias=np.zeros(2))
-        law = tc.affine_pushforward(gen, 0.0)
+        law = gen.exact_law()
         assert isinstance(law, tc.IsotropicGaussianMixture)
         assert law.variances[0] == pytest.approx(1.0)
         np.testing.assert_array_equal(law.means[0], np.zeros(2))
 
     def test_variance_additivity_with_noise(self):
         gen = tc.AffineGenerator(scale=1.0, bias=np.array([1.0, 0.0]))
-        law = tc.affine_pushforward(gen, 1.0)
+        law = tc.perturb(gen.exact_law(), 1.0)
         assert law.variances[0] == pytest.approx(2.0)
 
     def test_score_zero_at_bias(self):
         gen = tc.AffineGenerator(scale=0.8, bias=np.array([0.4, -0.2]))
-        law = tc.affine_pushforward(gen, 0.5)
+        law = tc.perturb(gen.exact_law(), 0.5)
         np.testing.assert_allclose(tc.score(law, gen.bias), np.zeros(2), atol=1e-14)
 
     def test_pushforward_matches_sampled_moments(self):
         gen = tc.AffineGenerator(scale=1.5, bias=np.array([2.0, -1.0]))
-        law = tc.affine_pushforward(gen, 0.7)
+        law = tc.perturb(gen.exact_law(), 0.7)
         stream = rngmod.stream(9, 0x33)
         z = stream.standard_normal((200000, 2))
         eps = stream.standard_normal((200000, 2))
@@ -244,7 +258,7 @@ class TestAffinePushforward:
     def test_overflowing_variance_is_numerics_error(self):
         gen = tc.AffineGenerator(scale=1e300, bias=np.zeros(2))
         with pytest.raises(NumericsError, match="overflows"):
-            tc.affine_pushforward(gen, 0.0)
+            gen.exact_law()
 
 
 def ref_student(a, b):
@@ -304,7 +318,7 @@ class TestAffineTrainingInterface:
 class TestParticleDensity:
     def test_matches_exact_law_for_affine(self):
         gen = tc.AffineGenerator(scale=1.0, bias=np.array([0.5, 0.5]))
-        law = tc.affine_pushforward(gen, 1.0)
+        law = tc.perturb(gen.exact_law(), 1.0)
         stream = rngmod.stream(17, 0x44)
         centers = gen.forward(stream.standard_normal((20000, 2)))
         x = stream.standard_normal((64, 2))
