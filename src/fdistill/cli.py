@@ -105,7 +105,9 @@ def _load_config(path, overrides):
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:   # a directory, say, or bytes not UTF-8
+        raise ConfigError("<file>", f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
         raise ConfigError("<file>", f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -342,7 +344,10 @@ def main(argv=None) -> int:
         }
         cfg, sections = _load_config(args.config, overrides)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot create {out_dir}: {exc.strerror or exc}")
         params = sections.get(args.command)  # the command's checked section; train has none
         if args.command == "modes":
             return _cmd_modes(cfg, params, out_dir, args.checkpoint)

@@ -573,7 +573,7 @@ def auxiliary_step(state: TrainState, cfg: RunConfig,
         sigma_cap=cfg.sigma_min,
     )
 
-    real = sample(teacher, n, cfg.seed, counter=(it << 2) | 1)
+    real = sample(teacher, n, rngmod.stream(cfg.seed, (it << 2) | 1, rngmod.TEACHER_SAMPLE))
     eps_r = rngmod.stream(cfg.seed, it, rngmod.STEP_REAL_NOISE).standard_normal(y.shape)
     eps_f = rngmod.stream(cfg.seed, it, rngmod.STEP_FAKE_NOISE).standard_normal(y.shape)
     disc_loss = disc_update(
@@ -621,9 +621,8 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     s = METRICS_SIGMA
     n = cfg.metrics_samples
 
-    xs_p = sample(teacher, n, cfg.seed, counter=(it << 2) | 2) + s * rngmod.stream(
-        cfg.seed, it, rngmod.METRICS, 1
-    ).standard_normal((n, teacher.dim))
+    xs_p = sample(teacher, n, rngmod.stream(cfg.seed, (it << 2) | 2, rngmod.TEACHER_SAMPLE))
+    xs_p += s * rngmod.stream(cfg.seed, it, rngmod.METRICS, 1).standard_normal((n, teacher.dim))
     log_p = log_density(teacher, xs_p, s)
     log_q = _student_log_density(
         state, xs_p, s, rngmod.stream(cfg.seed, it, rngmod.METRICS, 2), cfg.metrics_centers

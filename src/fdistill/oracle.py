@@ -3,11 +3,12 @@
 Estimators here deliberately take a different route than the production code
 they check: the analytic score-difference gradient is compared against
 central finite differences of the divergence itself. The gate's students are
-isotropic affine maps x = a z + b, whose perturbed laws are one-component
+isotropic affine maps x = a z + b, whose output laws are one-component
 mixtures, so teacher and student densities and scores both go through
-`teacher`'s mixture functions. Those laws are Gaussian, so both sides
-of the gate and the weighting-variance curve are deterministic Gauss-Hermite
-expectations rather than Monte-Carlo averages.
+`teacher`'s mixture functions with the sigma argument the training loop passes.
+The student's noised law is Gaussian, so both sides of the gate and the
+weighting-variance curve are deterministic Gauss-Hermite expectations rather
+than Monte-Carlo averages.
 
 `ModeCoverage` and `mode_coverage` are defined in `teacher`, next to the
 mixtures they measure, and re-exported here.
@@ -27,7 +28,7 @@ from .teacher import (
     ModeCoverage,
     log_density,
     mode_coverage,
-    perturb,
+    perturbed_variances,
     score,
 )
 
@@ -113,10 +114,10 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
     s = float(sigma)
 
     def q_at(bias):
-        return perturb(AffineGenerator(gen.scale, bias).exact_law(), s)
+        return AffineGenerator(gen.scale, bias).exact_law()
 
     q_law = q_at(gen.bias)
-    spread = math.sqrt(q_law.variances[0]) * nodes
+    spread = math.sqrt(perturbed_variances(q_law, s)[0, 0]) * nodes
 
     def finite(values, side):
         if not np.all(np.isfinite(values)):
@@ -126,15 +127,14 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
 
     # Analytic side (the gradient the training loop follows).
     x = gen.bias + spread
-    log_r = finite(log_density(teacher, x, s) - log_density(q_law, x), "analytic")
-    values = weight_h_log(spec, log_r)[:, None] * (
-        score(perturb(teacher, s), x) - score(q_law, x))
+    log_r = finite(log_density(teacher, x, s) - log_density(q_law, x, s), "analytic")
+    values = weight_h_log(spec, log_r)[:, None] * (score(teacher, x, s) - score(q_law, x, s))
     grad_analytic = -_expectation(weights, finite(values, "analytic"))
 
     def divergence_at(bias):
         pts = bias + spread
         f = _f_values_from_log_ratio(
-            spec, log_density(teacher, pts, s) - log_density(q_at(bias), pts))
+            spec, log_density(teacher, pts, s) - log_density(q_at(bias), pts, s))
         return float(_expectation(weights, finite(f, "finite-difference")))
 
     reports = []

@@ -26,6 +26,9 @@ STEP_REAL_NOISE = 16
 STEP_FAKE_NOISE = 17
 STEP_PARTICLES = 18
 METRICS = 20
+# teacher batches: (seed, iteration << 2 | k, TEACHER_SAMPLE), k = 1 for the
+# discriminator's real batch, k = 2 for the metrics batch
+TEACHER_SAMPLE = 0xFD
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

@@ -3,19 +3,23 @@
 Teachers are isotropic Gaussian mixtures: density, score, sampling, and the
 noise perturbation p_sigma = p * N(0, sigma^2 I) are all closed form, so any
 quantity the training loop approximates (ratios, scores, divergences) can be
-checked against this module exactly. Mixture and particle log-densities
-reduce their (n, K) component matrices with `_numerics.logsumexp`, which
-equals SciPy's `logsumexp` bit for bit, so the training path loads numpy only.
+checked against this module exactly. The sigma argument of `log_density` and
+`score` is the one way to noise a law: `perturbed_variances` adds sigma^2 to
+the component variances and raises `NumericsError` when a sum overflows.
+`sample` draws from the stream it is handed; the caller keys it. Mixture and
+particle log-densities reduce their (n, K) component matrices with
+`_numerics.logsumexp`, which equals SciPy's `logsumexp` bit for bit, so the
+training path loads numpy only.
 `mode_coverage` measures how much of a sample set falls in each component's
 ball; it and `particle_log_density` work through bounded row blocks, so their
 memory does not grow with the number of samples, points or centers.
 
 `AffineGenerator` is the package's one affine student: pushing a standard
 normal latent through x = a z + b gives the exactly Gaussian output law
-N(b, a^2 I) (`exact_law`), a one-component mixture, so the student's perturbed
-law `perturb(exact_law(), sigma)`, its density and its score are closed form
-too. It trains (flat parameters [a, *b]) under the exact-oracle ratio and
-score sources and is the student of the gradient gate.
+N(b, a^2 I) (`exact_law`), a one-component mixture, so the student's density
+and score at any sigma are closed form too. It trains (flat parameters
+[a, *b]) under the exact-oracle ratio and score sources and is the student of
+the gradient gate.
 """
 
 import math
@@ -24,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import rng as rngmod
 from ._numerics import logsumexp, row_blocks
 from .errors import DomainError, NumericsError
 
@@ -34,9 +37,8 @@ __all__ = [
     "AffineGenerator",
     "log_density",
     "score",
-    "perturb",
+    "perturbed_variances",
     "sample",
-    "draw",
     "particle_log_density",
     "ModeCoverage",
     "mode_coverage",
@@ -107,14 +109,17 @@ def _check_points(gm_dim: int, x) -> tuple:
     return a, single
 
 
-def _perturbed_variances(gm: IsotropicGaussianMixture, sigma) -> np.ndarray:
-    """v_k + sigma^2, shape (1, K), or (n, K) for a per-point sigma."""
+def perturbed_variances(gm: IsotropicGaussianMixture, sigma) -> np.ndarray:
+    """v_k + sigma^2, shape (1, K), or (n, K) for a per-point sigma; the law
+    of x + sigma eps. NumericsError when a sum leaves the float range."""
     sig = np.asarray(sigma, dtype=float)
     if np.any(sig < 0.0) or not np.all(np.isfinite(sig)):
         raise DomainError("sigma must be finite and >= 0")
-    if sig.ndim:
-        return gm.variances[None, :] + (sig**2).reshape(-1, 1)
-    return gm.variances[None, :] + sig**2
+    with np.errstate(over="ignore"):
+        var = gm.variances[None, :] + np.reshape(sig**2, (-1, 1))
+    if not np.all(np.isfinite(var)):
+        raise NumericsError(f"sigma {float(np.max(sig))!r} overflows the perturbed variance")
+    return var
 
 
 def _gaussian_logs(const, x: np.ndarray, centers: np.ndarray, var) -> np.ndarray:
@@ -142,7 +147,7 @@ def _component_logs(gm: IsotropicGaussianMixture, x: np.ndarray, var) -> np.ndar
 def log_density(gm: IsotropicGaussianMixture, x, sigma=0.0):
     """log p_sigma(x); `sigma` may be a scalar or per-point array."""
     pts, single = _check_points(gm.dim, x)
-    comp = _component_logs(gm, pts, _perturbed_variances(gm, sigma))
+    comp = _component_logs(gm, pts, perturbed_variances(gm, sigma))
     out = logsumexp(comp, overwrite_a=True)
     return float(out[0]) if single else out
 
@@ -150,7 +155,7 @@ def log_density(gm: IsotropicGaussianMixture, x, sigma=0.0):
 def score(gm: IsotropicGaussianMixture, x, sigma=0.0):
     """grad_x log p_sigma(x): responsibility-weighted pull towards the means."""
     pts, single = _check_points(gm.dim, x)
-    var = _perturbed_variances(gm, sigma)
+    var = perturbed_variances(gm, sigma)
     comp = _component_logs(gm, pts, var)
     comp -= logsumexp(comp, keepdims=True)
     resp = np.exp(comp, out=comp)
@@ -159,37 +164,11 @@ def score(gm: IsotropicGaussianMixture, x, sigma=0.0):
     return out[0] if single else out
 
 
-def perturb(gm: IsotropicGaussianMixture, sigma: float) -> IsotropicGaussianMixture:
-    """Convolve with N(0, sigma^2 I): adds sigma^2 to every component variance;
-    NumericsError when sigma^2 or a perturbed variance leaves the float range."""
-    s = float(sigma)
-    if s < 0.0 or not math.isfinite(s):
-        raise DomainError(f"sigma must be finite and >= 0, got {sigma!r}")
-    if s == 0.0:
-        return gm
-    with np.errstate(over="ignore"):
-        try:
-            variances = gm.variances + s**2
-        except OverflowError:  # Python's float power raises where numpy gives inf
-            variances = gm.variances + math.inf
-    if not np.all(np.isfinite(variances)):
-        raise NumericsError(f"sigma {s!r} overflows the perturbed variance")
-    return IsotropicGaussianMixture(weights=gm.weights, means=gm.means, variances=variances)
-
-
-def sample(gm: IsotropicGaussianMixture, n: int, seed: int, counter: int = 0) -> np.ndarray:
-    """n i.i.d. draws; component choice by inverse CDF over the weights.
-
-    Deterministic in (seed, counter); disjoint counters give independent
-    parallel streams.
-    """
+def sample(gm: IsotropicGaussianMixture, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n i.i.d. draws from the given stream: component by inverse CDF over the
+    weights, then noise."""
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    return draw(gm, n, rngmod.stream(seed, counter, 0xFD))
-
-
-def draw(gm: IsotropicGaussianMixture, n: int, gen: np.random.Generator) -> np.ndarray:
-    """n draws from the given stream: component by inverse CDF, then noise."""
     u = gen.random(n)
     idx = np.searchsorted(np.cumsum(gm.weights), u, side="right")
     idx = np.minimum(idx, gm.n_components - 1)
@@ -284,8 +263,8 @@ class AffineGenerator:
         return np.concatenate([[float(np.sum(out_grad * z))], out_grad.sum(axis=0)])
 
     def exact_law(self) -> IsotropicGaussianMixture:
-        """The output law N(b, a^2 I), a one-component mixture; `perturb` gives
-        the law of G(z) + sigma eps. NumericsError when a^2 overflows."""
+        """The output law N(b, a^2 I), a one-component mixture; its densities
+        at sigma are those of G(z) + sigma eps. NumericsError when a^2 overflows."""
         if self.scale == 0.0:
             raise DomainError("affine student degenerated to zero scale")
         try:

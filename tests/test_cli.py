@@ -15,6 +15,7 @@ import sys
 import tempfile
 import warnings
 import zlib
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -76,6 +77,33 @@ class TestConfigHandling:
             ["table", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("case, message", [
+        ("out-is-a-file", "'--out': cannot create "),
+        ("config-is-a-directory", "'<file>': cannot read "),
+        ("config-is-not-utf8", "'<file>': cannot read "),
+        ("config-nested-too-deep", "'<file>': invalid JSON: "),
+    ], ids=["out-is-a-file", "config-is-a-directory", "config-is-not-utf8",
+            "config-nested-too-deep"])
+    def test_unusable_out_or_config_exits_2_with_one_line(self, tmp_path, case, message):
+        """An --out that names a file, or a --config that names a directory,
+        holds bytes that are not UTF-8 or nests deeper than the JSON parser's
+        recursion limit: one `error:` line, no traceback."""
+        config, out = tmp_path / "config.json", tmp_path / "o"
+        config.write_text('{"teacher": "ring8"}')
+        if case == "out-is-a-file":
+            out.write_text("")
+        elif case == "config-is-a-directory":
+            config = tmp_path / "configs"
+            config.mkdir()
+        elif case == "config-is-not-utf8":
+            config.write_bytes('{"teacher": "ring\u00e98"}'.encode("latin-1"))
+        else:
+            config.write_text("[" * 100000 + "]" * 100000)
+        code, err = main_outcome(["table", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert err.startswith(f"error: config field {message}")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -664,6 +692,42 @@ class TestTrainCommand:
         assert not (out / "checkpoint_final.fdst").exists()
 
 
+class TestStreamContract:
+    @pytest.mark.parametrize("config", ["ring8_gan.json", "ring8_js.json", "affine-exact"])
+    def test_every_stream_is_opened_once_per_run(self, tmp_path, monkeypatch, config):
+        """Every (seed, path) keys at most one stream over a `train` with
+        metrics rows and checkpoints, and over the `modes` report on its final
+        checkpoint, so no two draws share their random numbers. The report
+        opens no stream of the run but the init streams that `restore_state`
+        builds the nets from before it loads the saved parameters."""
+        from fdistill import rng as rngmod
+
+        if config == "affine-exact":
+            data = {"teacher": "ring8", "divergence": "squared-hellinger", "tau": 1,
+                    "gan_weight": 0.0, "r1_gamma": 0.0, **AFFINE_EXACT}
+        else:
+            data = json.loads((CONFIGS / config).read_text())
+        data.update(total_iters=40, metrics_interval=10, checkpoint_interval=20,
+                    modes={"n_samples": 4096})
+        cfg, out = write_config(tmp_path, data), tmp_path / "o"
+        stream = rngmod.stream
+        runs = {"train": [], "modes": ["--checkpoint", str(out / "checkpoint_final.fdst")]}
+        opened = {}
+        for command, extra in runs.items():
+            log = opened[command] = []
+            monkeypatch.setattr(rngmod, "stream",
+                                lambda seed, *path, log=log: log.append((seed, *path))
+                                or stream(seed, *path))
+            assert cli.main([command, "--config", cfg, "--out", str(out), *extra]) == 0
+        assert len(opened["train"]) > 150
+        for log in opened.values():
+            assert sorted(key for key, count in Counter(log).items() if count > 1) == []
+        seed = data.get("seed", 0)
+        inits = {(seed, rngmod.INIT_GENERATOR), (seed, rngmod.INIT_DENOISER),
+                 (seed, rngmod.INIT_DISCRIMINATOR)}
+        assert set(opened["modes"]) & set(opened["train"]) <= inits
+
+
 class TestGradcheckCommand:
     def test_report_written_and_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 3, "gradcheck": {"sigmas": [0.5]}})
@@ -719,16 +783,30 @@ class TestWeightmapCommand:
         assert lines[0] == "x,y,score_diff,h"
         assert len(lines) == 65
 
-    @pytest.mark.parametrize("section", [{"sigma": 1e200}, {"bound": 1e300}])
+    @pytest.mark.parametrize("section", [
+        {"student": {"weights": [1.0], "means": [[1e200, 0.0]], "variances": [1.0]}},
+        {"bound": 1e300}])
     def test_overflowing_map_exits_2_with_one_line(self, tmp_path, capsys, section):
-        """Values the schema accepts whose squares overflow: the finiteness
-        check on the log ratio is the only output, with no numpy warning."""
+        """Values the schema accepts whose squares overflow, a student mean or
+        the grid's points: the finiteness check on the log ratio is the only
+        output, with no numpy warning."""
         cfg = write_config(tmp_path, {"teacher": "ring8", "weightmap": section})
         code = cli.main(["weightmap", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: log ratio must be finite")
         assert len(err.strip().splitlines()) == 1
+
+    def test_overflowing_sigma_exits_3_with_the_gradcheck_line(self, tmp_path):
+        """A sigma whose square overflows ends the map as it ends the gate:
+        the perturbed variance's one line, exit 3, with no numpy warning."""
+        cfg = write_config(tmp_path, {"teacher": "ring8", "weightmap": {"sigma": 1e200},
+                                      "gradcheck": {"sigmas": [1e200]}})
+        outcomes = {command: main_outcome([command, "--config", cfg,
+                                           "--out", str(tmp_path / command)])
+                    for command in ("weightmap", "gradcheck")}
+        line = "numerical abort: sigma 1e+200 overflows the perturbed variance\n"
+        assert outcomes == {"weightmap": (3, line), "gradcheck": (3, line)}
 
 
 class TestModesCommand:

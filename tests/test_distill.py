@@ -234,22 +234,33 @@ EXPECTATION_BATCHES = 400
 EXPECTATION_K = float(student_t.ppf(1.0 - 1e-6 / (2 * 12), EXPECTATION_BATCHES - 1))
 
 
-def generator_step_deviations(monkeypatch, kind):
+def mean_weighting(kind, teacher, student, sigma):
+    """E_q[h(r_sigma)] on the gate's Gauss-Hermite nodes."""
+    q = student.exact_law()
+    nodes, weights = oracle._gauss_hermite(teacher.dim)
+    x = student.bias + math.sqrt(tc.perturbed_variances(q, sigma)[0, 0]) * nodes
+    log_r = tc.log_density(teacher, x, sigma) - tc.log_density(q, x, sigma)
+    return float(oracle._expectation(weights, dv.weight_h_log(kind, log_r)))
+
+
+def generator_step_deviations(monkeypatch, kind, normalize=False):
     """|batch mean - exact| / standard error of each bias component of the
     gradient `generator_step` hands to Adam, over EXPECTATION_BATCHES
     iterations with the gate's `bimodal` student held fixed.
 
     Both sources are exact oracles, the clip sits at its schema bounds, and
-    the GAN term and both normalizations are off, so the exact expectation is
-    mean_l sigma_l^2 grad_b D_f(p_sigma_l || q_sigma_l), each term the gate's
-    quadrature."""
+    the GAN term is off. With both normalizations off the exact expectation
+    is mean_l sigma_l^2 grad_b D_f(p_sigma_l || q_sigma_l), each term the
+    gate's quadrature. With both on it is c times that: stage 1 divides by a
+    mean whose expectation E_q[r] is 1, and stage 2 by the batch mean of h,
+    whose expectation is 1 / c = mean_l E_q[h(r_sigma_l)]."""
     teacher, student = oracle.gradcheck_cases()["bimodal"]
     cfg = distill.RunConfig(
         divergence=kind, teacher={"weights": teacher.weights.tolist(),
                                   "means": teacher.means.tolist(),
                                   "variances": teacher.variances.tolist()},
         generator_kind="affine", ratio_source="exact-oracle", score_source="exact-oracle",
-        gan_weight=0.0, normalize_stage1=False, normalize_stage2=False, r_min=1e-150,
+        gan_weight=0.0, normalize_stage1=normalize, normalize_stage2=normalize, r_min=1e-150,
         r_max=1e150, tau=1, batch_size=1024, sigma_min=0.05, sigma_max=2.0, n_levels=8,
         time_bins=4, metrics_interval=0, seed=0,
     )
@@ -270,14 +281,38 @@ def generator_step_deviations(monkeypatch, kind):
                                           oracle.theorem1_grad_check(kind, teacher, student,
                                                                      sigma)])
                      for sigma in schedule.levels], axis=0)
+    if normalize:
+        exact /= np.mean([mean_weighting(kind, teacher, student, sigma)
+                          for sigma in schedule.levels])
     se = bias.std(axis=0, ddof=1) / math.sqrt(EXPECTATION_BATCHES)
     return np.abs(bias.mean(axis=0) - exact) / se
 
 
-def some_kind_deviates(monkeypatch):
+def some_kind_deviates(monkeypatch, normalize=False):
     """Whether a bias component of some kind lies beyond EXPECTATION_K."""
-    return any(np.any(generator_step_deviations(monkeypatch, kind) > EXPECTATION_K)
+    return any(np.any(generator_step_deviations(monkeypatch, kind, normalize) > EXPECTATION_K)
                for kind in dv.KINDS)
+
+
+def another_kinds_weighting(monkeypatch):
+    shifted = dict(zip(dv.KINDS, dv.KINDS[1:] + dv.KINDS[:1]))
+    monkeypatch.setattr(distill, "weight_h", lambda kind, r: dv.weight_h(shifted[kind], r))
+
+
+def unit_time_weight(monkeypatch):
+    monkeypatch.setattr(tc.NoiseSchedule, "time_weight",
+                        lambda self, sigma: np.ones_like(np.asarray(sigma, dtype=float)))
+
+
+def flipped_output_gradient(monkeypatch):
+    backward = tc.AffineGenerator.backward
+    monkeypatch.setattr(tc.AffineGenerator, "backward",
+                        lambda self, z, out_grad: backward(self, z, -out_grad))
+
+
+def stage2_off(monkeypatch):
+    """Stage 1 on alone: the weights keep their scale 1 / c."""
+    monkeypatch.setattr(distill, "normalize_stage2", lambda h: np.asarray(h, dtype=float))
 
 
 class TestExpectedGeneratorStep:
@@ -292,20 +327,29 @@ class TestExpectedGeneratorStep:
             EXPECTATION_K, deviations)
 
     def test_another_kinds_weighting_deviates(self, monkeypatch):
-        shifted = dict(zip(dv.KINDS, dv.KINDS[1:] + dv.KINDS[:1]))
-        monkeypatch.setattr(distill, "weight_h", lambda kind, r: dv.weight_h(shifted[kind], r))
+        another_kinds_weighting(monkeypatch)
         assert some_kind_deviates(monkeypatch)
 
     def test_unit_time_weight_deviates(self, monkeypatch):
-        monkeypatch.setattr(tc.NoiseSchedule, "time_weight",
-                            lambda self, sigma: np.ones_like(np.asarray(sigma, dtype=float)))
+        unit_time_weight(monkeypatch)
         assert some_kind_deviates(monkeypatch)
 
     def test_flipped_output_gradient_deviates(self, monkeypatch):
-        backward = tc.AffineGenerator.backward
-        monkeypatch.setattr(tc.AffineGenerator, "backward",
-                            lambda self, z, out_grad: backward(self, z, -out_grad))
+        flipped_output_gradient(monkeypatch)
         assert some_kind_deviates(monkeypatch)
+
+    def test_normalized_bias_gradient_is_the_scaled_exact_gradient(self, monkeypatch):
+        deviations = {kind: generator_step_deviations(monkeypatch, kind, True).tolist()
+                      for kind in dv.KINDS}
+        assert all(d <= EXPECTATION_K for row in deviations.values() for d in row), (
+            EXPECTATION_K, deviations)
+
+    @pytest.mark.parametrize("mutation", [another_kinds_weighting, unit_time_weight,
+                                          flipped_output_gradient, stage2_off],
+                             ids=lambda f: f.__name__)
+    def test_mutation_deviates_with_normalizations_on(self, monkeypatch, mutation):
+        mutation(monkeypatch)
+        assert some_kind_deviates(monkeypatch, normalize=True)
 
 
 class TestVsdEquivalence:
@@ -513,7 +557,8 @@ class PerfectStudent:
 
     def forward(self, z):
         self.calls += 1
-        return tc.sample(self.teacher, z.shape[0], self.seed, counter=1000 + self.calls)
+        return tc.sample(self.teacher, z.shape[0],
+                         rngmod.stream(self.seed, 1000 + self.calls, rngmod.TEACHER_SAMPLE))
 
 
 @functools.lru_cache(maxsize=None)

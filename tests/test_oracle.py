@@ -58,7 +58,7 @@ def mc_f_divergence(kind, p: tc.IsotropicGaussianMixture, q: tc.IsotropicGaussia
     if n < 100:
         raise DomainError(f"mc_f_divergence needs n >= 100, got {n}")
     spec = catalog(kind)
-    x = tc.draw(q, int(n), rngmod.stream(seed, 0xD1))
+    x = tc.sample(q, int(n), rngmod.stream(seed, 0xD1))
     log_r = tc.log_density(p, x) - tc.log_density(q, x)
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(spec.f_log(log_r), dtype=float)
@@ -215,6 +215,23 @@ class TestTheorem1:
         with pytest.raises(NumericsError, match="analytic side .* non-finite"):
             oracle.theorem1_grad_check("forward-kl", teacher, gen, 0.5)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_analytic_side_is_the_training_path_bitwise(self, kind):
+        """The analytic side is -E_q[h(r)(s_teacher - s_student)] with every
+        density and score taken at sigma, as the training loop takes them, on
+        the gate's nodes; 4.536 is a sigma whose square Python's `**` rounds
+        one ULP off numpy's."""
+        teacher, gen = oracle.gradcheck_cases()["single"]
+        s = 4.536
+        q = gen.exact_law()
+        nodes, weights = oracle._gauss_hermite(teacher.dim)
+        x = gen.bias + math.sqrt(tc.perturbed_variances(q, s)[0, 0]) * nodes
+        log_r = tc.log_density(teacher, x, s) - tc.log_density(q, x, s)
+        want = -oracle._expectation(weights, weight_h_log(kind, log_r)[:, None] * (
+            tc.score(teacher, x, s) - tc.score(q, x, s)))
+        got = [rep.grad_analytic for rep in oracle.theorem1_grad_check(kind, teacher, gen, s)]
+        assert got == want.tolist()
+
     def test_full_gate(self):
         """All six divergences x sigma in {0, 0.5, 2} x both teacher presets
         agree within the default relative tolerance."""
@@ -243,10 +260,10 @@ def sampled_analytic_side(kind, teacher, gen, sigma, seed, n=100000):
     eps0 = stream.standard_normal((half, teacher.dim))
     z, eps = np.concatenate([z0, -z0]), np.concatenate([eps0, -eps0])
     x = gen.scale * z + gen.bias + sigma * eps
-    q_law = tc.perturb(gen.exact_law(), sigma)
-    log_r = tc.log_density(teacher, x, sigma) - tc.log_density(q_law, x)
+    q_law = gen.exact_law()
+    log_r = tc.log_density(teacher, x, sigma) - tc.log_density(q_law, x, sigma)
     values = -weight_h_log(spec, log_r)[:, None] * (
-        tc.score(tc.perturb(teacher, sigma), x) - tc.score(q_law, x))
+        tc.score(teacher, x, sigma) - tc.score(q_law, x, sigma))
     pairs = 0.5 * (values[:half] + values[half:])
     return pairs.mean(axis=0), pairs.std(axis=0, ddof=1) / math.sqrt(half)
 
@@ -368,7 +385,7 @@ class TestWeightScoreMap:
 class TestModeCoverage:
     def test_ring8_self_samples_cover_everything(self):
         ring = tc.ring8()
-        samples = tc.sample(ring, 100000, seed=37)
+        samples = tc.sample(ring, 100000, rngmod.stream(37, 0, rngmod.TEACHER_SAMPLE))
         cov = oracle.mode_coverage(samples, ring)
         assert cov.n_covered == 8
         np.testing.assert_allclose(cov.per_mode_mass, 1.0 / 8.0, atol=0.02)

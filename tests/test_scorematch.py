@@ -102,7 +102,7 @@ class TestDsmUpdate:
             gen = rngmod.stream(seed, 0xA)
             den = nets.conditioned_init(2, 2, gen, teacher.per_coord_std())
             adam = nets.adam_init(den.net.params.size, lr=2e-3)
-            x0 = tc.sample(teacher, 256, seed=seed, counter=99)
+            x0 = tc.sample(teacher, 256, rngmod.stream(seed, 99, rngmod.TEACHER_SAMPLE))
             losses = []
             for step in range(500):
                 _, sig = sched.draw_levels(gen, 256)
@@ -141,12 +141,12 @@ class TestScoreRecovery:
         eval_gen = rngmod.stream(32, 0xC)
         worst = 0.0
         for sigma in levels[:: 4]:
-            law = tc.perturb(student.exact_law(), float(sigma))
+            law = student.exact_law()
             z = eval_gen.standard_normal((4096, 2))
             eps = eval_gen.standard_normal((4096, 2))
             x = student.forward(z) + float(sigma) * eps
             got = sm.fake_score(den, x, np.full(4096, float(sigma)))
-            want = tc.score(law, x)
+            want = tc.score(law, x, float(sigma))
             rms = float(np.sqrt(np.mean(np.sum((got - want) ** 2, axis=1))))
             worst = max(worst, rms)
         assert worst <= 0.1

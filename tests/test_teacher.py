@@ -57,12 +57,16 @@ class TestLogDensity:
             assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_per_sample_sigma_matches_perturb(self):
-        x = np.array([[0.3, -0.5], [1.0, 2.0]])
-        sig = np.array([0.5, 2.0])
+        """A per-row sigma perturbs each row as that scalar sigma does, bit
+        for bit; 2.759 and 4.536 are sigmas whose square Python's `**`
+        rounds differently from numpy's."""
+        x = np.array([[0.3, -0.5], [1.0, 2.0], [-1.5, 0.2], [2.5, -3.0]])
+        sig = np.array([0.5, 2.0, 2.759, 4.536])
         batched = tc.log_density(MIX_2D, x, sig)
+        batched_score = tc.score(MIX_2D, x, sig)
         for i, s in enumerate(sig):
-            single = tc.log_density(tc.perturb(MIX_2D, s), x[i])
-            assert batched[i] == pytest.approx(single, rel=1e-12)
+            assert batched[i] == tc.log_density(MIX_2D, x[i], s)
+            assert batched_score[i].tobytes() == tc.score(MIX_2D, x[i], s).tobytes()
 
 
 class TestScore:
@@ -104,49 +108,40 @@ class TestScore:
 
 class TestPerturb:
     def test_zero_sigma_is_identity(self):
-        assert tc.perturb(MIX_2D, 0.0) is MIX_2D
+        x = np.array([[0.3, -0.5], [1.0, 2.0]])
+        assert tc.log_density(MIX_2D, x, 0.0).tobytes() == tc.log_density(MIX_2D, x).tobytes()
 
     def test_variance_additivity(self):
-        out = tc.perturb(STANDARD_1D, 2.0)
-        assert out.variances[0] == pytest.approx(5.0)
+        assert tc.perturbed_variances(STANDARD_1D, 2.0).tolist() == [[5.0]]
 
-    def test_composition_in_quadrature_exact_fields(self):
-        # bitwise on dyadic inputs, where float addition is associative
-        gm = tc.IsotropicGaussianMixture(
-            weights=np.array([0.5, 0.5]),
-            means=np.array([[0.0], [1.0]]),
-            variances=np.array([0.5, 0.25]),
-        )
-        twice = tc.perturb(tc.perturb(gm, 3.0), 4.0)
-        once = tc.perturb(gm, np.sqrt(3.0**2 + 4.0**2))
-        np.testing.assert_array_equal(twice.variances, once.variances)
-        np.testing.assert_array_equal(twice.means, once.means)
-
-    def test_composition_in_quadrature_generic(self):
-        a, b = 0.7, 1.9
-        twice = tc.perturb(tc.perturb(MIX_2D, a), b)
-        once = tc.perturb(MIX_2D, np.sqrt(a**2 + b**2))
-        np.testing.assert_allclose(twice.variances, once.variances, rtol=4e-16)
-        np.testing.assert_array_equal(twice.means, once.means)
-
-    @pytest.mark.parametrize("variance, sigma", [(1.0, 1e200), (1e308, 1e154)])
+    @pytest.mark.parametrize("variance, sigma", [(1.0, 1e200), (1e308, 1e154),
+                                                 (1.0, np.array([0.5, 1e200]))],
+                             ids=["1.0-1e+200", "1e+308-1e+154", "per-row"])
     def test_overflow_is_one_line_numerics_error(self, variance, sigma):
-        """sigma^2 beyond the float range (1e200), or a finite sigma^2 whose
-        sum with a variance is (1e308 + 1e308): no OverflowError and no numpy
-        warning, one line naming sigma."""
+        """sigma^2 beyond the float range (1e200), a finite sigma^2 whose sum
+        with a variance is (1e308 + 1e308), or one such row in a per-row
+        batch: no numpy warning, one line naming the largest sigma, from the
+        variances and from the density and score that add them."""
         gm = tc.IsotropicGaussianMixture(weights=np.array([1.0]), means=np.zeros((1, 2)),
                                          variances=np.array([variance]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericsError) as info:
-                tc.perturb(gm, sigma)
-        assert str(info.value) == f"sigma {sigma!r} overflows the perturbed variance"
+        x = np.zeros((np.size(sigma), 2))
+        want = f"sigma {float(np.max(sigma))!r} overflows the perturbed variance"
+        for call in (lambda: tc.perturbed_variances(gm, sigma),
+                     lambda: tc.log_density(gm, x, sigma), lambda: tc.score(gm, x, sigma)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericsError) as info:
+                    call()
+            assert str(info.value) == want
 
     def test_sampling_perturbed_equals_sample_plus_noise(self):
-        """Two-sample energy-distance test on axis projections at n = 1e5."""
+        """The mixture with the perturbed variances is the law of x + sigma
+        eps: a two-sample energy-distance test on axis projections at n = 1e5."""
         n, sigma = 100000, 1.3
-        direct = tc.sample(tc.perturb(MIX_2D, sigma), n, seed=11)
-        base = tc.sample(MIX_2D, n, seed=12)
+        law = tc.IsotropicGaussianMixture(weights=MIX_2D.weights, means=MIX_2D.means,
+                                          variances=tc.perturbed_variances(MIX_2D, sigma)[0])
+        direct = teacher_draws(law, n, seed=11)
+        base = teacher_draws(MIX_2D, n, seed=12)
         noised = base + sigma * rngmod.stream(13, 0x7).standard_normal((n, 2))
         gen = rngmod.stream(14, 0x8)
         for _ in range(4):
@@ -162,10 +157,15 @@ class TestPerturb:
             assert observed <= 2.0 * max(null)
 
 
+def teacher_draws(gm, n, seed, counter=0):
+    """`sample` on the stream the training loop keys its teacher draws by."""
+    return tc.sample(gm, n, rngmod.stream(seed, counter, rngmod.TEACHER_SAMPLE))
+
+
 class TestSample:
     def test_deterministic_given_seed(self):
-        a = tc.sample(MIX_2D, 3, seed=5)
-        b = tc.sample(MIX_2D, 3, seed=5)
+        a = teacher_draws(MIX_2D, 3, seed=5)
+        b = teacher_draws(MIX_2D, 3, seed=5)
         np.testing.assert_array_equal(a, b)
 
     def test_sample_mean_clt_bound(self):
@@ -173,7 +173,7 @@ class TestSample:
             weights=np.array([1.0]), means=np.array([[2.5]]), variances=np.array([0.7])
         )
         n = 1000000
-        xs = tc.sample(gm, n, seed=3)
+        xs = teacher_draws(gm, n, seed=3)
         assert abs(float(xs.mean()) - 2.5) <= 4.0 * np.sqrt(0.7 / n)
 
     def test_degenerate_weights_pick_single_component(self):
@@ -182,12 +182,12 @@ class TestSample:
             means=np.array([[0.0], [100.0]]),
             variances=np.array([1.0, 1.0]),
         )
-        xs = tc.sample(gm, 1000, seed=4)
+        xs = teacher_draws(gm, 1000, seed=4)
         assert np.all(np.abs(xs) < 50.0)
 
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
-            tc.sample(MIX_2D, 0, seed=1)
+            teacher_draws(MIX_2D, 0, seed=1)
 
     def test_density_ratio_expectation_is_one(self):
         """E_q[p/q] = 1: the identity behind stage-1 ratio normalization."""
@@ -196,7 +196,7 @@ class TestSample:
             weights=np.array([1.0]), means=np.array([[0.3]]), variances=np.array([2.0])
         )
         n = 100000
-        xs = tc.sample(q, n, seed=21)
+        xs = teacher_draws(q, n, seed=21)
         log_r = tc.log_density(p, xs) - tc.log_density(q, xs)
         r = np.exp(log_r)
         se = r.std(ddof=1) / np.sqrt(n)
@@ -237,23 +237,23 @@ class TestAffinePushforward:
 
     def test_variance_additivity_with_noise(self):
         gen = tc.AffineGenerator(scale=1.0, bias=np.array([1.0, 0.0]))
-        law = tc.perturb(gen.exact_law(), 1.0)
-        assert law.variances[0] == pytest.approx(2.0)
+        assert tc.perturbed_variances(gen.exact_law(), 1.0)[0, 0] == pytest.approx(2.0)
 
     def test_score_zero_at_bias(self):
         gen = tc.AffineGenerator(scale=0.8, bias=np.array([0.4, -0.2]))
-        law = tc.perturb(gen.exact_law(), 0.5)
-        np.testing.assert_allclose(tc.score(law, gen.bias), np.zeros(2), atol=1e-14)
+        np.testing.assert_allclose(tc.score(gen.exact_law(), gen.bias, 0.5), np.zeros(2),
+                                   atol=1e-14)
 
     def test_pushforward_matches_sampled_moments(self):
         gen = tc.AffineGenerator(scale=1.5, bias=np.array([2.0, -1.0]))
-        law = tc.perturb(gen.exact_law(), 0.7)
+        law = gen.exact_law()
         stream = rngmod.stream(9, 0x33)
         z = stream.standard_normal((200000, 2))
         eps = stream.standard_normal((200000, 2))
         xs = gen.forward(z) + 0.7 * eps
         np.testing.assert_allclose(xs.mean(axis=0), law.means[0], atol=0.02)
-        np.testing.assert_allclose(xs.var(axis=0), law.variances[0], rtol=0.02)
+        np.testing.assert_allclose(xs.var(axis=0), tc.perturbed_variances(law, 0.7)[0, 0],
+                                   rtol=0.02)
 
     def test_overflowing_variance_is_numerics_error(self):
         gen = tc.AffineGenerator(scale=1e300, bias=np.zeros(2))
@@ -318,12 +318,11 @@ class TestAffineTrainingInterface:
 class TestParticleDensity:
     def test_matches_exact_law_for_affine(self):
         gen = tc.AffineGenerator(scale=1.0, bias=np.array([0.5, 0.5]))
-        law = tc.perturb(gen.exact_law(), 1.0)
         stream = rngmod.stream(17, 0x44)
         centers = gen.forward(stream.standard_normal((20000, 2)))
         x = stream.standard_normal((64, 2))
         approx = tc.particle_log_density(centers, x, 1.0)
-        exact = tc.log_density(law, x)
+        exact = tc.log_density(gen.exact_law(), x, 1.0)
         np.testing.assert_allclose(approx, exact, atol=0.05)
 
     def test_requires_positive_sigma(self):
@@ -422,7 +421,7 @@ class TestModeCoverage:
         weights = 0.7 ** np.arange(gm.n_components)
         spread = tc.IsotropicGaussianMixture(
             weights=weights / weights.sum(), means=gm.means, variances=4.0 * gm.variances)
-        samples = tc.sample(spread, n, seed=41)
+        samples = teacher_draws(spread, n, seed=41)
         cov = tc.mode_coverage(samples, gm)
 
         dist = np.linalg.norm(samples[:, None, :] - gm.means[None, :, :], axis=2)
