@@ -265,7 +265,7 @@ def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
     from .checkpoint import load_checkpoint
     from .distill import RunConfig, restore_state
     from .errors import ConfigError
-    from .teacher import block_coverage, make_teacher
+    from .teacher import make_teacher, mode_coverage
 
     if checkpoint_path is None:
         raise ConfigError("--checkpoint", "the modes command needs a checkpoint file")
@@ -284,7 +284,7 @@ def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
     gen = state.generator
     latents = rngmod.stream(saved_cfg.seed, iteration, rngmod.METRICS, 7)
     with np.errstate(over="ignore", invalid="ignore"):
-        coverage = block_coverage(
+        coverage = mode_coverage(
             (gen.forward(latents.standard_normal((stop - start, gen.latent_dim)))
              for start, stop in row_blocks(n_samples)),
             teacher,

@@ -32,11 +32,12 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import rng as rngmod
+from ._numerics import row_blocks
 from .divergence import KINDS, weight_h
 from .errors import CheckpointError, ConfigError, DomainError, NumericsError, TrainingDiverged
 from .nets import (HIDDEN_WIDTHS, Adam, ConditionedNet, FeedForwardNet, adam_init, adam_step,
                    backward, conditioned_init, forward, init_net, predict)
-from .ratio_gan import RatioClip, clipped_log_ratio, disc_update, gan_generator_grad
+from .ratio_gan import clipped_log_ratio, disc_update, gan_generator_grad
 from .scorematch import dsm_update, fake_score
 from .teacher import (
     AffineGenerator,
@@ -162,7 +163,7 @@ class RunConfig:
     total_iters: int = _key(20000, integer(ge=0))
     tau: int = _key(5, integer(ge=1))
     gan_weight: float = _key(1e-3, number(ge=0))
-    # the ratio clip (see RatioClip); a bin-normalized ratio stays >= 1e-300
+    # the ratio clip, 0 < r_min <= 1 <= r_max; a bin-normalized ratio stays >= 1e-300
     r_min: float = _key(1e-3, number(ge=1e-150, le=1))
     r_max: float = _key(1e3, number(ge=1, le=1e150))
     time_bins: int = _key(8, integer(ge=1))
@@ -226,9 +227,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dict(vars(self))
-
-    def ratio_clip(self) -> RatioClip:
-        return RatioClip(self.r_min, self.r_max)
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.sigma_min, self.sigma_max, self.n_levels)
@@ -471,18 +469,16 @@ def _student_log_density(state: TrainState, points, sigma,
 
 
 def _ratio_batch(state, cfg, teacher, x, sigma, iteration) -> np.ndarray:
-    """Clipped density-ratio estimates at the noised samples x."""
-    clip = cfg.ratio_clip()
+    """Density-ratio estimates at the noised samples x, clipped to [r_min, r_max]."""
+    lo, hi = np.log(cfg.r_min), np.log(cfg.r_max)
     if cfg.ratio_source == "discriminator":
-        log_r = clipped_log_ratio(state.discriminator, x, sigma, clip)
+        log_r = clipped_log_ratio(state.discriminator, x, sigma, lo, hi)
     else:
-        log_r = log_density(teacher, x, sigma) - _student_log_density(
+        log_r = np.clip(log_density(teacher, x, sigma) - _student_log_density(
             state, x, sigma,
             rngmod.stream(cfg.seed, iteration, rngmod.STEP_PARTICLES),
             cfg.oracle_ratio_particles,
-        )
-        lo, hi = clip.log_bounds
-        log_r = np.clip(log_r, lo, hi)
+        ), lo, hi)
     return np.exp(log_r)
 
 
@@ -646,7 +642,7 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     reverse_kl_se = float(np.std(rev, ddof=1) / math.sqrt(n))
 
     try:
-        coverage = mode_coverage(y, teacher)
+        coverage = mode_coverage((y[start:stop] for start, stop in row_blocks(n)), teacher)
         modes_covered = coverage.n_covered
         min_mode_mass = float(np.min(coverage.per_mode_mass))
     except DomainError:

@@ -6,15 +6,15 @@ The scalar head output is interpreted as a logit, so D = sigmoid(logit) and
 
 is the density-ratio estimate; at the Bayes optimum the logit converges to
 log p_sigma(x) - log q_sigma(x). Ratios are clipped in log space before any
-exponentiation. Every network input passes `nets.conditioned_input`, whose
-embedding rejects sigma <= 0 before any parameter changes.
+exponentiation, to the log bounds the caller passes (the training loop takes
+them from the run config's `r_min` and `r_max`, which the config schema
+bounds). Every network input passes `nets.conditioned_input`, whose embedding
+rejects sigma <= 0 before any parameter changes.
 
 The discriminator objective is the noised logistic GAN loss plus an R1
 gradient penalty on real inputs. The generator side takes the non-saturating
 form -log D.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,29 +24,11 @@ from .nets import (Adam, ConditionedNet, adam_step, backward, conditioned_input,
                    input_grad_param_grad, predict, scalar_input_grad)
 
 __all__ = [
-    "RatioClip",
     "logit",
     "clipped_log_ratio",
     "disc_update",
     "gan_generator_grad",
 ]
-
-
-@dataclass(frozen=True)
-class RatioClip:
-    r_min: float = 1e-3
-    r_max: float = 1e3
-
-    def __post_init__(self):
-        if not (0.0 < self.r_min <= 1.0 <= self.r_max):
-            raise DomainError(
-                f"ratio clip must satisfy 0 < r_min <= 1 <= r_max, got "
-                f"({self.r_min}, {self.r_max})"
-            )
-
-    @property
-    def log_bounds(self):
-        return np.log(self.r_min), np.log(self.r_max)
 
 
 def _logit_cached(disc: ConditionedNet, x: np.ndarray, sig: np.ndarray):
@@ -63,12 +45,12 @@ def logit(disc: ConditionedNet, x, sigma) -> np.ndarray:
     return predict(disc.net, inp)[:, 0]
 
 
-def clipped_log_ratio(disc: ConditionedNet, x, sigma, clip: RatioClip) -> np.ndarray:
-    """log of the clipped ratio estimate; stays in log space throughout."""
+def clipped_log_ratio(disc: ConditionedNet, x, sigma, lo, hi) -> np.ndarray:
+    """log of the ratio estimate clipped to the log bounds [lo, hi]; stays in
+    log space throughout."""
     ell = logit(disc, x, sigma)
     if not np.all(np.isfinite(ell)):
         raise NumericsError("non-finite discriminator logit")
-    lo, hi = clip.log_bounds
     return np.clip(ell, lo, hi)
 
 

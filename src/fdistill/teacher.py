@@ -10,9 +10,10 @@ the component variances and raises `NumericsError` when a sum overflows.
 particle log-densities reduce their (n, K) component matrices with
 `_numerics.logsumexp`, which equals SciPy's `logsumexp` bit for bit, so the
 training path loads numpy only.
-`mode_coverage` measures how much of a sample set falls in each component's
-ball; it and `particle_log_density` work through bounded row blocks, so their
-memory does not grow with the number of samples, points or centers.
+`mode_coverage` measures how much of a sample set, handed over as an
+iterable of row blocks, falls in each component's ball; it and
+`particle_log_density` hold one bounded block at a time, so their memory does
+not grow with the number of samples, points or centers.
 
 `AffineGenerator` is the package's one affine student: pushing a standard
 normal latent through x = a z + b gives the exactly Gaussian output law
@@ -42,7 +43,6 @@ __all__ = [
     "particle_log_density",
     "ModeCoverage",
     "mode_coverage",
-    "block_coverage",
     "COVERAGE_K",
     "COVERAGE_THRESHOLD",
     "ring8",
@@ -330,33 +330,19 @@ class ModeCoverage:
     n_covered: int
 
 
-def mode_coverage(samples, teacher: IsotropicGaussianMixture) -> ModeCoverage:
-    """Fraction of samples within COVERAGE_K sqrt(v) of each component mean.
+def mode_coverage(blocks, teacher: IsotropicGaussianMixture) -> ModeCoverage:
+    """Fraction of the samples within COVERAGE_K sqrt(v) of each component mean.
 
-    A mode counts as covered when its fraction reaches COVERAGE_THRESHOLD.
-    Requires well-separated components (pairwise mean distance
-    > 2 COVERAGE_K sqrt(v)), otherwise ball membership is ambiguous. The
-    samples are counted by `block_coverage` over `row_blocks`, so memory
-    stays bounded for any sample count.
-    """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise DomainError("mode coverage needs a non-empty (n, dim) sample set")
-    if pts.shape[1] != teacher.dim:
-        raise DomainError("sample dimension does not match the teacher")
-    return block_coverage((pts[start:stop] for start, stop in row_blocks(pts.shape[0])),
-                          teacher)
-
-
-def block_coverage(blocks, teacher: IsotropicGaussianMixture) -> ModeCoverage:
-    """`mode_coverage` of the samples that `blocks`, an iterable of (rows, dim)
-    arrays, yields in turn; only one block is held at a time.
-
-    The teacher's overlap check runs before the first block is taken, so a
-    lazy iterable draws nothing for an ambiguous teacher. Ball counts are
-    summed as integers and divided by the total row count once, so the mass
-    equals the mean of the 0/1 memberships bit for bit however the rows are
-    blocked. A distance that overflows is +inf, outside every ball.
+    `blocks` is an iterable of (rows, dim) sample arrays, taken one at a time,
+    so a lazy iterable keeps memory bounded for any sample count. A mode
+    counts as covered when its fraction reaches COVERAGE_THRESHOLD. Requires
+    well-separated components (pairwise mean distance > 2 COVERAGE_K sqrt(v)),
+    otherwise ball membership is ambiguous; that check runs before the first
+    block is taken, so a lazy iterable draws nothing for an ambiguous teacher.
+    Ball counts are summed as integers and divided by the total row count
+    once, so the mass equals the mean of the 0/1 memberships bit for bit
+    however the rows are blocked. A distance that overflows is +inf, outside
+    every ball.
     """
     radii = COVERAGE_K * np.sqrt(teacher.variances)
     mu = teacher.means
@@ -371,11 +357,17 @@ def block_coverage(blocks, teacher: IsotropicGaussianMixture) -> ModeCoverage:
                 )
     counts = np.zeros(teacher.n_components, dtype=np.int64)
     n = 0
-    for pts in blocks:
+    for block in blocks:
+        pts = np.asarray(block, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != teacher.dim:
+            raise DomainError(f"mode coverage needs (rows, {teacher.dim}) sample blocks, "
+                              f"got shape {pts.shape}")
         with np.errstate(over="ignore"):
             dist = np.linalg.norm(pts[:, None, :] - mu[None, :, :], axis=2)
         counts += np.count_nonzero(dist <= radii[None, :], axis=0)
         n += pts.shape[0]
+    if n == 0:
+        raise DomainError("mode coverage needs a non-empty sample set")
     mass = counts / n
     covered = mass >= COVERAGE_THRESHOLD
     return ModeCoverage(
@@ -406,7 +398,8 @@ TEACHER_PRESETS = {"ring8": ring8, "grid25": grid25}
 
 
 def make_teacher(spec) -> IsotropicGaussianMixture:
-    """Build a teacher from a preset name or an explicit component dict."""
+    """Build a teacher from a preset name or a {weights, means, variances} dict;
+    any other dict key is rejected."""
     if isinstance(spec, IsotropicGaussianMixture):
         return spec
     if isinstance(spec, str):
@@ -416,6 +409,9 @@ def make_teacher(spec) -> IsotropicGaussianMixture:
             )
         return TEACHER_PRESETS[spec]()
     if isinstance(spec, dict):
+        unknown = [key for key in spec if key not in ("weights", "means", "variances")]
+        if unknown:
+            raise DomainError(f"teacher dict has unknown key {unknown[0]!r}")
         try:
             return IsotropicGaussianMixture(
                 weights=np.asarray(spec["weights"], dtype=float),

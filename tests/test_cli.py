@@ -133,6 +133,11 @@ class TestConfigHandling:
         ("weight_decay", float("nan")),
         ("r1_gamma", float("inf")),
         ("metrics_samples", 1),    # its standard errors need two samples
+        # the ratio clip needs 0 < r_min <= 1 <= r_max
+        ("r_min", 2.0),
+        ("r_max", 0.9),
+        ("r_min", 0.0),
+        ("teacher", {"weights": [1], "means": [[0, 0]], "variances": [1], "foo": 3}),
     ])
     def test_mistyped_value_exits_2_with_one_line(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {**TINY_TRAIN, key: value})
@@ -229,6 +234,8 @@ class TestConfigHandling:
         ("table", {"r_min": 1e-101}, "table.r_min"),
         ("table", {"r_max": 1e101}, "table.r_max"),
         ("table", {"r_values": [1e101]}, "table.r_values"),
+        ("weightmap", {"student": {"weights": [1], "means": [[0, 0]], "variances": [1],
+                                   "foo": 3}}, "weightmap.student"),
     ])
     def test_bad_command_section_value_exits_2(self, tmp_path, capsys, command, section,
                                                field):
@@ -853,6 +860,30 @@ class TestModesCommand:
         assert err.startswith("error: ") and "checksum" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("drop, message", [
+        ("denoiser", "checkpoint missing networks: ['denoiser']"),
+        (None, "checkpoint generator has 3 parameters, config implies "),
+    ], ids=["missing_network", "parameter_count"])
+    def test_unrestorable_checkpoint_exits_2_with_one_line(self, tmp_path, capsys,
+                                                           trained_checkpoint, drop, message):
+        """A checkpoint that loads but does not fit its config: a network is
+        missing, or the generator's parameter count is not the config's."""
+        source = tmp_path / "c.fdst"
+        source.write_bytes(trained_checkpoint[0])
+        echo, iteration, payloads = ckpt.load_checkpoint(source)
+        if drop is None:
+            payloads[0] = ckpt.NetworkPayload("generator", (1, 2), np.zeros(3),
+                                              adam_init(3, 1e-3))
+        payloads = [p for p in payloads if p.name != drop]
+        path = tmp_path / "x.fdst"
+        ckpt.save_checkpoint(path, echo, iteration, payloads)
+        code = cli.main(["modes", "--config", trained_checkpoint[1], "--out",
+                         str(tmp_path / "o"), "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("value", [-5, 0, 2.5, "x", True])
     def test_bad_n_samples_exits_2_with_one_line(self, tmp_path, capsys, trained_checkpoint,
                                                  value):
@@ -1243,6 +1274,12 @@ class TestStartupImports:
         assert printed == ["[0] False False", "[0, 0] False False"]
 
 
+def bench_traced():
+    """The benchmark tracer's `TRACED` table, read without importing `bench`."""
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    return runpy.run_path(str(tracing))["TRACED"]
+
+
 class TestPublicNames:
     def test_every_exported_name_resolves(self):
         """Each name in a module's `__all__`, and each lazy package export,
@@ -1259,13 +1296,28 @@ class TestPublicNames:
     def test_every_traced_name_is_callable(self):
         """The benchmark's tracer wraps each function of its `TRACED` table,
         so a refactor that drops or renames one fails here, not only in a
-        traced benchmark run. The table is read without importing `bench`."""
-        tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-        traced = runpy.run_path(str(tracing))["TRACED"]
+        traced benchmark run."""
+        traced = bench_traced()
         missing = [f"{module}.{name}" for module, names in traced.items() for name in names
                    if not callable(getattr(importlib.import_module(f"fdistill.{module}"),
                                            name, None))]
         assert not missing
+
+    def test_every_traced_function_is_one_object_in_every_module(self):
+        """The tracer patches every `fdistill` module binding that is the
+        traced function object, so each module that binds a traced name must
+        bind that very object (`oracle.mode_coverage is teacher.mode_coverage
+        is distill.mode_coverage`); a second definition under the name would
+        run untraced."""
+        traced = bench_traced()
+        modules = [fdistill] + [importlib.import_module(f"fdistill.{info.name}")
+                                for info in pkgutil.iter_modules(fdistill.__path__)]
+        stray = [(module.__name__, home, name)
+                 for home, names in traced.items() for name in names
+                 for module in modules if name in vars(module)
+                 and vars(module)[name] is not getattr(
+                     importlib.import_module(f"fdistill.{home}"), name)]
+        assert not stray
 
 
 def modes_report(cfg, out, checkpoint, n_samples, tmp_path):
@@ -1280,8 +1332,8 @@ def modes_report(cfg, out, checkpoint, n_samples, tmp_path):
 class TestModesBlocks:
     @pytest.mark.parametrize("student", [{}, AFFINE_EXACT], ids=["mlp", "affine"])
     def test_blocked_report_equals_one_shot(self, tmp_path, student):
-        """5000 samples are drawn, generated and counted in four row blocks,
-        the last one folded (1024 x 3 + 1928); modes.json equals the report
+        """5000 samples are drawn, generated and counted in four row blocks
+        (1216, 1280, 1216 and 1288 rows); modes.json equals the report
         of the one-shot draw, forward and `mode_coverage` byte for byte."""
         from fdistill import rng as rngmod
         from fdistill.distill import restore_state
@@ -1299,7 +1351,8 @@ class TestModesBlocks:
         state = restore_state(saved, iteration, payloads)
         z_all = rngmod.stream(saved.seed, iteration, rngmod.METRICS, 7).standard_normal(
             (5000, state.generator.latent_dim))
-        coverage = mode_coverage(state.generator.forward(z_all), make_teacher(saved.teacher))
+        coverage = mode_coverage([state.generator.forward(z_all)],
+                                 make_teacher(saved.teacher))
         expected = {
             "checkpoint": str(path),
             "iteration": iteration,
@@ -1310,6 +1363,26 @@ class TestModesBlocks:
             "covered": [bool(c) for c in coverage.covered],
         }
         assert written == json.dumps(expected, indent=2).encode()
+
+    def test_counts_through_mode_coverage(self, tmp_path, trained_checkpoint, monkeypatch):
+        """`modes` counts its balls with `teacher.mode_coverage`, the one
+        coverage function, handing it one block after another."""
+        from fdistill import teacher
+
+        calls, rows = [], []
+        original = teacher.mode_coverage
+
+        def recording(blocks, gm):
+            calls.append(gm)
+            return original((rows.append(len(b)) or b for b in blocks), gm)
+
+        monkeypatch.setattr(teacher, "mode_coverage", recording)
+        path = tmp_path / "c.fdst"
+        path.write_bytes(trained_checkpoint[0])
+        code, _ = modes_report(trained_checkpoint[1], tmp_path / "o", path, 5000, tmp_path)
+        assert code == 0
+        assert len(calls) == 1
+        assert rows == [stop - start for start, stop in nm.row_blocks(5000)]
 
     def test_peak_memory_does_not_grow_with_n_samples(self, tmp_path):
         """Only one block of latents, outputs and distances is alive at a

@@ -609,7 +609,7 @@ def perfect_student_log_ratio(sigma):
         noise = rngmod.stream(seed, 0, rngmod.METRICS, 1).standard_normal((512, 2))
         x = state.generator.forward(np.zeros((512, 2))) + sig[:, None] * noise
         log_r = np.log(distill._ratio_batch(state, cfg, teacher, x, sig, 0))
-        rows.append((log_r.mean(), np.mean(log_r >= cfg.ratio_clip().log_bounds[1] - 1e-9)))
+        rows.append((log_r.mean(), np.mean(log_r >= np.log(cfg.r_max) - 1e-9)))
     return np.array(rows)
 
 

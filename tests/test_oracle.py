@@ -386,19 +386,24 @@ class TestModeCoverage:
     def test_ring8_self_samples_cover_everything(self):
         ring = tc.ring8()
         samples = tc.sample(ring, 100000, rngmod.stream(37, 0, rngmod.TEACHER_SAMPLE))
-        cov = oracle.mode_coverage(samples, ring)
+        cov = oracle.mode_coverage([samples], ring)
         assert cov.n_covered == 8
         np.testing.assert_allclose(cov.per_mode_mass, 1.0 / 8.0, atol=0.02)
 
     def test_collapsed_samples_cover_one_mode(self):
         ring = tc.ring8()
         samples = np.tile(ring.means[2], (500, 1))
-        cov = oracle.mode_coverage(samples, ring)
+        cov = oracle.mode_coverage([samples], ring)
         assert cov.n_covered == 1
 
     def test_empty_samples_rejected(self):
         with pytest.raises(DomainError):
-            oracle.mode_coverage(np.zeros((0, 2)), tc.ring8())
+            oracle.mode_coverage([np.zeros((0, 2))], tc.ring8())
+
+    def test_bare_array_rejected(self):
+        """A bare (n, d) array is not read as n blocks of one 1-D row each."""
+        with pytest.raises(DomainError, match="sample blocks"):
+            oracle.mode_coverage(np.zeros((10, 2)), tc.ring8())
 
     def test_overlapping_teacher_rejected(self):
         blob = tc.IsotropicGaussianMixture(
@@ -406,5 +411,12 @@ class TestModeCoverage:
             means=np.array([[0.0, 0.0], [0.5, 0.0]]),
             variances=np.array([1.0, 1.0]),
         )
+
+        def blocks():   # the check runs before a lazy iterable is drawn from
+            raise AssertionError("block drawn for an ambiguous teacher")
+            yield
+
         with pytest.raises(DomainError, match="coverage undefined"):
-            oracle.mode_coverage(np.zeros((10, 2)), blob)
+            oracle.mode_coverage([np.zeros((10, 2))], blob)
+        with pytest.raises(DomainError, match="coverage undefined"):
+            oracle.mode_coverage(blocks(), blob)

@@ -8,10 +8,10 @@ import pytest
 from fdistill import nets, ratio_gan as rg
 from fdistill import rng as rngmod
 from fdistill._numerics import sigmoid
-from fdistill.errors import DomainError
 from test_nets import ref_backward, ref_forward, ref_input_grad_param_grad
 
-CLIP = rg.RatioClip(1e-3, 1e3)
+R_MIN, R_MAX = 1e-3, 1e3
+LOG_BOUNDS = (np.log(R_MIN), np.log(R_MAX))
 
 
 def identity_logit_disc():
@@ -55,36 +55,27 @@ def near_optimal_disc():
     return disc
 
 
-class TestRatioClip:
-    def test_bounds_validated(self):
-        with pytest.raises(DomainError):
-            rg.RatioClip(2.0, 3.0)
-        with pytest.raises(DomainError):
-            rg.RatioClip(0.5, 0.9)
-        with pytest.raises(DomainError):
-            rg.RatioClip(0.0, 2.0)
-
-
 class TestRatioEstimate:
-    """The ratio estimate exp(clipped_log_ratio) = clamp(D / (1 - D), r_min, r_max)."""
+    """The ratio estimate exp(clipped_log_ratio) = clamp(D / (1 - D), r_min, r_max),
+    with the log bounds (log r_min, log r_max)."""
 
     def test_zero_logit_means_ratio_one(self):
         disc = nets.conditioned_init(1, 1, rngmod.stream(1, 1), 1.0)  # zero head
-        r = np.exp(rg.clipped_log_ratio(disc, np.zeros((4, 1)), np.full(4, 0.5), CLIP))
+        r = np.exp(rg.clipped_log_ratio(disc, np.zeros((4, 1)), np.full(4, 0.5), *LOG_BOUNDS))
         np.testing.assert_array_equal(r, np.ones(4))
 
     def test_clipping_applies(self):
         disc = identity_logit_disc()
-        clip = rg.RatioClip(1e-3, 4.0)
-        r = np.exp(rg.clipped_log_ratio(disc, np.array([[10.0]]), np.full(1, 0.5), clip))
+        r = np.exp(rg.clipped_log_ratio(disc, np.array([[10.0]]), np.full(1, 0.5),
+                                        np.log(1e-3), np.log(4.0)))
         assert r[0] == pytest.approx(4.0)
 
     def test_always_inside_clip_range(self):
         disc = identity_logit_disc()
         gen = rngmod.stream(1, 2)
         x = 50.0 * gen.standard_normal((128, 1))
-        r = np.exp(rg.clipped_log_ratio(disc, x, np.full(128, 0.5), CLIP))
-        assert np.all((r >= CLIP.r_min) & (r <= CLIP.r_max))
+        r = np.exp(rg.clipped_log_ratio(disc, x, np.full(128, 0.5), *LOG_BOUNDS))
+        assert np.all((r >= R_MIN) & (r <= R_MAX))
 
 
 class TestDiscUpdate:

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import energy_distance
 
+from fdistill import _numerics as nm
 from fdistill import rng as rngmod
 from fdistill import teacher as tc
 from fdistill.errors import DomainError, NumericsError
@@ -408,6 +409,11 @@ class TestPresets:
         with pytest.raises(DomainError):
             tc.make_teacher("ring9")
 
+    def test_unknown_dict_key_is_named(self):
+        with pytest.raises(DomainError, match="unknown key 'foo'"):
+            tc.make_teacher({"weights": [1.0], "means": [[0.0, 0.0]], "variances": [1.0],
+                             "foo": 3})
+
 
 class TestModeCoverage:
     @pytest.mark.parametrize("preset", ["ring8", "grid25"])
@@ -422,7 +428,7 @@ class TestModeCoverage:
         spread = tc.IsotropicGaussianMixture(
             weights=weights / weights.sum(), means=gm.means, variances=4.0 * gm.variances)
         samples = teacher_draws(spread, n, seed=41)
-        cov = tc.mode_coverage(samples, gm)
+        cov = tc.mode_coverage((samples[a:b] for a, b in nm.row_blocks(n)), gm)
 
         dist = np.linalg.norm(samples[:, None, :] - gm.means[None, :, :], axis=2)
         mass = (dist <= 3.0 * np.sqrt(gm.variances)[None, :]).mean(axis=0)
