@@ -200,12 +200,12 @@ def _cmd_table(cfg, params, out_dir: Path) -> int:
     from .divergence import KINDS, catalog
     from .errors import ConfigError
 
-    if not params["r_min"] < params["r_max"]:
-        raise ConfigError("table.r_min", f"must be < table.r_max, got {params['r_min']!r}")
     if params["r_values"] is not None:
         grid = np.asarray(params["r_values"])
-    else:
+    elif params["r_min"] < params["r_max"]:
         grid = np.geomspace(params["r_min"], params["r_max"], params["n_points"])
+    else:
+        raise ConfigError("table.r_min", f"must be < table.r_max, got {params['r_min']!r}")
     rows = []
     for kind in KINDS:
         spec = catalog(kind)

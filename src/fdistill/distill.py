@@ -122,7 +122,7 @@ def list_of(rule, nonempty=False):
 
 
 def teacher_spec(spec):
-    """A teacher preset name or {weights, means, variances} mixture."""
+    """A teacher preset name or {weights, means, variances} dict, never a mixture object."""
     try:
         make_teacher(spec)
     except (TypeError, ValueError, OverflowError) as exc:  # also numpy's, on bad arrays
@@ -675,7 +675,9 @@ def state_payloads(state: TrainState):
 
 def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
     """Rebuild a TrainState from checkpoint payloads; exact inverse of
-    state_payloads given the same config."""
+    state_payloads given the same config. A record unlike the config's net (in
+    parameter count or widths) or with a non-finite parameter is a CheckpointError;
+    Adam's v may be inf in a valid run (Adam then moves that parameter by 0)."""
     by_name = {p.name: p for p in payloads}
     missing = {"generator", "denoiser", "discriminator"} - set(by_name)
     if missing:
@@ -689,6 +691,11 @@ def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
                 f"checkpoint {name} has {payload.params.size} parameters, "
                 f"config implies {holder.params.size}"
             )
+        if payload.widths != holder.widths:
+            raise CheckpointError(
+                f"checkpoint {name} has widths {payload.widths}, config implies {holder.widths}")
+        if not np.all(np.isfinite(payload.params)):
+            raise CheckpointError(f"checkpoint {name} has a non-finite parameter")
         holder.params = payload.params.copy()
         setattr(state, f"opt_{name}", replace(payload.adam))
     state.iteration = int(iteration)

@@ -61,12 +61,6 @@ def _check_positive_ratio(r):
     return a
 
 
-def _scalar_like(value, template):
-    if np.ndim(template) == 0:
-        return float(value)
-    return value
-
-
 @dataclass(frozen=True)
 class DivergenceSpec:
     """One row of the catalog: f, f', f'' and h of the ratio r, and f and h
@@ -159,24 +153,21 @@ _CATALOG = {spec.kind: spec for spec in (
 KINDS = tuple(_CATALOG)
 
 
-def catalog(kind) -> DivergenceSpec:
-    """The catalog row named `kind`; a row passes through unchanged."""
-    if isinstance(kind, DivergenceSpec):
-        return kind
-    if kind in _CATALOG:
+def catalog(kind: str) -> DivergenceSpec:
+    """The catalog row named `kind`, one of KINDS."""
+    if isinstance(kind, str) and kind in _CATALOG:
         return _CATALOG[kind]
-    raise DomainError(f"unsupported divergence: {kind!r} (known: {', '.join(KINDS)})")
+    given = repr(kind) if isinstance(kind, str) else f"a {type(kind).__name__}"
+    raise DomainError(f"unsupported divergence: {given} (known: {', '.join(KINDS)})")
 
 
-def weight_h(kind, r):
-    """h(r) = f''(r) r^2 for r > 0; array-valued for array input."""
+def weight_h(kind: str, r):
+    """h(r) = f''(r) r^2 for r > 0, as the row's `h` returns it."""
     spec = catalog(kind)
-    a = _check_positive_ratio(r)
-    return _scalar_like(spec.h(a), r)
+    return spec.h(_check_positive_ratio(r))
 
 
-def weight_h_log(kind, log_r):
-    """h evaluated at log-ratio input (no exp of the raw ratio)."""
+def weight_h_log(kind: str, log_r):
+    """h at log-ratio input (no exp of the raw ratio), as the row's `h_log` returns it."""
     spec = catalog(kind)
-    u = _as_float_array(log_r, "log ratio")
-    return _scalar_like(spec.h_log(u), log_r)
+    return spec.h_log(_as_float_array(log_r, "log ratio"))

@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .divergence import DivergenceSpec, catalog, weight_h_log
+from .divergence import catalog, weight_h_log
 from .errors import DomainError, NumericsError
 from .teacher import (
     AffineGenerator,
@@ -66,11 +66,6 @@ class GradCheckReport:
 
     def passes(self, rel_tol: float = 1e-4) -> bool:
         return self.rel_error <= rel_tol
-
-
-def _f_values_from_log_ratio(spec: DivergenceSpec, log_r: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(spec.f_log(log_r), dtype=float)
 
 
 def _gauss_hermite(d: int):
@@ -128,13 +123,12 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
     # Analytic side (the gradient the training loop follows).
     x = gen.bias + spread
     log_r = finite(log_density(teacher, x, s) - log_density(q_law, x, s), "analytic")
-    values = weight_h_log(spec, log_r)[:, None] * (score(teacher, x, s) - score(q_law, x, s))
+    values = weight_h_log(kind, log_r)[:, None] * (score(teacher, x, s) - score(q_law, x, s))
     grad_analytic = -_expectation(weights, finite(values, "analytic"))
 
     def divergence_at(bias):
         pts = bias + spread
-        f = _f_values_from_log_ratio(
-            spec, log_density(teacher, pts, s) - log_density(q_at(bias), pts, s))
+        f = spec.f_log(log_density(teacher, pts, s) - log_density(q_at(bias), pts, s))
         return float(_expectation(weights, finite(f, "finite-difference")))
 
     reports = []
@@ -172,7 +166,7 @@ def normalized_variance_curve(kind, mean_gaps: Sequence[float]) -> List[float]:
         x = float(d) + nodes[:, 0]
         # log r for N(0,1) vs N(d,1): quadratic difference, exact
         log_r = 0.5 * (np.square(x - float(d)) - np.square(x))
-        h = np.asarray(weight_h_log(spec, log_r), dtype=float)
+        h = weight_h_log(kind, log_r)
         m1 = _expectation(weights, h)
         if m1 <= 0.0:
             raise NumericsError(f"degenerate weighting for {spec.kind}")
@@ -193,11 +187,11 @@ def weight_score_map(kind, teacher: IsotropicGaussianMixture,
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != teacher.dim:
         raise DomainError("grid must be (n, dim) points")
-    spec = catalog(kind)
+    catalog(kind)   # an unknown kind is refused before any density is evaluated
     s = float(sigma)
     diff = score(teacher, pts, s) - score(student, pts, s)
     log_r = log_density(teacher, pts, s) - log_density(student, pts, s)
-    h = np.asarray(weight_h_log(spec, log_r), dtype=float)
+    h = weight_h_log(kind, log_r)
     return np.linalg.norm(diff, axis=1), h
 
 

@@ -97,16 +97,13 @@ class IsotropicGaussianMixture:
         return math.sqrt(max((second - float(np.sum(mean**2))) / self.dim, 1e-12))
 
 
-def _check_points(gm_dim: int, x) -> tuple:
+def _check_points(gm_dim: int, x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
     if a.ndim != 2 or a.shape[1] != gm_dim:
-        raise DomainError(f"points must have dimension {gm_dim}, got shape {np.shape(x)}")
+        raise DomainError(f"points must be an (n, {gm_dim}) batch, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("points must be finite")
-    return a, single
+    return a
 
 
 def perturbed_variances(gm: IsotropicGaussianMixture, sigma) -> np.ndarray:
@@ -144,24 +141,22 @@ def _component_logs(gm: IsotropicGaussianMixture, x: np.ndarray, var) -> np.ndar
     return _gaussian_logs(const, x, gm.means, var)
 
 
-def log_density(gm: IsotropicGaussianMixture, x, sigma=0.0):
-    """log p_sigma(x); `sigma` may be a scalar or per-point array."""
-    pts, single = _check_points(gm.dim, x)
+def log_density(gm: IsotropicGaussianMixture, x, sigma=0.0) -> np.ndarray:
+    """log p_sigma(x) of an (n, d) batch x; `sigma` may be a scalar or per-point array."""
+    pts = _check_points(gm.dim, x)
     comp = _component_logs(gm, pts, perturbed_variances(gm, sigma))
-    out = logsumexp(comp, overwrite_a=True)
-    return float(out[0]) if single else out
+    return logsumexp(comp, overwrite_a=True)
 
 
-def score(gm: IsotropicGaussianMixture, x, sigma=0.0):
-    """grad_x log p_sigma(x): responsibility-weighted pull towards the means."""
-    pts, single = _check_points(gm.dim, x)
+def score(gm: IsotropicGaussianMixture, x, sigma=0.0) -> np.ndarray:
+    """grad_x log p_sigma(x) of an (n, d) batch: pull towards the means by responsibility."""
+    pts = _check_points(gm.dim, x)
     var = perturbed_variances(gm, sigma)
     comp = _component_logs(gm, pts, var)
     comp -= logsumexp(comp, keepdims=True)
     resp = np.exp(comp, out=comp)
     pull = (gm.means[None, :, :] - pts[:, None, :]) / var[..., None]
-    out = np.einsum("nk,nkd->nd", resp, pull)
-    return out[0] if single else out
+    return np.einsum("nk,nkd->nd", resp, pull)
 
 
 def sample(gm: IsotropicGaussianMixture, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -399,9 +394,7 @@ TEACHER_PRESETS = {"ring8": ring8, "grid25": grid25}
 
 def make_teacher(spec) -> IsotropicGaussianMixture:
     """Build a teacher from a preset name or a {weights, means, variances} dict;
-    any other dict key is rejected."""
-    if isinstance(spec, IsotropicGaussianMixture):
-        return spec
+    any other dict key, or any other value (a mixture object too), is rejected."""
     if isinstance(spec, str):
         if spec not in TEACHER_PRESETS:
             raise DomainError(

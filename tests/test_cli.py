@@ -261,6 +261,10 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "coverage undefined" in err
         assert len(err.strip().splitlines()) == 1
+        # training's metrics rows record the undefined coverage instead of failing
+        rows = (out / "metrics.csv").read_text().strip().splitlines()
+        row = dict(zip(rows[0].split(","), rows[-1].split(",")))
+        assert row["modes_covered"] == "-1" and row["min_mode_mass"] == "nan"
 
     @pytest.mark.parametrize("gap", [9.5, -9.5, 1e300])
     def test_variance_gap_beyond_nine_exits_2_with_one_line(self, tmp_path, capsys, gap):
@@ -303,10 +307,12 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_config_validates(self, path):
-        """Run keys and every command section, at its defaults, pass the schema."""
+        """Run keys and every command section, at its defaults, pass the schema,
+        and the run config round-trips through JSON text, as a checkpoint echoes it."""
         cfg, sections = cli._load_config(path, {})
         assert cfg.to_dict() == {**RunConfig().to_dict(), **json.loads(path.read_text())}
         assert set(sections) == set(cli._section_keys())
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_console_script_usage(self):
         proc = subprocess.run(
@@ -561,6 +567,15 @@ class TestTableCommand:
         assert len(rows) == 401 * len(KINDS)
         assert {float(row.split(",")[1]) for row in rows} >= {1e-100, 1e100}
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
+
+    def test_given_ratios_leave_the_bounds_unchecked(self, tmp_path):
+        """With `r_values` given, the grid never reads `r_min` or `r_max`, so
+        a reversed pair of them is no error."""
+        cfg = write_config(tmp_path, {"table": {"r_values": [2.0], "r_min": 5, "r_max": 1}})
+        out = tmp_path / "out"
+        assert main_outcome(["table", "--config", cfg, "--out", str(out)]) == (0, "")
+        rows = (out / "catalog.csv").read_text().strip().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [2.0] * len(KINDS)
 
     def test_floats_round_trip_exactly(self, tmp_path):
         cfg = write_config(tmp_path, {"table": {"n_points": 7}})
@@ -860,20 +875,32 @@ class TestModesCommand:
         assert err.startswith("error: ") and "checksum" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("drop, message", [
-        ("denoiser", "checkpoint missing networks: ['denoiser']"),
-        (None, "checkpoint generator has 3 parameters, config implies "),
-    ], ids=["missing_network", "parameter_count"])
+    @pytest.mark.parametrize("drop, generator, message", [
+        ("denoiser", None, "checkpoint missing networks: ['denoiser']"),
+        (None, lambda g: ckpt.NetworkPayload("generator", (1, 2), np.zeros(3),
+                                             adam_init(3, 1e-3)),
+         "checkpoint generator has 3 parameters, config implies "),
+        (None, lambda g: ckpt.NetworkPayload("generator", (9, 9, 9), g.params, g.adam),
+         "checkpoint generator has widths (9, 9, 9), config implies (2, 128, 128, 2)"),
+        (None, lambda g: ckpt.NetworkPayload("generator", g.widths,
+                                             np.r_[g.params[:5], np.nan, g.params[6:]], g.adam),
+         "checkpoint generator has a non-finite parameter"),
+        (None, lambda g: ckpt.NetworkPayload("generator", g.widths,
+                                             np.r_[g.params[:5], -np.inf, g.params[6:]], g.adam),
+         "checkpoint generator has a non-finite parameter"),
+    ], ids=["missing_network", "parameter_count", "widths", "nan_parameter", "inf_parameter"])
     def test_unrestorable_checkpoint_exits_2_with_one_line(self, tmp_path, capsys,
-                                                           trained_checkpoint, drop, message):
+                                                           trained_checkpoint, drop, generator,
+                                                           message):
         """A checkpoint that loads but does not fit its config: a network is
-        missing, or the generator's parameter count is not the config's."""
+        missing, or the generator's record is not the config's net (its
+        parameter count or its widths differ) or holds a non-finite parameter."""
         source = tmp_path / "c.fdst"
         source.write_bytes(trained_checkpoint[0])
         echo, iteration, payloads = ckpt.load_checkpoint(source)
-        if drop is None:
-            payloads[0] = ckpt.NetworkPayload("generator", (1, 2), np.zeros(3),
-                                              adam_init(3, 1e-3))
+        assert payloads[0].name == "generator"
+        if generator is not None:
+            payloads[0] = generator(payloads[0])
         payloads = [p for p in payloads if p.name != drop]
         path = tmp_path / "x.fdst"
         ckpt.save_checkpoint(path, echo, iteration, payloads)

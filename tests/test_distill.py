@@ -80,6 +80,28 @@ class TestRunConfig:
         assert again.to_dict() == cfg.to_dict()
 
 
+class TestOneFormPerArgument:
+    """Points are (n, d) batches, a divergence is named by its kind, and a
+    teacher is a preset name or a mixture dict; each other form is refused
+    with one line."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: tc.log_density(tc.ring8(), np.zeros(2)), DomainError,
+         "points must be an (n, 2) batch, got shape (2,)"),
+        (lambda: tc.score(tc.ring8(), np.zeros(2)), DomainError,
+         "points must be an (n, 2) batch, got shape (2,)"),
+        (lambda: dv.catalog(dv.catalog("reverse-kl")), DomainError,
+         "unsupported divergence: a DivergenceSpec (known: reverse-kl, "),
+        (lambda: distill.RunConfig(teacher=tc.ring8()), ConfigError,
+         "config field 'teacher': cannot build a teacher from IsotropicGaussianMixture"),
+    ], ids=["log_density_point", "score_point", "catalog_row", "config_mixture"])
+    def test_second_form_refused_with_one_line(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value).startswith(message)
+        assert len(str(info.value).splitlines()) == 1
+
+
 class TestSignal:
     def test_matched_scores_give_zero(self):
         x = np.ones((4, 2))

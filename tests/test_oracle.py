@@ -253,7 +253,6 @@ def gate_reports(kind):
 def sampled_analytic_side(kind, teacher, gen, sigma, seed, n=100000):
     """Antithetic Monte-Carlo estimate and standard error of the analytic side
     -E_q[h(r)(s_teacher - s_student)] on n draws x = a z + b + sigma eps."""
-    spec = catalog(kind)
     half = n // 2
     stream = rngmod.stream(seed, 0x71)
     z0 = stream.standard_normal((half, gen.latent_dim))
@@ -262,7 +261,7 @@ def sampled_analytic_side(kind, teacher, gen, sigma, seed, n=100000):
     x = gen.scale * z + gen.bias + sigma * eps
     q_law = gen.exact_law()
     log_r = tc.log_density(teacher, x, sigma) - tc.log_density(q_law, x, sigma)
-    values = -weight_h_log(spec, log_r)[:, None] * (
+    values = -weight_h_log(kind, log_r)[:, None] * (
         tc.score(teacher, x, sigma) - tc.score(q_law, x, sigma))
     pairs = 0.5 * (values[:half] + values[half:])
     return pairs.mean(axis=0), pairs.std(axis=0, ddof=1) / math.sqrt(half)

@@ -32,27 +32,27 @@ MIX_2D = tc.IsotropicGaussianMixture(
 
 class TestLogDensity:
     def test_standard_normal_at_origin(self):
-        assert tc.log_density(STANDARD_1D, np.array([0.0])) == pytest.approx(
+        assert tc.log_density(STANDARD_1D, np.array([[0.0]]))[0] == pytest.approx(
             -0.5 * np.log(2 * np.pi)
         )
 
     def test_two_component_hand_value(self):
         # log[(N(-1;0,1)+N(1;0,1))/2] = log N(0;0,1) - 1/2 by symmetry
-        got = tc.log_density(TWO_COMP_1D, np.array([0.0]))
+        got = tc.log_density(TWO_COMP_1D, np.array([[0.0]]))[0]
         assert got == pytest.approx(-0.5 * np.log(2 * np.pi) - 0.5)
 
     def test_nan_input_rejected(self):
         with pytest.raises(DomainError):
-            tc.log_density(STANDARD_1D, np.array([np.nan]))
+            tc.log_density(STANDARD_1D, np.array([[np.nan]]))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            tc.log_density(MIX_2D, np.array([1.0]))
+            tc.log_density(MIX_2D, np.array([[1.0]]))
 
     def test_density_integrates_to_one_1d(self):
         for gm in (STANDARD_1D, TWO_COMP_1D):
             total, _ = integrate.quad(
-                lambda x: np.exp(tc.log_density(gm, np.array([x]))), -12, 12,
+                lambda x: np.exp(tc.log_density(gm, np.array([[x]]))[0]), -12, 12,
                 limit=200,
             )
             assert total == pytest.approx(1.0, abs=1e-3)
@@ -66,8 +66,8 @@ class TestLogDensity:
         batched = tc.log_density(MIX_2D, x, sig)
         batched_score = tc.score(MIX_2D, x, sig)
         for i, s in enumerate(sig):
-            assert batched[i] == tc.log_density(MIX_2D, x[i], s)
-            assert batched_score[i].tobytes() == tc.score(MIX_2D, x[i], s).tobytes()
+            assert batched[i] == tc.log_density(MIX_2D, x[i:i + 1], s)[0]
+            assert batched_score[i].tobytes() == tc.score(MIX_2D, x[i:i + 1], s)[0].tobytes()
 
 
 class TestScore:
@@ -78,7 +78,7 @@ class TestScore:
             variances=np.array([1.0]),
         )
         np.testing.assert_allclose(
-            tc.score(gm, np.array([2.0, 0.0])), np.array([-2.0, 0.0])
+            tc.score(gm, np.array([[2.0, 0.0]]))[0], np.array([-2.0, 0.0])
         )
 
     def test_zero_at_isolated_mode(self):
@@ -87,7 +87,7 @@ class TestScore:
             means=np.array([[0.0, 0.0], [40.0, 0.0]]),
             variances=np.array([0.5, 0.5]),
         )
-        assert np.linalg.norm(tc.score(gm, np.array([0.0, 0.0]))) <= 1e-6
+        assert np.linalg.norm(tc.score(gm, np.array([[0.0, 0.0]]))[0]) <= 1e-6
 
     def test_matches_finite_difference_of_log_density(self):
         gen = rngmod.stream(7, 0x100)
@@ -242,8 +242,8 @@ class TestAffinePushforward:
 
     def test_score_zero_at_bias(self):
         gen = tc.AffineGenerator(scale=0.8, bias=np.array([0.4, -0.2]))
-        np.testing.assert_allclose(tc.score(gen.exact_law(), gen.bias, 0.5), np.zeros(2),
-                                   atol=1e-14)
+        np.testing.assert_allclose(tc.score(gen.exact_law(), gen.bias[None, :], 0.5)[0],
+                                   np.zeros(2), atol=1e-14)
 
     def test_pushforward_matches_sampled_moments(self):
         gen = tc.AffineGenerator(scale=1.5, bias=np.array([2.0, -1.0]))
