@@ -1,6 +1,6 @@
 """Helpers shared across the package, defined once so that every caller
 performs the same IEEE operations: sigmoid, softplus, the row-wise
-log-sum-exp, the sigma-batch broadcast, the FNV-1a 64 hash behind the
+log-sum-exp, the network sigma rule, the FNV-1a 64 hash behind the
 random-stream keys, and the row blocks that large batches are evaluated in."""
 
 import numpy as np
@@ -70,12 +70,13 @@ def logsumexp(a, keepdims=False, overwrite_a=False):
 
 
 def sigma_batch(sigma, n: int) -> np.ndarray:
-    """Per-sample sigmas of shape (n,); a scalar or length-1 sigma is broadcast."""
-    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sig.shape == (1,):
-        sig = np.full(n, sig[0])
+    """The per-sample sigmas of n network inputs: an (n,) batch of finite
+    values > 0, checked before any arithmetic reads them."""
+    sig = np.asarray(sigma, dtype=float)
     if sig.shape != (n,):
         raise DomainError(f"sigma batch must have shape ({n},), got {sig.shape}")
+    if not np.all((sig > 0.0) & (sig < np.inf)):    # NaN fails both
+        raise DomainError("network inputs need finite sigmas > 0")
     return sig
 
 

@@ -342,8 +342,7 @@ def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarra
     `cache` is forward(net, x)'s and supplies the primal pass; v is treated as
     constant. Runs a forward-mode pass with tangent v, then reverse mode over
     the combined primal/tangent graph; needs the second derivative of the
-    activation. Returns (per-sample v_i . grad_x out_i, flat parameter
-    gradient of J).
+    activation. Returns the flat parameter gradient of J.
     """
     _check_scalar_cache(net, cache, "input_grad_param_grad")
     v = np.asarray(v, dtype=float)
@@ -354,15 +353,16 @@ def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarra
     weights = [w for w, _ in net.layers()]
     n_layers = len(weights)
 
-    # Tangent forward pass; the primal one is in the cache.
+    # Tangent forward pass through the hidden layers, whose last tangent is
+    # the head's input tangent; the primal pass is in the cache.
     u = v
     tangents_in, tangents_pre = [], []
-    for l, w in enumerate(weights):
+    for l, w in enumerate(weights[:-1]):
         tangents_in.append(u)
         t = u @ w.T
         tangents_pre.append(t)
-        u = cache.d1[l] * t if l < n_layers - 1 else t
-    dots = u[:, 0].copy()
+        u = cache.d1[l] * t
+    tangents_in.append(u)
 
     # Reverse over the combined graph. The primal-tangent adjoints (du, dt)
     # are the chain from out_grad = ones; the tangent-primal adjoint da
@@ -370,7 +370,7 @@ def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarra
     # dz = d2 * t * du + d1 * da, with the second silu derivative d2 computed
     # here, the one place that reads it.
     chain = _ones_chain(net, cache)
-    da = np.zeros_like(u)
+    da = np.zeros_like(cache.preacts[-1])
     flat = np.empty(net.params.size)
     grads = _layer_views(net.widths, flat)
     for l in reversed(range(n_layers)):
@@ -388,7 +388,7 @@ def input_grad_param_grad(net: FeedForwardNet, cache: ForwardCache, v: np.ndarra
         np.sum(dz, axis=0, out=gb)
         if l > 0:
             da = _product(dz, weights[l])
-    return dots, flat
+    return flat
 
 
 def sigma_embedding(sigma) -> np.ndarray:

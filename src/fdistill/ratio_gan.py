@@ -8,8 +8,9 @@ is the density-ratio estimate; at the Bayes optimum the logit converges to
 log p_sigma(x) - log q_sigma(x). Ratios are clipped in log space before any
 exponentiation, to the log bounds the caller passes (the training loop takes
 them from the run config's `r_min` and `r_max`, which the config schema
-bounds). Every network input passes `nets.conditioned_input`, whose embedding
-rejects sigma <= 0 before any parameter changes.
+bounds). Each function takes sigma as an (n,) batch of finite values > 0
+and refuses any other with `_numerics.sigma_batch`'s one line before any
+arithmetic reads it, so a refused call changes no parameter.
 
 The discriminator objective is the noised logistic GAN loss plus an R1
 gradient penalty on real inputs. The generator side takes the non-saturating
@@ -99,8 +100,7 @@ def disc_update(disc: ConditionedNet, opt: Adam, real, fake, sigma, noise_real,
         loss += float(0.5 * r1_gamma * np.mean(sq))
         v = np.zeros_like(inp[:n])
         v[:, :dim] = (r1_gamma / n) * (c_in**2)[:, None] * g_net
-        _, pgrad_r1 = input_grad_param_grad(disc.net, cache_r, v)
-        pgrad += pgrad_r1
+        pgrad += input_grad_param_grad(disc.net, cache_r, v)
 
     if not np.isfinite(loss):
         raise NumericsError("non-finite discriminator loss")

@@ -49,27 +49,20 @@ def _denoise(den: ConditionedNet, x: np.ndarray, sig: np.ndarray, cached: bool):
 def denoise(den: ConditionedNet, x, sigma) -> np.ndarray:
     """Predicted clean samples x0_hat(x, sigma)."""
     x = np.asarray(x, dtype=float)
-    sig = sigma_batch(sigma, x.shape[0])
-    if np.any(sig <= 0.0):
-        raise DomainError("denoiser conditioning requires sigma > 0")
-    x0_hat, _, _ = _denoise(den, x, sig, cached=False)
-    return x0_hat
+    return _denoise(den, x, sigma_batch(sigma, x.shape[0]), cached=False)[0]
 
 
 def fake_score(den, x, sigma) -> np.ndarray:
-    """Tweedie conversion (x0_hat - x) / sigma^2.
+    """Tweedie conversion (x0_hat - x) / sigma^2 at an (n,) batch of finite
+    sigmas > 0 (`sigma_batch`).
 
     Accepts anything with a denoise(x, sigma) method (e.g. analytic ideal
     denoisers in tests) in addition to a `ConditionedNet` denoiser.
     """
     x = np.asarray(x, dtype=float)
     sig = sigma_batch(sigma, x.shape[0])
-    if np.any(sig == 0.0):
-        raise DomainError("score undefined at zero noise for denoiser parameterization")
-    if np.any(sig < 0.0):
-        raise DomainError("sigma must be >= 0")
     if isinstance(den, ConditionedNet):
-        x0_hat = denoise(den, x, sig)
+        x0_hat = _denoise(den, x, sig, cached=False)[0]
     else:
         x0_hat = np.asarray(den.denoise(x, sig), dtype=float)
     return (x0_hat - x) / (sig**2)[:, None]
@@ -88,8 +81,6 @@ def dsm_update(den: ConditionedNet, opt: Adam, x0, sigma, noise,
         raise DomainError(f"noise shape {noise.shape} must match x0 {x0.shape}")
     n = x0.shape[0]
     sig = sigma_batch(sigma, n)
-    if np.any(sig <= 0.0):
-        raise DomainError("DSM requires sigma > 0")
     x_noisy = x0 + sig[:, None] * noise
     x0_hat, cache, c_out = _denoise(den, x_noisy, sig, cached=True)
     w = np.minimum(sig**-2, float(sigma_cap) ** -2)

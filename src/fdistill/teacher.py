@@ -293,11 +293,11 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     centers; the result equals the one-pass reduction bit for bit.
     """
     centers = np.asarray(centers, dtype=float)
-    pts = np.asarray(x, dtype=float)
+    m, d = centers.shape
+    pts = _check_points(d, x)
     sig = np.asarray(sigma, dtype=float)
     if np.any(sig <= 0.0):
         raise DomainError("particle density estimate requires sigma > 0")
-    m, d = centers.shape
     n = pts.shape[0]
     var = (sig**2).reshape(-1, 1) if sig.ndim else np.full((1, 1), sig**2)
     per_row = var.shape[0] > 1

@@ -101,6 +101,18 @@ class TestOneFormPerArgument:
         assert str(info.value).startswith(message)
         assert len(str(info.value).splitlines()) == 1
 
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros(2), "points must be an (n, 2) batch, got shape (2,)"),
+        (np.zeros((3, 3)), "points must be an (n, 2) batch, got shape (3, 3)"),
+        (np.array([[0.0, np.nan]]), "points must be finite"),
+    ], ids=["point", "wrong_dim", "nan"])
+    def test_particle_points_refused_with_one_line(self, points, message):
+        """The particle estimate checks its points as the laws do, against
+        the dimension of its 10 centers."""
+        with pytest.raises(DomainError) as info:
+            tc.particle_log_density(np.zeros((10, 2)), points, 0.5)
+        assert str(info.value) == message
+
 
 class TestSignal:
     def test_matched_scores_give_zero(self):

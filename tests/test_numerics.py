@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from fdistill import _numerics as nm
+from fdistill import nets, ratio_gan as rg, scorematch as sm
 from fdistill import rng as rngmod
 from fdistill import teacher as tc
 from fdistill.errors import DomainError
@@ -256,13 +257,59 @@ class TestRowBlocks:
         assert max(stop - start for start, stop in nm.row_blocks(100000)) == 1088
 
 
+def _network_entries():
+    """name -> (net, its Adam record or None, call(sigma)) for each function
+    that reads a network at an (n,) batch of sigmas; n = 4 rows in 2-D."""
+    x = rngmod.stream(5, 1).standard_normal((4, 2))
+    noise = rngmod.stream(5, 2).standard_normal((4, 2))
+    disc = nets.conditioned_init(2, 1, rngmod.stream(5, 3), 1.0)
+    den = nets.conditioned_init(2, 2, rngmod.stream(5, 4), 1.0)
+    disc_opt = nets.adam_init(disc.net.params.size, 1e-3)
+    den_opt = nets.adam_init(den.net.params.size, 1e-3)
+    return {
+        "logit": (disc, None, lambda s: rg.logit(disc, x, s)),
+        "clipped_log_ratio": (disc, None, lambda s: rg.clipped_log_ratio(disc, x, s, -1, 1)),
+        "disc_update": (disc, disc_opt, lambda s: rg.disc_update(
+            disc, disc_opt, x, -x, s, noise, noise, r1_gamma=0.1)),
+        "gan_generator_grad": (disc, None, lambda s: rg.gan_generator_grad(disc, x, s, noise)),
+        "denoise": (den, None, lambda s: sm.denoise(den, x, s)),
+        "fake_score": (den, None, lambda s: sm.fake_score(den, x, s)),
+        "dsm_update": (den, den_opt, lambda s: sm.dsm_update(den, den_opt, x, s, noise)),
+    }
+
+
 class TestSigmaBatch:
-    def test_scalar_broadcast(self):
-        np.testing.assert_array_equal(nm.sigma_batch(0.5, 3), [0.5, 0.5, 0.5])
+    def test_scalar_rejected(self):
+        with pytest.raises(DomainError, match=r"shape \(3,\), got \(\)"):
+            nm.sigma_batch(0.5, 3)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError, match="shape"):
             nm.sigma_batch(np.ones(4), 3)
+
+    @pytest.mark.parametrize("entry", list(_network_entries()))
+    @pytest.mark.parametrize("sigma, message", [
+        (np.zeros(4), "network inputs need finite sigmas > 0"),
+        (np.full(4, -1.0), "network inputs need finite sigmas > 0"),
+        (np.full(4, np.nan), "network inputs need finite sigmas > 0"),
+        (np.full(4, np.inf), "network inputs need finite sigmas > 0"),
+        (np.array([0.5, 0.5, 0.0, 0.5]), "network inputs need finite sigmas > 0"),
+        (0.5, "sigma batch must have shape (4,), got ()"),
+    ], ids=["zero", "negative", "nan", "inf", "one_zero", "scalar"])
+    def test_network_entries_refuse_before_any_change(self, entry, sigma, message):
+        """Every network entry refuses a bad sigma with `sigma_batch`'s one
+        line, before the net's parameters or its Adam record change."""
+        net, opt, call = _network_entries()[entry]
+        params = net.net.params.copy()
+        record = None if opt is None else (opt.m.copy(), opt.v.copy(), opt.step)
+        with pytest.raises(DomainError) as info:
+            call(sigma)
+        assert str(info.value) == message
+        assert net.net.params.tobytes() == params.tobytes()
+        if opt is not None:
+            assert opt.m.tobytes() == record[0].tobytes()
+            assert opt.v.tobytes() == record[1].tobytes()
+            assert opt.step == record[2]
 
 
 class TestFnv1a64:

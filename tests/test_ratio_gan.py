@@ -180,7 +180,7 @@ class TestDiscUpdate:
         g_net = igrad[:, :2]
         v = np.zeros_like(inp_r)
         v[:, :2] = (gamma / 8) * (c_in**2)[:, None] * g_net
-        _, pg_r1 = nets.input_grad_param_grad(probe_disc.net, cache_r, v)
+        pg_r1 = nets.input_grad_param_grad(probe_disc.net, cache_r, v)
         analytic = pg_r + pg_f + pg_r1
 
         step = 1e-6
@@ -216,7 +216,7 @@ class TestStackedDiscUpdate:
             loss += float(0.5 * r1_gamma * np.mean(np.sum(g_net**2, axis=1) * c_in**2))
             v = np.zeros_like(inp_r)
             v[:, :dim] = (r1_gamma / n) * (c_in**2)[:, None] * g_net
-            _, pg_r1 = ref_input_grad_param_grad(disc.net, inp_r, v)
+            pg_r1 = ref_input_grad_param_grad(disc.net, inp_r, v)
             pgrad = pgrad + pg_r1
         state_ref = replace(adam)
         new_params = nets.adam_step(state_ref, disc.net.params, pgrad)
