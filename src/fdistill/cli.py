@@ -9,9 +9,11 @@ Subcommands:
     modes      mode-coverage report for a checkpointed generator -> modes.json
 
 All take --config <json> and --out <dir>; --seed/--divergence/--iters override
-config keys. Exit codes: 0 success, 1 gate failure, 2 malformed config,
-usage, unreadable checkpoint or a value outside a command's domain
-(DomainError), 3 numerical abort (NumericsError).
+the seed, divergence and total_iters keys, which only train reads (weightmap
+reads the divergence; modes runs under its checkpoint's config echo). Exit
+codes: 0 success, 1 gate failure, 2 malformed config, usage, unreadable
+checkpoint or a value outside a command's domain (DomainError), 3 numerical
+abort (NumericsError).
 
 FDISTILL_THREADS caps the BLAS worker pool (default: machine parallelism). The
 cap is set through the BLAS environment variables, which numpy reads when it

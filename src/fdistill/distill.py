@@ -173,7 +173,8 @@ class RunConfig:
     lr_denoiser: float = _key(2e-3, number(gt=0))
     lr_discriminator: float = _key(2e-3, number(gt=0))
     r1_gamma: float = _key(1.0, number(ge=0))
-    seed: int = _key(0, integer())
+    # rng.stream keys on the seed as a uint64; any other int would alias one
+    seed: int = _key(0, integer(ge=0, lt=2**64))
     teacher: Union[str, dict] = _key("ring8", teacher_spec)
     # sigma**2 and sigma**-2 stay finite and non-zero at both ends of the ladder
     sigma_min: float = _key(0.002, number(ge=1e-150))
@@ -676,7 +677,8 @@ def state_payloads(state: TrainState):
 def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
     """Rebuild a TrainState from checkpoint payloads; exact inverse of
     state_payloads given the same config. A record unlike the config's net (in
-    parameter count or widths) or with a non-finite parameter is a CheckpointError;
+    parameter count or widths), with a non-finite parameter, or with an Adam
+    record no run can hold (a NaN moment or a negative v) is a CheckpointError;
     Adam's v may be inf in a valid run (Adam then moves that parameter by 0)."""
     by_name = {p.name: p for p in payloads}
     missing = {"generator", "denoiser", "discriminator"} - set(by_name)
@@ -696,6 +698,8 @@ def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
                 f"checkpoint {name} has widths {payload.widths}, config implies {holder.widths}")
         if not np.all(np.isfinite(payload.params)):
             raise CheckpointError(f"checkpoint {name} has a non-finite parameter")
+        if np.isnan(payload.adam.m).any() or not np.all(payload.adam.v >= 0.0):
+            raise CheckpointError(f"checkpoint {name} has a NaN Adam moment or a negative Adam v")
         holder.params = payload.params.copy()
         setattr(state, f"opt_{name}", replace(payload.adam))
     state.iteration = int(iteration)

@@ -184,15 +184,15 @@ class ForwardCache:
     d1: list                    # the first silu derivative at z_l per hidden layer
     chain: list = None          # per layer (du, dt) from out_grad = ones, see `_ones_chain`
 
-    def rows(self, stop: int) -> "ForwardCache":
-        """The cache of the first `stop` batch rows, as views; the reverse
-        chain does not carry over."""
-        def head(arrays):
-            return [a[:stop] for a in arrays]
+    def rows(self, start: int, stop: int) -> "ForwardCache":
+        """The cache of batch rows [start, stop), as views; the reverse chain
+        does not carry over."""
+        def part(arrays):
+            return [a[start:stop] for a in arrays]
 
         return ForwardCache(
-            params_ref=self.params_ref, inputs=head(self.inputs), preacts=head(self.preacts),
-            shared=head(self.shared), d1=head(self.d1),
+            params_ref=self.params_ref, inputs=part(self.inputs), preacts=part(self.preacts),
+            shared=part(self.shared), d1=part(self.d1),
         )
 
 
@@ -233,14 +233,11 @@ def predict(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
     A batch of 2048 rows or more runs as consecutive balanced blocks
     (`row_blocks`: at least 1024 rows, starting at multiples of 64) written
     into one output array, so the working set is one block's activations
-    whatever the batch size; smaller batches run in one pass.
+    whatever the batch size; smaller batches are one block.
     """
     x = _check_input(net, x)
-    blocks = row_blocks(x.shape[0])
-    if len(blocks) == 1:
-        return _predict_rows(net, x)
     out = np.empty((x.shape[0], net.widths[-1]))
-    for start, stop in blocks:
+    for start, stop in row_blocks(x.shape[0]):
         out[start:stop] = _predict_rows(net, x[start:stop])
     return out
 
@@ -258,15 +255,14 @@ def _predict_rows(net: FeedForwardNet, a: np.ndarray) -> np.ndarray:
 
 
 def backward(net: FeedForwardNet, cache: ForwardCache, out_grad: np.ndarray,
-             param_grad: bool = True, input_grad: bool = True, split=None):
+             param_grad: bool = True, input_grad: bool = True):
     """Exact gradients of sum_batch output . out_grad.
 
     Returns (param_grad flat, input_grad (B, in)); a gradient switched off
     with `param_grad=False` or `input_grad=False` is not computed and comes
     back as None. The cache must come from a forward pass on the current
-    parameters. With `split = k`, each parameter gradient is summed as the
-    rows-[0, k) product plus the rows-[k, B) product: bit for bit what two
-    backward calls on the two row blocks give when their results are added.
+    parameters; a row view of it (`ForwardCache.rows`) gives the gradients
+    of those rows alone.
     """
     if cache.params_ref is not net.params:
         raise DomainError("stale forward cache: parameters changed since forward()")
@@ -282,15 +278,8 @@ def backward(net: FeedForwardNet, cache: ForwardCache, out_grad: np.ndarray,
     for l in reversed(range(len(weights))):
         if param_grad:
             gw, gb = grads[l]
-            a = cache.inputs[l]
-            if split is None:
-                np.matmul(delta.T, a, out=gw)
-                np.sum(delta, axis=0, out=gb)
-            else:
-                np.matmul(delta[:split].T, a[:split], out=gw)
-                gw += delta[split:].T @ a[split:]
-                np.sum(delta[:split], axis=0, out=gb)
-                gb += delta[split:].sum(axis=0)
+            np.matmul(delta.T, cache.inputs[l], out=gw)
+            np.sum(delta, axis=0, out=gb)
         if l == 0 and not input_grad:
             return flat, None
         delta = _product(delta, weights[l])

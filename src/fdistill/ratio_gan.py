@@ -64,12 +64,14 @@ def disc_update(disc: ConditionedNet, opt: Adam, real, fake, sigma, noise_real,
     Real and fake batches share the sigma batch but use independent noise.
     Returns the pre-step loss.
 
-    Both batches go through the network as one stacked batch (real rows
-    first). Every row of a matrix product is computed independently, and the
-    parameter gradients are summed as real-rows plus fake-rows products, so
-    the result is bit for bit that of separate real and fake passes. The R1
-    input gradient and the parameter gradient of the penalty share one
-    reverse chain on the real rows' cache (`nets.scalar_input_grad`).
+    Both batches go through the network as one stacked forward pass (real
+    rows first); the parameter gradient is the backward pass of the real
+    rows' view of its cache plus the fake rows', and R1 shares the real
+    view's reverse chain (`nets.scalar_input_grad`). A product's row can round
+    otherwise in another stack, so the logits equal separate passes only at
+    some batch sizes (the scalar head's differ at most sizes that are not a
+    multiple of 4); reruns give the same bits, and at 128 rows so do separate
+    passes (`TestStackedDiscUpdate`).
     """
     real = np.asarray(real, dtype=float)
     fake = np.asarray(fake, dtype=float)
@@ -87,13 +89,12 @@ def disc_update(disc: ConditionedNet, opt: Adam, real, fake, sigma, noise_real,
     ell_r, ell_f = out[:n, 0], out[n:, 0]
     loss = float(np.mean(softplus(-ell_r)) + np.mean(softplus(ell_f)))
 
-    g = np.empty((2 * n, 1))
-    g[:n, 0] = -sigmoid(-ell_r) / n
-    g[n:, 0] = sigmoid(ell_f) / n
-    pgrad, _ = backward(disc.net, cache, g, input_grad=False, split=n)
+    cache_r = cache.rows(0, n)
+    pgrad, _ = backward(disc.net, cache_r, (-sigmoid(-ell_r) / n)[:, None], input_grad=False)
+    pgrad += backward(disc.net, cache.rows(n, 2 * n), (sigmoid(ell_f) / n)[:, None],
+                      input_grad=False)[0]
 
     if r1_gamma > 0.0:
-        cache_r = cache.rows(n)
         g_net = scalar_input_grad(disc.net, cache_r)[:, :dim]
         # ||grad_x l||^2 = c_in^2 ||grad_inp l||^2 because of input whitening
         sq = np.sum(g_net**2, axis=1) * c_in**2

@@ -16,7 +16,7 @@ import tempfile
 import warnings
 import zlib
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +104,25 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith(f"error: config field {message}")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-the-64"])
+    def test_seed_outside_uint64_exits_2_with_one_line(self, tmp_path, seed):
+        """Streams key on the seed as a uint64, so a seed outside [0, 2**64)
+        would rerun another seed's streams; it is refused instead."""
+        cfg = write_config(tmp_path, TINY_TRAIN)
+        code, err = main_outcome(["train", "--config", cfg, "--out", str(tmp_path / "o"),
+                                  "--seed", str(seed)])
+        assert code == 2
+        assert err.startswith("error: config field 'seed': must be an integer >= 0 and < ")
+        assert len(err.splitlines()) == 1
+
+    def test_largest_seed_trains(self, tmp_path):
+        cfg = write_config(tmp_path, TINY_TRAIN)
+        out = tmp_path / "o"
+        code, err = main_outcome(["train", "--config", cfg, "--out", str(out),
+                                  "--seed", str(2**64 - 1), "--iters", "1"])
+        assert (code, err) == (0, "")
+        assert (out / "checkpoint_final.fdst").exists()
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -888,28 +907,38 @@ class TestModesCommand:
         (None, lambda g: ckpt.NetworkPayload("generator", g.widths,
                                              np.r_[g.params[:5], -np.inf, g.params[6:]], g.adam),
          "checkpoint generator has a non-finite parameter"),
-    ], ids=["missing_network", "parameter_count", "widths", "nan_parameter", "inf_parameter"])
+        (None, lambda g: with_adam(g, m=np.r_[g.adam.m[:5], np.nan, g.adam.m[6:]]),
+         "checkpoint generator has a NaN Adam moment or a negative Adam v"),
+        (None, lambda g: with_adam(g, v=np.r_[g.adam.v[:5], np.nan, g.adam.v[6:]]),
+         "checkpoint generator has a NaN Adam moment or a negative Adam v"),
+        (None, lambda g: with_adam(g, v=np.r_[g.adam.v[:5], -1e-300, g.adam.v[6:]]),
+         "checkpoint generator has a NaN Adam moment or a negative Adam v"),
+    ], ids=["missing_network", "parameter_count", "widths", "nan_parameter", "inf_parameter",
+            "nan_adam_m", "nan_adam_v", "negative_adam_v"])
     def test_unrestorable_checkpoint_exits_2_with_one_line(self, tmp_path, capsys,
                                                            trained_checkpoint, drop, generator,
                                                            message):
         """A checkpoint that loads but does not fit its config: a network is
         missing, or the generator's record is not the config's net (its
-        parameter count or its widths differ) or holds a non-finite parameter."""
-        source = tmp_path / "c.fdst"
-        source.write_bytes(trained_checkpoint[0])
-        echo, iteration, payloads = ckpt.load_checkpoint(source)
-        assert payloads[0].name == "generator"
-        if generator is not None:
-            payloads[0] = generator(payloads[0])
-        payloads = [p for p in payloads if p.name != drop]
-        path = tmp_path / "x.fdst"
-        ckpt.save_checkpoint(path, echo, iteration, payloads)
+        parameter count or its widths differ), holds a non-finite parameter
+        or an Adam record no run can reach (a NaN moment or a negative v).
+        Each is re-saved, so its checksum is valid."""
+        path = resaved(tmp_path, trained_checkpoint, generator, drop)
         code = cli.main(["modes", "--config", trained_checkpoint[1], "--out",
                          str(tmp_path / "o"), "--checkpoint", str(path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert len(err.strip().splitlines()) == 1
+
+    def test_infinite_adam_v_restores(self, tmp_path, trained_checkpoint):
+        """A finite gradient past about 1.3e154 squares to v = inf in a
+        valid run, so such a record still loads."""
+        path = resaved(tmp_path, trained_checkpoint,
+                       lambda g: with_adam(g, v=np.r_[g.adam.v[:5], np.inf, g.adam.v[6:]]))
+        code, err = main_outcome(["modes", "--config", trained_checkpoint[1], "--out",
+                                  str(tmp_path / "o"), "--checkpoint", str(path)])
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("value", [-5, 0, 2.5, "x", True])
     def test_bad_n_samples_exits_2_with_one_line(self, tmp_path, capsys, trained_checkpoint,
@@ -923,6 +952,27 @@ class TestModesCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config field 'modes.n_samples'")
         assert len(err.strip().splitlines()) == 1
+
+
+def with_adam(payload, **moments):
+    """The network payload with Adam's `m` and/or `v` replaced."""
+    return ckpt.NetworkPayload(payload.name, payload.widths, payload.params,
+                               replace(payload.adam, **moments))
+
+
+def resaved(tmp_path, trained_checkpoint, generator=None, drop=None):
+    """The trained checkpoint saved again, with `generator` applied to the
+    generator's payload and the network named `drop` left out."""
+    source = tmp_path / "c.fdst"
+    source.write_bytes(trained_checkpoint[0])
+    echo, iteration, payloads = ckpt.load_checkpoint(source)
+    assert payloads[0].name == "generator"
+    if generator is not None:
+        payloads[0] = generator(payloads[0])
+    payloads = [p for p in payloads if p.name != drop]
+    path = tmp_path / "x.fdst"
+    ckpt.save_checkpoint(path, echo, iteration, payloads)
+    return path
 
 
 def with_valid_checksum(body: bytes) -> bytes:

@@ -318,17 +318,22 @@ class TestBackward:
         assert only_params.tobytes() == ref_pgrad.tobytes()
         assert only_input.tobytes() == ref_xgrad.tobytes()
 
-    def test_split_sums_two_row_blocks_bitwise(self):
+    @pytest.mark.parametrize("k", [16, 77, 128, 240])
+    def test_row_views_match_separate_passes_bitwise(self, k):
+        """backward on a row view of a stacked cache gives the bits of a
+        pass over those rows alone. Both views keep at least 16 rows: a
+        forward pass over fewer rows can round its hidden layers otherwise
+        than the stacked pass does."""
         gen = rngmod.stream(3, 23)
         net = random_net(gen, (18, 128, 128, 1))
         x = gen.standard_normal((256, 18))
         gy = gen.standard_normal((256, 1))
         _, cache = nets.forward(net, x)
-        pgrad, xgrad = nets.backward(net, cache, gy, split=128)
-        top, x_top = ref_backward(net, x[:128], gy[:128])
-        bottom, x_bottom = ref_backward(net, x[128:], gy[128:])
-        assert pgrad.tobytes() == (top + bottom).tobytes()
-        assert xgrad.tobytes() == np.concatenate([x_top, x_bottom]).tobytes()
+        for start, stop in ((0, k), (k, 256)):
+            pgrad, xgrad = nets.backward(net, cache.rows(start, stop), gy[start:stop])
+            ref_pgrad, ref_xgrad = ref_backward(net, x[start:stop], gy[start:stop])
+            assert pgrad.tobytes() == ref_pgrad.tobytes()
+            assert xgrad.tobytes() == ref_xgrad.tobytes()
 
     def test_zero_out_grad_gives_zero_grads(self):
         gen = rngmod.stream(3, 1)
@@ -459,8 +464,11 @@ class TestInputGradParamGrad:
         x = gen.standard_normal((256, 18))
         v = gen.standard_normal((128, 18))
         _, cache = nets.forward(net, x)
-        nets.backward(net, cache, np.ones((256, 1)))  # all rows first, as disc_update does
-        pgrad = nets.input_grad_param_grad(net, cache.rows(128), v)
+        real = cache.rows(0, 128)
+        # both row views' backward passes first, as disc_update runs them
+        nets.backward(net, real, np.ones((128, 1)))
+        nets.backward(net, cache.rows(128, 256), np.ones((128, 1)))
+        pgrad = nets.input_grad_param_grad(net, real, v)
         ref_pgrad = ref_input_grad_param_grad(net, x[:128], v)
         assert pgrad.tobytes() == ref_pgrad.tobytes()
 

@@ -197,7 +197,10 @@ class TestStackedDiscUpdate:
     """disc_update runs real and fake rows as one stacked batch and shares
     the real rows' forward pass and reverse chain with R1; a reference built
     from separate passes of the plain reference network code in
-    test_nets.py must give the same bits."""
+    test_nets.py must give the same bits. The batches have 128 rows because
+    the stacked forward equals separate passes only at some sizes: at most
+    sizes that are not a multiple of 4 the scalar head's product rounds some
+    rows otherwise (see `ratio_gan.disc_update`)."""
 
     @staticmethod
     def reference_update(disc, adam, real, fake, sig, er, ef, r1_gamma):
