@@ -227,18 +227,15 @@ def _cmd_weightmap(cfg, params, out_dir: Path) -> int:
 
     from .errors import ConfigError
     from .oracle import weight_score_map
-    from .teacher import IsotropicGaussianMixture, make_teacher
+    from .teacher import AffineGenerator, make_teacher
 
     teacher = make_teacher(cfg.teacher)
     if teacher.dim != 2:
         raise ConfigError("teacher", "weightmap requires a 2-D teacher")
     if params["student"] is None:
         # moment-matched single Gaussian: the canonical collapsed student
-        mean = teacher.weights @ teacher.means
-        var = teacher.per_coord_std() ** 2
-        student = IsotropicGaussianMixture(
-            weights=np.array([1.0]), means=mean[None, :], variances=np.array([var])
-        )
+        student = AffineGenerator(
+            teacher.per_coord_std(), teacher.weights @ teacher.means).exact_law()
     else:
         student = make_teacher(params["student"])
         if student.dim != 2:

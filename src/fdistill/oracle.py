@@ -10,8 +10,8 @@ The student's noised law is Gaussian, so both sides of the gate and the
 weighting-variance curve are deterministic Gauss-Hermite expectations rather
 than Monte-Carlo averages.
 
-`ModeCoverage` and `mode_coverage` are defined in `teacher`, next to the
-mixtures they measure, and re-exported here.
+`mode_coverage` is defined in `teacher`, next to the mixtures it measures,
+and re-exported here.
 """
 
 import math
@@ -25,7 +25,6 @@ from .errors import DomainError, NumericsError
 from .teacher import (
     AffineGenerator,
     IsotropicGaussianMixture,
-    ModeCoverage,
     log_density,
     mode_coverage,
     perturbed_variances,
@@ -34,7 +33,6 @@ from .teacher import (
 
 __all__ = [
     "GradCheckReport",
-    "ModeCoverage",
     "theorem1_grad_check",
     "normalized_variance_curve",
     "weight_score_map",
@@ -112,7 +110,7 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
         return AffineGenerator(gen.scale, bias).exact_law()
 
     q_law = q_at(gen.bias)
-    spread = math.sqrt(perturbed_variances(q_law, s)[0, 0]) * nodes
+    spread = math.sqrt(perturbed_variances(q_law.variances, s, nodes.shape[0])[0, 0]) * nodes
 
     def finite(values, side):
         if not np.all(np.isfinite(values)):
@@ -202,11 +200,7 @@ def gradcheck_cases():
     clearly non-zero gradient at sigma in {0, 0.5, 2}, yet ratios stay mild
     enough for the quadrature to resolve them.
     """
-    single = IsotropicGaussianMixture(
-        weights=np.array([1.0]),
-        means=np.array([[0.0, 0.0]]),
-        variances=np.array([1.0]),
-    )
+    single = AffineGenerator(1.0, np.zeros(2)).exact_law()
     bimodal = IsotropicGaussianMixture(
         weights=np.array([0.6, 0.4]),
         means=np.array([[-1.2, 0.0], [1.4, 0.8]]),

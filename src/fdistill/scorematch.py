@@ -18,7 +18,7 @@ from .errors import DomainError, NumericsError
 from .nets import (Adam, ConditionedNet, adam_step, backward, conditioned_input, forward,
                    predict)
 
-__all__ = ["denoise", "fake_score", "dsm_update"]
+__all__ = ["fake_score", "dsm_update"]
 
 
 def _coeffs(den: ConditionedNet, sig: np.ndarray):
@@ -44,12 +44,6 @@ def _denoise(den: ConditionedNet, x: np.ndarray, sig: np.ndarray, cached: bool):
         raw, cache = predict(den.net, inp), None
     x0_hat = c_skip[:, None] * x + c_out[:, None] * raw
     return x0_hat, cache, c_out
-
-
-def denoise(den: ConditionedNet, x, sigma) -> np.ndarray:
-    """Predicted clean samples x0_hat(x, sigma)."""
-    x = np.asarray(x, dtype=float)
-    return _denoise(den, x, sigma_batch(sigma, x.shape[0]), cached=False)[0]
 
 
 def fake_score(den, x, sigma) -> np.ndarray:

@@ -3,9 +3,12 @@
 Teachers are isotropic Gaussian mixtures: density, score, sampling, and the
 noise perturbation p_sigma = p * N(0, sigma^2 I) are all closed form, so any
 quantity the training loop approximates (ratios, scores, divergences) can be
-checked against this module exactly. The sigma argument of `log_density` and
-`score` is the one way to noise a law: `perturbed_variances` adds sigma^2 to
-the component variances and raises `NumericsError` when a sum overflows.
+checked against this module exactly. `perturbed_variances` is the one noise
+rule: `log_density`, `score` and `particle_log_density` (a law of variance 0
+at its centers) pass it their sigma, a scalar or an (n,) batch for n points,
+and it adds sigma^2 to the component variances. It refuses any other shape,
+a negative, NaN or infinite sigma and a zero sum with `DomainError`, and a
+sum past the float range with `NumericsError`.
 `sample` draws from the stream it is handed; the caller keys it. Mixture and
 particle log-densities reduce their (n, K) component matrices with
 `_numerics.logsumexp`, which equals SciPy's `logsumexp` bit for bit, so the
@@ -106,16 +109,24 @@ def _check_points(gm_dim: int, x) -> np.ndarray:
     return a
 
 
-def perturbed_variances(gm: IsotropicGaussianMixture, sigma) -> np.ndarray:
-    """v_k + sigma^2, shape (1, K), or (n, K) for a per-point sigma; the law
-    of x + sigma eps. NumericsError when a sum leaves the float range."""
+def perturbed_variances(variances: np.ndarray, sigma, n: int) -> np.ndarray:
+    """v_k + sigma^2 of the component variances (K,): shape (1, K) for a
+    scalar sigma, (n, K) for an (n,) batch; the law of x + sigma eps at n
+    points. Every analytic density reads sigma here. Another sigma shape, a
+    negative, NaN or infinite sigma, or a zero sum (a particle law at
+    sigma = 0, or a sigma whose square underflows) is a DomainError; a sum
+    past the float range is a NumericsError."""
     sig = np.asarray(sigma, dtype=float)
-    if np.any(sig < 0.0) or not np.all(np.isfinite(sig)):
+    if sig.shape not in ((), (n,)):
+        raise DomainError(f"sigma must be a scalar or of shape ({n},), got shape {sig.shape}")
+    if not np.all((sig >= 0.0) & (sig < np.inf)):    # NaN fails both
         raise DomainError("sigma must be finite and >= 0")
     with np.errstate(over="ignore"):
-        var = gm.variances[None, :] + np.reshape(sig**2, (-1, 1))
+        var = variances[None, :] + np.reshape(sig**2, (-1, 1))
     if not np.all(np.isfinite(var)):
         raise NumericsError(f"sigma {float(np.max(sig))!r} overflows the perturbed variance")
+    if not np.all(var > 0.0):
+        raise DomainError(f"sigma {float(np.min(sig))!r} leaves a zero perturbed variance")
     return var
 
 
@@ -144,14 +155,14 @@ def _component_logs(gm: IsotropicGaussianMixture, x: np.ndarray, var) -> np.ndar
 def log_density(gm: IsotropicGaussianMixture, x, sigma=0.0) -> np.ndarray:
     """log p_sigma(x) of an (n, d) batch x; `sigma` may be a scalar or per-point array."""
     pts = _check_points(gm.dim, x)
-    comp = _component_logs(gm, pts, perturbed_variances(gm, sigma))
+    comp = _component_logs(gm, pts, perturbed_variances(gm.variances, sigma, pts.shape[0]))
     return logsumexp(comp, overwrite_a=True)
 
 
 def score(gm: IsotropicGaussianMixture, x, sigma=0.0) -> np.ndarray:
     """grad_x log p_sigma(x) of an (n, d) batch: pull towards the means by responsibility."""
     pts = _check_points(gm.dim, x)
-    var = perturbed_variances(gm, sigma)
+    var = perturbed_variances(gm.variances, sigma, pts.shape[0])
     comp = _component_logs(gm, pts, var)
     comp -= logsumexp(comp, keepdims=True)
     resp = np.exp(comp, out=comp)
@@ -295,20 +306,15 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     centers = np.asarray(centers, dtype=float)
     m, d = centers.shape
     pts = _check_points(d, x)
-    sig = np.asarray(sigma, dtype=float)
-    if np.any(sig <= 0.0):
-        raise DomainError("particle density estimate requires sigma > 0")
     n = pts.shape[0]
-    var = (sig**2).reshape(-1, 1) if sig.ndim else np.full((1, 1), sig**2)
-    per_row = var.shape[0] > 1
-    if per_row and var.shape[0] != n:
-        raise DomainError(f"sigma batch must have shape ({n},), got {sig.shape}")
-    const = -0.5 * d * (_LOG_2PI + np.log(var))
+    # sigma^2 of a zero-variance law and its normalizer, stride-0 for a scalar
+    var = perturbed_variances(np.zeros(1), sigma, n)
+    const = np.broadcast_to(-0.5 * d * (_LOG_2PI + np.log(var)), (n, 1))
+    var = np.broadcast_to(var, (n, 1))
     out = np.empty(n)
     for start, stop in row_blocks(n, _PARTICLE_BLOCK_ENTRIES // m):
-        at = slice(start, stop) if per_row else slice(None)
-        out[start:stop] = logsumexp(
-            _gaussian_logs(const[at], pts[start:stop], centers, var[at]), overwrite_a=True)
+        out[start:stop] = logsumexp(_gaussian_logs(
+            const[start:stop], pts[start:stop], centers, var[start:stop]), overwrite_a=True)
     out -= math.log(m)
     return out
 

@@ -272,7 +272,7 @@ def mean_weighting(kind, teacher, student, sigma):
     """E_q[h(r_sigma)] on the gate's Gauss-Hermite nodes."""
     q = student.exact_law()
     nodes, weights = oracle._gauss_hermite(teacher.dim)
-    x = student.bias + math.sqrt(tc.perturbed_variances(q, sigma)[0, 0]) * nodes
+    x = student.bias + math.sqrt(tc.perturbed_variances(q.variances, sigma, 1)[0, 0]) * nodes
     log_r = tc.log_density(teacher, x, sigma) - tc.log_density(q, x, sigma)
     return float(oracle._expectation(weights, dv.weight_h_log(kind, log_r)))
 

@@ -272,7 +272,6 @@ def _network_entries():
         "disc_update": (disc, disc_opt, lambda s: rg.disc_update(
             disc, disc_opt, x, -x, s, noise, noise, r1_gamma=0.1)),
         "gan_generator_grad": (disc, None, lambda s: rg.gan_generator_grad(disc, x, s, noise)),
-        "denoise": (den, None, lambda s: sm.denoise(den, x, s)),
         "fake_score": (den, None, lambda s: sm.fake_score(den, x, s)),
         "dsm_update": (den, den_opt, lambda s: sm.dsm_update(den, den_opt, x, s, noise)),
     }
@@ -310,6 +309,60 @@ class TestSigmaBatch:
             assert opt.m.tobytes() == record[0].tobytes()
             assert opt.v.tobytes() == record[1].tobytes()
             assert opt.step == record[2]
+
+
+def _analytic_entries(n=4, m=10):
+    """name -> call(sigma) for each function that reads an analytic law at a
+    sigma: the ring8 density and score, and a particle estimate from m
+    centers; n points in 2-D."""
+    x = rngmod.stream(6, n).standard_normal((n, 2)) * 3.0
+    centers = rngmod.stream(7, m).standard_normal((m, 2)) * 2.0
+    gm = tc.ring8()
+    return {
+        "log_density": lambda s: tc.log_density(gm, x, s),
+        "score": lambda s: tc.score(gm, x, s),
+        "particle_log_density": lambda s: tc.particle_log_density(centers, x, s),
+    }
+
+
+_SHAPE_REFUSAL = "sigma must be a scalar or of shape (4,), got shape {}"
+_ANALYTIC_REFUSALS = {
+    "shape_3": (np.ones(3), _SHAPE_REFUSAL.format("(3,)")),
+    "column": (np.ones((4, 1)), _SHAPE_REFUSAL.format("(4, 1)")),
+    "row": (np.ones((1, 4)), _SHAPE_REFUSAL.format("(1, 4)")),
+    "shape_1": (np.ones(1), _SHAPE_REFUSAL.format("(1,)")),
+    "negative": (-1.0, "sigma must be finite and >= 0"),
+    "nan": (np.nan, "sigma must be finite and >= 0"),
+    "inf": (np.inf, "sigma must be finite and >= 0"),
+    "one_nan": (np.array([0.5, np.nan, 0.5, 0.5]), "sigma must be finite and >= 0"),
+}
+# a particle law has variance 0 at its centers, so sigma^2 must stay above 0
+_PARTICLE_REFUSALS = {
+    "zero": (0.0, "sigma 0.0 leaves a zero perturbed variance"),
+    "underflow": (1e-170, "sigma 1e-170 leaves a zero perturbed variance"),
+}
+
+
+class TestPerturbedVariances:
+    @pytest.mark.parametrize("entry, case", [
+        *((entry, case) for entry in _analytic_entries() for case in _ANALYTIC_REFUSALS),
+        *(("particle_log_density", case) for case in _PARTICLE_REFUSALS),
+    ])
+    def test_analytic_entries_refuse_with_one_line(self, entry, case):
+        """Every analytic entry refuses a bad sigma with `perturbed_variances`'
+        one line, not a numpy error, NaN or -inf; a RuntimeWarning on the way
+        fails the test (pytest.ini)."""
+        sigma, message = {**_ANALYTIC_REFUSALS, **_PARTICLE_REFUSALS}[case]
+        with pytest.raises(DomainError) as info:
+            _analytic_entries()[entry](sigma)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", list(_analytic_entries()))
+    def test_repeated_sigma_batch_equals_scalar_bitwise(self, entry):
+        """An (n,) batch of one sigma gives the scalar sigma's bits; the
+        particle estimate spans five row blocks of 1024 centers."""
+        call = _analytic_entries(n=700, m=1024)[entry]
+        assert_same_bits(call(np.full(700, 0.7)), call(0.7))
 
 
 class TestFnv1a64:

@@ -225,7 +225,7 @@ class TestTheorem1:
         s = 4.536
         q = gen.exact_law()
         nodes, weights = oracle._gauss_hermite(teacher.dim)
-        x = gen.bias + math.sqrt(tc.perturbed_variances(q, s)[0, 0]) * nodes
+        x = gen.bias + math.sqrt(tc.perturbed_variances(q.variances, s, 1)[0, 0]) * nodes
         log_r = tc.log_density(teacher, x, s) - tc.log_density(q, x, s)
         want = -oracle._expectation(weights, weight_h_log(kind, log_r)[:, None] * (
             tc.score(teacher, x, s) - tc.score(q, x, s)))
