@@ -22,6 +22,7 @@ before that happens.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -166,16 +167,8 @@ def _cmd_gradcheck(cfg, params, out_dir: Path) -> int:
                 for rep in reports:
                     ok = rep.passes(rel_tol=params["rel_tol"])
                     all_pass = all_pass and ok
-                    cases.append({
-                        "teacher": teacher_name,
-                        "kind": rep.kind,
-                        "sigma": rep.sigma,
-                        "param_index": rep.param_index,
-                        "grad_analytic": rep.grad_analytic,
-                        "grad_fd": rep.grad_fd,
-                        "rel_error": rep.rel_error,
-                        "pass": ok,
-                    })
+                    cases.append({"teacher": teacher_name, **dataclasses.asdict(rep),
+                                  "rel_error": rep.rel_error, "pass": ok})
     report = {"fd_step": params["fd_step"], "all_pass": all_pass, "cases": cases}
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -247,12 +240,10 @@ def _cmd_weightmap(cfg, params, out_dir: Path) -> int:
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
     score_diff, h = weight_score_map(cfg.divergence, teacher, student, params["sigma"], grid)
-    rows = [
-        [grid[i, 0], grid[i, 1], float(score_diff[i]), float(h[i])]
-        for i in range(grid.shape[0])
-    ]
-    _write_csv(out_dir / "map.csv", ["x", "y", "score_diff", "h"], rows)
-    print(f"weightmap: {len(rows)} cells")
+    with open(out_dir / "map.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x,y,score_diff,h\n")
+        fh.write(_float_rows(np.column_stack([grid, score_diff, h])))
+    print(f"weightmap: {grid.shape[0]} cells")
     return 0
 
 

@@ -251,36 +251,23 @@ RETIRED_KEYS = {
 }
 
 
-class MLPGenerator:
-    """One-step student G(z) backed by a FeedForwardNet."""
-
-    def __init__(self, net: FeedForwardNet):
-        self.net = net
+class MLPGenerator(FeedForwardNet):
+    """One-step student G(z), itself a FeedForwardNet of widths (latent,
+    hidden..., dim). Its `forward` is `nets.predict`, the cache-free pass;
+    `forward_cached` is `nets.forward`."""
 
     @property
     def latent_dim(self):
-        return self.net.widths[0]
-
-    @property
-    def widths(self):
-        return self.net.widths
-
-    @property
-    def params(self):
-        return self.net.params
-
-    @params.setter
-    def params(self, value):
-        self.net.params = np.asarray(value, dtype=float)
+        return self.widths[0]
 
     def forward_cached(self, z):
-        return forward(self.net, z)
+        return forward(self, z)
 
     def forward(self, z):
-        return predict(self.net, z)
+        return predict(self, z)
 
     def backward(self, ctx, out_grad):
-        pgrad, _ = backward(self.net, ctx, out_grad, input_grad=False)
+        pgrad, _ = backward(self, ctx, out_grad, input_grad=False)
         return pgrad
 
     def exact_law(self):
@@ -402,7 +389,7 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
     else:
         net = init_net((dim, *HIDDEN_WIDTHS, dim),
                        rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR), final=0.1)
-        generator = MLPGenerator(net)
+        generator = MLPGenerator(net.widths, net.params)
     denoiser = conditioned_init(dim, dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER),
                                 sigma_data)
     disc = conditioned_init(dim, 1, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR),
@@ -412,8 +399,8 @@ def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
         denoiser=denoiser,
         discriminator=disc,
         opt_generator=adam_init(generator.params.size, cfg.lr_generator),
-        opt_denoiser=adam_init(denoiser.net.params.size, cfg.lr_denoiser),
-        opt_discriminator=adam_init(disc.net.params.size, cfg.lr_discriminator),
+        opt_denoiser=adam_init(denoiser.params.size, cfg.lr_denoiser),
+        opt_discriminator=adam_init(disc.params.size, cfg.lr_discriminator),
     )
 
 
@@ -493,8 +480,8 @@ def _trained_nets(state: TrainState):
     """(name, parameter holder, optimizer) for each trained network."""
     return (
         ("generator", state.generator, state.opt_generator),
-        ("denoiser", state.denoiser.net, state.opt_denoiser),
-        ("discriminator", state.discriminator.net, state.opt_discriminator),
+        ("denoiser", state.denoiser, state.opt_denoiser),
+        ("discriminator", state.discriminator, state.opt_discriminator),
     )
 
 

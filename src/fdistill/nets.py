@@ -2,8 +2,9 @@
 
 This is the whole network stack: the generator, the denoiser and the
 discriminator are all instances of `FeedForwardNet` with different heads
-(the latter two inside a sigma-conditioned `ConditionedNet`), and every
-hidden layer uses the silu activation z * sigmoid(z).
+(the latter two are `ConditionedNet`s, which also carry the data scale that
+whitens their input), and every hidden layer uses the silu activation
+z * sigmoid(z).
 Gradients are closed-form reverse mode for the scalar objective
 sum_batch output . output_grad; there is no autodiff graph. A second-order
 routine (`input_grad_param_grad`) differentiates the input gradient with
@@ -390,17 +391,16 @@ def sigma_embedding(sigma) -> np.ndarray:
 
 
 @dataclass
-class ConditionedNet:
+class ConditionedNet(FeedForwardNet):
     """A net that reads rows [c_in x, sigma_embedding(sigma)] (see
     `conditioned_input`): the denoiser (a dim-wide head) and the
     discriminator (a scalar head)."""
 
-    net: FeedForwardNet
     sigma_data: float
 
     @property
     def dim(self) -> int:
-        return self.net.widths[0] - EMBED_DIM
+        return self.widths[0] - EMBED_DIM
 
 
 def conditioned_init(dim, out, gen, sigma_data) -> ConditionedNet:
@@ -408,7 +408,7 @@ def conditioned_init(dim, out, gen, sigma_data) -> ConditionedNet:
     score is that of N(0, (sigma_data^2 + sigma^2) I), and the initial
     discriminator's ratio estimate is exactly 1."""
     net = init_net((dim + EMBED_DIM, *HIDDEN_WIDTHS, out), gen, final="zero")
-    return ConditionedNet(net=net, sigma_data=float(sigma_data))
+    return ConditionedNet(net.widths, net.params, float(sigma_data))
 
 
 def conditioned_input(cnet: ConditionedNet, x, sig):

@@ -34,7 +34,7 @@ __all__ = [
 
 def _logit_cached(disc: ConditionedNet, x: np.ndarray, sig: np.ndarray):
     inp, c_in = conditioned_input(disc, x, sig)
-    out, cache = forward(disc.net, inp)
+    out, cache = forward(disc, inp)
     return out[:, 0], inp, cache, c_in
 
 
@@ -43,7 +43,7 @@ def logit(disc: ConditionedNet, x, sigma) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     sig = sigma_batch(sigma, x.shape[0])
     inp, _ = conditioned_input(disc, x, sig)
-    return predict(disc.net, inp)[:, 0]
+    return predict(disc, inp)[:, 0]
 
 
 def clipped_log_ratio(disc: ConditionedNet, x, sigma, lo, hi) -> np.ndarray:
@@ -85,27 +85,27 @@ def disc_update(disc: ConditionedNet, opt: Adam, real, fake, sigma, noise_real,
                         fake + sig[:, None] * np.asarray(noise_fake, dtype=float)])
     inp, c_in = conditioned_input(disc, x, sig)
 
-    out, cache = forward(disc.net, inp)
+    out, cache = forward(disc, inp)
     ell_r, ell_f = out[:n, 0], out[n:, 0]
     loss = float(np.mean(softplus(-ell_r)) + np.mean(softplus(ell_f)))
 
     cache_r = cache.rows(0, n)
-    pgrad, _ = backward(disc.net, cache_r, (-sigmoid(-ell_r) / n)[:, None], input_grad=False)
-    pgrad += backward(disc.net, cache.rows(n, 2 * n), (sigmoid(ell_f) / n)[:, None],
+    pgrad, _ = backward(disc, cache_r, (-sigmoid(-ell_r) / n)[:, None], input_grad=False)
+    pgrad += backward(disc, cache.rows(n, 2 * n), (sigmoid(ell_f) / n)[:, None],
                       input_grad=False)[0]
 
     if r1_gamma > 0.0:
-        g_net = scalar_input_grad(disc.net, cache_r)[:, :dim]
+        g_net = scalar_input_grad(disc, cache_r)[:, :dim]
         # ||grad_x l||^2 = c_in^2 ||grad_inp l||^2 because of input whitening
         sq = np.sum(g_net**2, axis=1) * c_in**2
         loss += float(0.5 * r1_gamma * np.mean(sq))
         v = np.zeros_like(inp[:n])
         v[:, :dim] = (r1_gamma / n) * (c_in**2)[:, None] * g_net
-        pgrad += input_grad_param_grad(disc.net, cache_r, v)
+        pgrad += input_grad_param_grad(disc, cache_r, v)
 
     if not np.isfinite(loss):
         raise NumericsError("non-finite discriminator loss")
-    disc.net.params = adam_step(opt, disc.net.params, pgrad)
+    disc.params = adam_step(opt, disc.params, pgrad)
     return loss
 
 
@@ -121,5 +121,5 @@ def gan_generator_grad(disc: ConditionedNet, y, sigma, noise):
     x = y + sig[:, None] * np.asarray(noise, dtype=float)
     ell, _, cache, c_in = _logit_cached(disc, x, sig)
     dldell = -sigmoid(-ell) / y.shape[0]
-    _, input_grad = backward(disc.net, cache, dldell[:, None], param_grad=False)
+    _, input_grad = backward(disc, cache, dldell[:, None], param_grad=False)
     return input_grad[:, : disc.dim] * c_in[:, None], ell

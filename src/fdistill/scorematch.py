@@ -39,9 +39,9 @@ def _denoise(den: ConditionedNet, x: np.ndarray, sig: np.ndarray, cached: bool):
     inp, _ = conditioned_input(den, x, sig)
     c_skip, c_out = _coeffs(den, sig)
     if cached:
-        raw, cache = forward(den.net, inp)
+        raw, cache = forward(den, inp)
     else:
-        raw, cache = predict(den.net, inp), None
+        raw, cache = predict(den, inp), None
     x0_hat = c_skip[:, None] * x + c_out[:, None] * raw
     return x0_hat, cache, c_out
 
@@ -84,6 +84,6 @@ def dsm_update(den: ConditionedNet, opt: Adam, x0, sigma, noise,
     if not np.isfinite(loss):
         raise NumericsError("non-finite DSM loss: training has diverged")
     out_grad = (2.0 / n) * (w * c_out)[:, None] * resid
-    pgrad, _ = backward(den.net, cache, out_grad, input_grad=False)
-    den.net.params = adam_step(opt, den.net.params, pgrad)
+    pgrad, _ = backward(den, cache, out_grad, input_grad=False)
+    den.params = adam_step(opt, den.params, pgrad)
     return loss

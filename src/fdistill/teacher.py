@@ -135,12 +135,15 @@ def _gaussian_logs(const, x: np.ndarray, centers: np.ndarray, var) -> np.ndarray
 
     The square is expanded as |x|^2 - (2 x) . c + |c|^2; every step keeps the
     operand order of the unfused expression, so the result is bitwise equal.
+    Over a subnormal variance the quotient may overflow to inf: that log
+    density rounds to -inf.
     """
     out = (2.0 * x) @ centers.T
     np.subtract(np.sum(x**2, axis=1, keepdims=True), out, out=out)
     out += np.sum(centers**2, axis=1)[None, :]
     out *= 0.5
-    out /= var
+    with np.errstate(over="ignore"):
+        out /= var
     return np.subtract(const, out, out=out)
 
 

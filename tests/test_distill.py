@@ -684,7 +684,7 @@ class TestCheckpointBridge:
         )
         np.testing.assert_array_equal(restored.generator.params, state.generator.params)
         np.testing.assert_array_equal(
-            restored.denoiser.net.params, state.denoiser.net.params
+            restored.denoiser.params, state.denoiser.params
         )
         np.testing.assert_array_equal(restored.opt_discriminator.v, state.opt_discriminator.v)
         assert restored.iteration == state.iteration
@@ -737,5 +737,5 @@ class TestCheckpointBridge:
             distill.train_step(resumed, cfg, teacher, schedule)
         np.testing.assert_array_equal(state.generator.params, resumed.generator.params)
         np.testing.assert_array_equal(
-            state.discriminator.net.params, resumed.discriminator.net.params
+            state.discriminator.params, resumed.discriminator.params
         )

@@ -264,8 +264,8 @@ def _network_entries():
     noise = rngmod.stream(5, 2).standard_normal((4, 2))
     disc = nets.conditioned_init(2, 1, rngmod.stream(5, 3), 1.0)
     den = nets.conditioned_init(2, 2, rngmod.stream(5, 4), 1.0)
-    disc_opt = nets.adam_init(disc.net.params.size, 1e-3)
-    den_opt = nets.adam_init(den.net.params.size, 1e-3)
+    disc_opt = nets.adam_init(disc.params.size, 1e-3)
+    den_opt = nets.adam_init(den.params.size, 1e-3)
     return {
         "logit": (disc, None, lambda s: rg.logit(disc, x, s)),
         "clipped_log_ratio": (disc, None, lambda s: rg.clipped_log_ratio(disc, x, s, -1, 1)),
@@ -299,12 +299,12 @@ class TestSigmaBatch:
         """Every network entry refuses a bad sigma with `sigma_batch`'s one
         line, before the net's parameters or its Adam record change."""
         net, opt, call = _network_entries()[entry]
-        params = net.net.params.copy()
+        params = net.params.copy()
         record = None if opt is None else (opt.m.copy(), opt.v.copy(), opt.step)
         with pytest.raises(DomainError) as info:
             call(sigma)
         assert str(info.value) == message
-        assert net.net.params.tobytes() == params.tobytes()
+        assert net.params.tobytes() == params.tobytes()
         if opt is not None:
             assert opt.m.tobytes() == record[0].tobytes()
             assert opt.v.tobytes() == record[1].tobytes()

@@ -20,10 +20,9 @@ def identity_logit_disc():
     2**30 (test_scorematch.TestExactConstruction)."""
     w = np.zeros((1, 1 + nets.EMBED_DIM))
     w[0, 0] = 2.0**30
-    net = nets.FeedForwardNet(
-        (1 + nets.EMBED_DIM, 1), np.concatenate([w.ravel(), np.zeros(1)])
+    return nets.ConditionedNet(
+        (1 + nets.EMBED_DIM, 1), np.concatenate([w.ravel(), np.zeros(1)]), 2.0**30
     )
-    return nets.ConditionedNet(net=net, sigma_data=2.0**30)
 
 
 def train_two_gaussians(lr0=3e-3, lr1=3e-4, steps=6000, batch=1024, seed=1,
@@ -35,7 +34,7 @@ def train_two_gaussians(lr0=3e-3, lr1=3e-4, steps=6000, batch=1024, seed=1,
     """
     gen = rngmod.stream(seed, 0xD)
     disc = nets.conditioned_init(1, 1, gen, 1.0)
-    adam = nets.adam_init(disc.net.params.size, lr=lr0)
+    adam = nets.adam_init(disc.params.size, lr=lr0)
     sig = np.full(batch, sigma)
     last = None
     for step in range(steps):
@@ -83,7 +82,7 @@ class TestDiscUpdate:
         """Real and fake from the same law: optimum is D = 1/2."""
         gen = rngmod.stream(2, 1)
         disc = nets.conditioned_init(1, 1, gen, 1.0)
-        adam = nets.adam_init(disc.net.params.size, lr=1e-3)
+        adam = nets.adam_init(disc.params.size, lr=1e-3)
         sig = np.full(256, 0.3)
         losses = []
         for _ in range(800):
@@ -101,7 +100,7 @@ class TestDiscUpdate:
         for gamma in (0.0, 0.0):
             g = rngmod.stream(2, 3)
             disc = nets.conditioned_init(2, 1, g, 1.0)
-            adam = nets.adam_init(disc.net.params.size, lr=1e-3)
+            adam = nets.adam_init(disc.params.size, lr=1e-3)
             real = g.standard_normal((64, 2))
             fake = g.standard_normal((64, 2)) + 1.0
             sig = np.full(64, 0.5)
@@ -111,15 +110,15 @@ class TestDiscUpdate:
                 rg.disc_update(disc, adam, real, fake, sig, er, ef, r1_gamma=gamma)
             )
             if params0 is None:
-                params0 = disc.net.params
+                params0 = disc.params
             else:
-                np.testing.assert_array_equal(disc.net.params, params0)
+                np.testing.assert_array_equal(disc.params, params0)
         assert losses[0] == losses[1]
 
     def test_separable_clusters_drive_loss_to_zero(self):
         gen = rngmod.stream(2, 4)
         disc = nets.conditioned_init(1, 1, gen, 1.0)
-        adam = nets.adam_init(disc.net.params.size, lr=5e-3)
+        adam = nets.adam_init(disc.params.size, lr=5e-3)
         sig = np.full(256, 0.05)
         loss = None
         for _ in range(1500):
@@ -134,7 +133,7 @@ class TestDiscUpdate:
         """Full disc_update gradient (logistic + R1) vs FD of the loss."""
         gen = rngmod.stream(2, 5)
         disc = nets.conditioned_init(2, 1, gen, 1.0)
-        disc.net.params = 0.3 * gen.standard_normal(disc.net.params.size)
+        disc.params = 0.3 * gen.standard_normal(disc.params.size)
         real = gen.standard_normal((8, 2))
         fake = gen.standard_normal((8, 2)) + 0.5
         sig = np.full(8, 0.4)
@@ -143,10 +142,7 @@ class TestDiscUpdate:
         gamma = 0.7
 
         def loss_at(params):
-            probe = nets.ConditionedNet(
-                net=nets.FeedForwardNet(disc.net.widths, params),
-                sigma_data=disc.sigma_data,
-            )
+            probe = nets.ConditionedNet(disc.widths, params, disc.sigma_data)
             xr = real + sig[:, None] * er
             xf = fake + sig[:, None] * ef
             ell_r, inp_r, cache_r, c_in = rg._logit_cached(probe, xr, sig)
@@ -154,18 +150,15 @@ class TestDiscUpdate:
             loss = float(
                 np.mean(np.logaddexp(0.0, -ell_r)) + np.mean(np.logaddexp(0.0, ell_f))
             )
-            _, igrad = nets.backward(probe.net, cache_r, np.ones((8, 1)))
+            _, igrad = nets.backward(probe, cache_r, np.ones((8, 1)))
             gx = igrad[:, :2] * c_in[:, None]
             return loss + 0.5 * gamma * float(np.mean(np.sum(gx**2, axis=1)))
 
         # recover the analytic update direction from one Adam step at step 0:
         # first step moves params by -lr * sign-ish, so instead grab gradient
         # directly through a tiny lr and invert the bias-corrected formula.
-        base = disc.net.params.copy()
-        probe_disc = nets.ConditionedNet(
-            net=nets.FeedForwardNet(disc.net.widths, base.copy()),
-            sigma_data=disc.sigma_data,
-        )
+        base = disc.params.copy()
+        probe_disc = nets.ConditionedNet(disc.widths, base.copy(), disc.sigma_data)
 
         # reimplement the gradient assembly to compare against FD
         xr = real + sig[:, None] * er
@@ -174,13 +167,13 @@ class TestDiscUpdate:
         ell_f, _, cache_f, _ = rg._logit_cached(probe_disc, xf, sig)
         g_real = (-sigmoid(-ell_r) / 8)[:, None]
         g_fake = (sigmoid(ell_f) / 8)[:, None]
-        pg_r, _ = nets.backward(probe_disc.net, cache_r, g_real)
-        pg_f, _ = nets.backward(probe_disc.net, cache_f, g_fake)
-        _, igrad = nets.backward(probe_disc.net, cache_r, np.ones((8, 1)))
+        pg_r, _ = nets.backward(probe_disc, cache_r, g_real)
+        pg_f, _ = nets.backward(probe_disc, cache_f, g_fake)
+        _, igrad = nets.backward(probe_disc, cache_r, np.ones((8, 1)))
         g_net = igrad[:, :2]
         v = np.zeros_like(inp_r)
         v[:, :2] = (gamma / 8) * (c_in**2)[:, None] * g_net
-        pg_r1 = nets.input_grad_param_grad(probe_disc.net, cache_r, v)
+        pg_r1 = nets.input_grad_param_grad(probe_disc, cache_r, v)
         analytic = pg_r + pg_f + pg_r1
 
         step = 1e-6
@@ -207,22 +200,22 @@ class TestStackedDiscUpdate:
         n, dim = real.shape
         inp_r, c_in = nets.conditioned_input(disc, real + sig[:, None] * er, sig)
         inp_f, _ = nets.conditioned_input(disc, fake + sig[:, None] * ef, sig)
-        ell_r = ref_forward(disc.net, inp_r)[0][:, 0]
-        ell_f = ref_forward(disc.net, inp_f)[0][:, 0]
+        ell_r = ref_forward(disc, inp_r)[0][:, 0]
+        ell_f = ref_forward(disc, inp_f)[0][:, 0]
         loss = float(np.mean(np.logaddexp(0.0, -ell_r)) + np.mean(np.logaddexp(0.0, ell_f)))
-        pg_r, _ = ref_backward(disc.net, inp_r, (-sigmoid(-ell_r) / n)[:, None])
-        pg_f, _ = ref_backward(disc.net, inp_f, (sigmoid(ell_f) / n)[:, None])
+        pg_r, _ = ref_backward(disc, inp_r, (-sigmoid(-ell_r) / n)[:, None])
+        pg_f, _ = ref_backward(disc, inp_f, (sigmoid(ell_f) / n)[:, None])
         pgrad = pg_r + pg_f
         if r1_gamma > 0.0:
-            _, igrad = ref_backward(disc.net, inp_r, np.ones((n, 1)))
+            _, igrad = ref_backward(disc, inp_r, np.ones((n, 1)))
             g_net = igrad[:, :dim]
             loss += float(0.5 * r1_gamma * np.mean(np.sum(g_net**2, axis=1) * c_in**2))
             v = np.zeros_like(inp_r)
             v[:, :dim] = (r1_gamma / n) * (c_in**2)[:, None] * g_net
-            pg_r1 = ref_input_grad_param_grad(disc.net, inp_r, v)
+            pg_r1 = ref_input_grad_param_grad(disc, inp_r, v)
             pgrad = pgrad + pg_r1
         state_ref = replace(adam)
-        new_params = nets.adam_step(state_ref, disc.net.params, pgrad)
+        new_params = nets.adam_step(state_ref, disc.params, pgrad)
         return loss, new_params, state_ref
 
     def check_three_steps(self, gen, disc, adam, r1_gamma):
@@ -237,7 +230,7 @@ class TestStackedDiscUpdate:
             )
             loss = rg.disc_update(disc, adam, real, fake, sig, er, ef, r1_gamma=r1_gamma)
             assert loss == loss_ref
-            assert disc.net.params.tobytes() == params_ref.tobytes()
+            assert disc.params.tobytes() == params_ref.tobytes()
             assert adam.m.tobytes() == state_ref.m.tobytes()
             assert adam.v.tobytes() == state_ref.v.tobytes()
 
@@ -245,8 +238,8 @@ class TestStackedDiscUpdate:
     def test_matches_separate_passes_bitwise(self, r1_gamma):
         gen = rngmod.stream(2, 9)
         disc = nets.conditioned_init(2, 1, gen, 1.0)
-        disc.net.params = 0.3 * gen.standard_normal(disc.net.params.size)
-        adam = nets.adam_init(disc.net.params.size, lr=2e-3)
+        disc.params = 0.3 * gen.standard_normal(disc.params.size)
+        adam = nets.adam_init(disc.params.size, lr=2e-3)
         self.check_three_steps(gen, disc, adam, r1_gamma)
 
     # conditioned_init's zero head makes the first step's head products signed
@@ -257,7 +250,7 @@ class TestStackedDiscUpdate:
     def test_zero_head_matches_separate_passes_bitwise(self, r1_gamma):
         gen = rngmod.stream(2, 9)
         disc = nets.conditioned_init(2, 1, gen, 1.0)
-        adam = nets.adam_init(disc.net.params.size, lr=2e-3)
+        adam = nets.adam_init(disc.params.size, lr=2e-3)
         adam.m[:] = -0.0
         adam.v[:] = -0.0
         self.check_three_steps(gen, disc, adam, r1_gamma)
@@ -309,7 +302,7 @@ class TestGeneratorGrad:
     def test_matches_finite_difference(self):
         gen = rngmod.stream(4, 3)
         disc = nets.conditioned_init(2, 1, gen, 1.0)
-        disc.net.params = 0.3 * gen.standard_normal(disc.net.params.size)
+        disc.params = 0.3 * gen.standard_normal(disc.params.size)
         y = gen.standard_normal((6, 2))
         sig = np.full(6, 0.7)
         noise = gen.standard_normal((6, 2))

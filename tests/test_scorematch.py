@@ -83,12 +83,12 @@ class TestDsmUpdate:
 
     def test_perfect_denoiser_zero_noise_no_update(self):
         den = self._raw_identity_denoiser(2)
-        adam = nets.adam_init(den.net.params.size, lr=0.1)
+        adam = nets.adam_init(den.params.size, lr=0.1)
         x0 = rngmod.stream(2, 1).standard_normal((16, 2))
-        before = den.net.params.copy()
+        before = den.params.copy()
         loss = sm.dsm_update(den, adam, x0, np.full(16, 0.3), np.zeros((16, 2)))
         assert loss == 0.0
-        np.testing.assert_array_equal(den.net.params, before)
+        np.testing.assert_array_equal(den.params, before)
 
     def test_loss_decreases_during_training(self):
         """Median over 5 seeds: first-50 mean loss > last-50 mean loss."""
@@ -102,7 +102,7 @@ class TestDsmUpdate:
         for seed in range(5):
             gen = rngmod.stream(seed, 0xA)
             den = nets.conditioned_init(2, 2, gen, teacher.per_coord_std())
-            adam = nets.adam_init(den.net.params.size, lr=2e-3)
+            adam = nets.adam_init(den.params.size, lr=2e-3)
             x0 = tc.sample(teacher, 256, rngmod.stream(seed, 99, rngmod.TEACHER_SAMPLE))
             losses = []
             for step in range(500):
@@ -116,7 +116,7 @@ class TestDsmUpdate:
 
     def test_misaligned_batches_rejected(self):
         den = self._raw_identity_denoiser(2)
-        adam = nets.adam_init(den.net.params.size, lr=0.1)
+        adam = nets.adam_init(den.params.size, lr=0.1)
         with pytest.raises(DomainError):
             sm.dsm_update(den, adam, np.zeros((4, 2)), np.full(4, 1.0), np.zeros((3, 2)))
 
@@ -129,7 +129,7 @@ class TestScoreRecovery:
         sched = tc.NoiseSchedule()
         gen = rngmod.stream(31, 0xB)
         den = nets.conditioned_init(2, 2, gen, 1.2)
-        adam = nets.adam_init(den.net.params.size, lr=1e-2)
+        adam = nets.adam_init(den.params.size, lr=1e-2)
         batch = 1024
         for step in range(2000):
             z = gen.standard_normal((batch, 2))

@@ -69,6 +69,15 @@ class TestLogDensity:
             assert batched[i] == tc.log_density(MIX_2D, x[i:i + 1], s)[0]
             assert batched_score[i].tobytes() == tc.score(MIX_2D, x[i:i + 1], s)[0].tobytes()
 
+    def test_subnormal_variance_rounds_without_warning(self):
+        """Over a subnormal variance the log density off the mean is below
+        the float range and rounds to -inf, and at the mean it is finite;
+        neither evaluation warns."""
+        gm = tc.make_teacher({"weights": [1], "means": [[0, 0]], "variances": [5e-324]})
+        got = tc.log_density(gm, np.array([[1.0, 0.0], [0.0, 0.0]]), 0.0)
+        assert got[0] == -np.inf
+        assert got[1] == pytest.approx(-np.log(2 * np.pi) - np.log(5e-324))
+
 
 class TestScore:
     def test_single_gaussian_linear_pull(self):
@@ -343,6 +352,12 @@ class TestParticleDensity:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_subnormal_sigma_squared_rounds_without_warning(self):
+        """sigma = 1e-160 squares to a subnormal variance: points at distance
+        sqrt(2) from every center have log density -inf, without a warning."""
+        got = tc.particle_log_density(np.ones((10, 2)), np.zeros((5, 2)), 1e-160)
+        assert np.all(got == -np.inf)
 
     def test_per_row_sigma_must_match_points(self):
         with pytest.raises(DomainError, match=r"scalar or of shape \(300,\), got shape \(200,\)"):
