@@ -222,7 +222,7 @@ def _cmd_weightmap(cfg, params, out_dir: Path) -> int:
     from .oracle import weight_score_map
     from .teacher import AffineGenerator, make_teacher
 
-    teacher = make_teacher(cfg.teacher)
+    teacher = cfg.teacher_law
     if teacher.dim != 2:
         raise ConfigError("teacher", "weightmap requires a 2-D teacher")
     if params["student"] is None:
@@ -255,7 +255,7 @@ def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
     from .checkpoint import load_checkpoint
     from .distill import RunConfig, restore_state
     from .errors import ConfigError
-    from .teacher import make_teacher, mode_coverage
+    from .teacher import mode_coverage
 
     if checkpoint_path is None:
         raise ConfigError("--checkpoint", "the modes command needs a checkpoint file")
@@ -268,7 +268,6 @@ def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
         ) from exc
     saved_cfg = RunConfig.from_dict(config_echo)
     state = restore_state(saved_cfg, iteration, payloads)
-    teacher = make_teacher(saved_cfg.teacher)
     # the samples are drawn, generated and counted one row block at a time (draws
     # from one stream equal the one-shot draw); an overflowed output is in no ball
     gen = state.generator
@@ -277,7 +276,7 @@ def _cmd_modes(cfg, params, out_dir: Path, checkpoint_path) -> int:
         coverage = mode_coverage(
             (gen.forward(latents.standard_normal((stop - start, gen.latent_dim)))
              for start, stop in row_blocks(n_samples)),
-            teacher,
+            saved_cfg.teacher_law,
         )
     report = {
         "checkpoint": str(checkpoint_path),

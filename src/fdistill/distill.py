@@ -18,7 +18,9 @@ is 1), passed through h, and batch-normalized again so the weighting keeps a
 stable scale relative to the GAN term.
 
 Every iteration updates either the generator (iteration % tau == 0) or the
-denoiser plus discriminator, mirroring the two time-scale schedule.
+denoiser plus discriminator, mirroring the two time-scale schedule. The
+frozen `RunConfig` is the run: each function takes it, and reads the teacher
+mixture and the sigma ladder it derives once (`teacher_law`, `levels`).
 """
 
 import math
@@ -27,6 +29,7 @@ import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -36,13 +39,13 @@ from ._numerics import row_blocks
 from .divergence import KINDS, weight_h
 from .errors import CheckpointError, ConfigError, DomainError, NumericsError, TrainingDiverged
 from .nets import (HIDDEN_WIDTHS, Adam, ConditionedNet, FeedForwardNet, adam_init, adam_step,
-                   backward, conditioned_init, forward, init_net, predict)
+                   backward, conditioned_init, conditioned_widths, forward, init_net,
+                   param_count, predict)
 from .ratio_gan import clipped_log_ratio, disc_update, gan_generator_grad
 from .scorematch import dsm_update, fake_score
 from .teacher import (
     AffineGenerator,
     IsotropicGaussianMixture,
-    NoiseSchedule,
     log_density,
     make_teacher,
     mode_coverage,
@@ -153,10 +156,11 @@ def _key(default, rule):
     return field(default=default, metadata={"rule": rule})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Every hyperparameter of a training run, each declared with its default
-    and rule. JSON round-trippable."""
+    and rule. JSON round-trippable and frozen: the run's teacher law and noise
+    ladder are derived from it once, on first use (`teacher_law`, `levels`)."""
 
     divergence: str = _key("jensen-shannon", one_of(KINDS))
     batch_size: int = _key(128, integer(ge=1))
@@ -190,13 +194,10 @@ class RunConfig:
     checkpoint_interval: int = _key(0, integer(ge=0))
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         """Each key against its rule, then the checks that span keys. Values
         are kept as given (an int stays an int on a number key), so the
         config echo a checkpoint stores is the config's own."""
-        checked(_RUN_KEYS, vars(self))
+        checked(_RUN_KEYS, self.to_dict())
         if self.batch_size < 2 * self.time_bins:
             raise ConfigError(
                 "batch_size",
@@ -227,10 +228,21 @@ class RunConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        """The keys and their values; never the derived values."""
+        return {name: getattr(self, name) for name in _RUN_KEYS}
 
-    def schedule(self) -> NoiseSchedule:
-        return NoiseSchedule(self.sigma_min, self.sigma_max, self.n_levels)
+    @cached_property
+    def teacher_law(self) -> IsotropicGaussianMixture:
+        """The mixture `teacher` names."""
+        return make_teacher(self.teacher)
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """The noise ladder: n_levels sigmas, log-uniform from sigma_min to
+        sigma_max (np.geomspace), read-only."""
+        ladder = np.geomspace(self.sigma_min, self.sigma_max, self.n_levels)
+        ladder.flags.writeable = False
+        return ladder
 
 
 _RUN_KEYS = {f.name: (f.default, f.metadata["rule"]) for f in fields(RunConfig)}
@@ -381,45 +393,55 @@ def normalize_stage2(h) -> np.ndarray:
     return _unit_mean(values, "weighting")
 
 
-def init_state(cfg: RunConfig, teacher: IsotropicGaussianMixture) -> TrainState:
-    dim = teacher.dim
-    sigma_data = teacher.per_coord_std()
+def _net_shapes(cfg: RunConfig) -> dict:
+    """(widths, parameter count) of each trained network of a `cfg` run, by
+    name: the shapes `init_state` builds and `restore_state` holds a
+    checkpoint's records to."""
+    dim = cfg.teacher_law.dim
+    widths = {"generator": (dim, *HIDDEN_WIDTHS, dim), "denoiser": conditioned_widths(dim, dim),
+              "discriminator": conditioned_widths(dim, 1)}
+    shapes = {name: (w, param_count(w)) for name, w in widths.items()}
+    if cfg.generator_kind == "affine":
+        shapes["generator"] = ((dim, dim), dim + 1)    # x = a z + b, parameters [a, *b]
+    return shapes
+
+
+def init_state(cfg: RunConfig) -> TrainState:
+    """A run's first state: an affine student at x = z or an MLP student from
+    its init stream, the denoiser and discriminator from `conditioned_init`,
+    and fresh Adam records at the config's rates."""
+    teacher = cfg.teacher_law
+    dim, sigma_data = teacher.dim, teacher.per_coord_std()
     if cfg.generator_kind == "affine":
         generator = AffineGenerator(scale=1.0, bias=np.zeros(dim))
     else:
-        net = init_net((dim, *HIDDEN_WIDTHS, dim),
+        net = init_net(_net_shapes(cfg)["generator"][0],
                        rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR), final=0.1)
         generator = MLPGenerator(net.widths, net.params)
-    denoiser = conditioned_init(dim, dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER),
-                                sigma_data)
-    disc = conditioned_init(dim, 1, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR),
-                            sigma_data)
-    return TrainState(
-        generator=generator,
-        denoiser=denoiser,
-        discriminator=disc,
-        opt_generator=adam_init(generator.params.size, cfg.lr_generator),
-        opt_denoiser=adam_init(denoiser.params.size, cfg.lr_denoiser),
-        opt_discriminator=adam_init(disc.params.size, cfg.lr_discriminator),
-    )
+    den = conditioned_init(dim, dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER), sigma_data)
+    disc = conditioned_init(dim, 1, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR), sigma_data)
+    return TrainState(generator, den, disc, adam_init(generator.params.size, cfg.lr_generator),
+                      adam_init(den.params.size, cfg.lr_denoiser),
+                      adam_init(disc.params.size, cfg.lr_discriminator))
 
 
-def draw_batch(cfg: RunConfig, schedule: NoiseSchedule, iteration: int, dim: int) -> Batch:
-    """The iteration's noise levels and latents, and on generator iterations
-    (iteration % tau == 0) the noise that perturbs the outputs; the auxiliary
-    step never reads it. Each is drawn from its own stream."""
-    t_idx, sigma = schedule.draw_levels(
-        rngmod.stream(cfg.seed, iteration, rngmod.STEP_TIME), cfg.batch_size
-    )
-    z = rngmod.stream(cfg.seed, iteration, rngmod.STEP_LATENT).standard_normal(
-        (cfg.batch_size, dim)
-    )
+def draw_batch(cfg: RunConfig, iteration: int) -> Batch:
+    """The iteration's noise levels (uniform indices into `cfg.levels`) and
+    latents, and on generator iterations (iteration % tau == 0) the noise
+    that perturbs the outputs; the auxiliary step never reads it. Each is
+    drawn from its own stream."""
+    n, dim = cfg.batch_size, cfg.teacher_law.dim
+    t_idx = rngmod.stream(cfg.seed, iteration, rngmod.STEP_TIME).integers(0, cfg.n_levels, size=n)
+    z = rngmod.stream(cfg.seed, iteration, rngmod.STEP_LATENT).standard_normal((n, dim))
     eps = None
     if iteration % cfg.tau == 0:
-        eps = rngmod.stream(cfg.seed, iteration, rngmod.STEP_NOISE).standard_normal(
-            (cfg.batch_size, dim)
-        )
-    return Batch(t_idx=t_idx, sigma=sigma, z=z, eps=eps)
+        eps = rngmod.stream(cfg.seed, iteration, rngmod.STEP_NOISE).standard_normal((n, dim))
+    return Batch(t_idx=t_idx, sigma=cfg.levels[t_idx], z=z, eps=eps)
+
+
+def time_weight(sigma: np.ndarray) -> np.ndarray:
+    """The generator signal's time weight w_t = sigma^2 at each noise level."""
+    return sigma**2
 
 
 @contextmanager
@@ -456,13 +478,13 @@ def _student_log_density(state: TrainState, points, sigma,
     return particle_log_density(centers, points, sigma)
 
 
-def _ratio_batch(state, cfg, teacher, x, sigma, iteration) -> np.ndarray:
+def _ratio_batch(state, cfg, x, sigma, iteration) -> np.ndarray:
     """Density-ratio estimates at the noised samples x, clipped to [r_min, r_max]."""
     lo, hi = np.log(cfg.r_min), np.log(cfg.r_max)
     if cfg.ratio_source == "discriminator":
         log_r = clipped_log_ratio(state.discriminator, x, sigma, lo, hi)
     else:
-        log_r = np.clip(log_density(teacher, x, sigma) - _student_log_density(
+        log_r = np.clip(log_density(cfg.teacher_law, x, sigma) - _student_log_density(
             state, x, sigma,
             rngmod.stream(cfg.seed, iteration, rngmod.STEP_PARTICLES),
             cfg.oracle_ratio_particles,
@@ -478,11 +500,8 @@ def _fake_score_batch(state, cfg, x, sigma) -> np.ndarray:
 
 def _trained_nets(state: TrainState):
     """(name, parameter holder, optimizer) for each trained network."""
-    return (
-        ("generator", state.generator, state.opt_generator),
-        ("denoiser", state.denoiser, state.opt_denoiser),
-        ("discriminator", state.discriminator, state.opt_discriminator),
-    )
+    return [(name, getattr(state, name), getattr(state, f"opt_{name}"))
+            for name in ("generator", "denoiser", "discriminator")]
 
 
 def _check_finite_params(state: TrainState, report: StepReport):
@@ -495,35 +514,31 @@ def _check_finite_params(state: TrainState, report: StepReport):
             )
 
 
-def generator_step(state: TrainState, cfg: RunConfig,
-                   teacher: IsotropicGaussianMixture, schedule: NoiseSchedule,
-                   batch: Batch) -> StepReport:
+def generator_step(state: TrainState, cfg: RunConfig, batch: Batch) -> StepReport:
     """The iteration % tau == 0 branch: one weighted-score update of G."""
     it = state.iteration
     n = cfg.batch_size
     y, ctx = state.generator.forward_cached(batch.z)
     _finite_output(y)
     x = y + batch.sigma[:, None] * batch.eps
-    ts = score(teacher, x, batch.sigma)
+    ts = score(cfg.teacher_law, x, batch.sigma)
     fs = _fake_score_batch(state, cfg, x, batch.sigma)
 
-    r = _ratio_batch(state, cfg, teacher, x, batch.sigma, it)
+    r = _ratio_batch(state, cfg, x, batch.sigma, it)
     if cfg.normalize_stage1:
-        bins = schedule.bin_ids(batch.t_idx, cfg.time_bins)
+        # equal-width bins in log sigma
+        bins = np.minimum(batch.t_idx * cfg.time_bins // cfg.n_levels, cfg.time_bins - 1)
         r_used = normalize_stage1(r, bins)
     else:
         r_used = r
     h = weight_h(cfg.divergence, r_used)
     h_used = normalize_stage2(h) if cfg.normalize_stage2 else h
 
-    w = schedule.time_weight(batch.sigma)
-    g = fdistill_generator_signal(x, ts, fs, h_used, w)
+    g = fdistill_generator_signal(x, ts, fs, h_used, time_weight(batch.sigma))
     out_grad = -g / n
     gan_loss = None
     if cfg.gan_weight > 0.0:
-        eps2 = rngmod.stream(cfg.seed, it, rngmod.STEP_GAN_NOISE).standard_normal(
-            (n, teacher.dim)
-        )
+        eps2 = rngmod.stream(cfg.seed, it, rngmod.STEP_GAN_NOISE).standard_normal(y.shape)
         gg, ell = gan_generator_grad(state.discriminator, y, batch.sigma, eps2)
         out_grad = out_grad + cfg.gan_weight * gg
         gan_loss = float(np.mean(np.logaddexp(0.0, -ell)))
@@ -531,7 +546,7 @@ def generator_step(state: TrainState, cfg: RunConfig,
     pgrad = state.generator.backward(ctx, out_grad)
     state.generator.params = adam_step(state.opt_generator, state.generator.params, pgrad)
 
-    report = StepReport(
+    return StepReport(
         iteration=it,
         updated=("generator",),
         fdistill_loss=float(-np.mean(np.sum(g * x, axis=1))),
@@ -540,42 +555,29 @@ def generator_step(state: TrainState, cfg: RunConfig,
         var_h=float(np.var(h_used)),
         mean_ratio=float(np.mean(r)),
     )
-    return report
 
 
-def auxiliary_step(state: TrainState, cfg: RunConfig,
-                   teacher: IsotropicGaussianMixture, schedule: NoiseSchedule,
-                   batch: Batch) -> StepReport:
+def auxiliary_step(state: TrainState, cfg: RunConfig, batch: Batch) -> StepReport:
     """The other branch: one DSM step and one discriminator step."""
     it = state.iteration
     n = cfg.batch_size
     y = state.generator.forward(batch.z)
 
     eps_dsm = rngmod.stream(cfg.seed, it, rngmod.STEP_DSM_NOISE).standard_normal(y.shape)
-    dsm_loss = dsm_update(
-        state.denoiser, state.opt_denoiser, y, batch.sigma, eps_dsm,
-        sigma_cap=cfg.sigma_min,
-    )
+    dsm_loss = dsm_update(state.denoiser, state.opt_denoiser, y, batch.sigma, eps_dsm,
+                          sigma_cap=cfg.sigma_min)
 
-    real = sample(teacher, n, rngmod.stream(cfg.seed, (it << 2) | 1, rngmod.TEACHER_SAMPLE))
+    real = sample(cfg.teacher_law, n, rngmod.stream(cfg.seed, (it << 2) | 1, rngmod.TEACHER_SAMPLE))
     eps_r = rngmod.stream(cfg.seed, it, rngmod.STEP_REAL_NOISE).standard_normal(y.shape)
     eps_f = rngmod.stream(cfg.seed, it, rngmod.STEP_FAKE_NOISE).standard_normal(y.shape)
-    disc_loss = disc_update(
-        state.discriminator, state.opt_discriminator, real, y, batch.sigma,
-        eps_r, eps_f, r1_gamma=cfg.r1_gamma,
-    )
+    disc_loss = disc_update(state.discriminator, state.opt_discriminator, real, y, batch.sigma,
+                            eps_r, eps_f, r1_gamma=cfg.r1_gamma)
 
-    report = StepReport(
-        iteration=it,
-        updated=("denoiser", "discriminator"),
-        dsm_loss=dsm_loss,
-        disc_loss=disc_loss,
-    )
-    return report
+    return StepReport(iteration=it, updated=("denoiser", "discriminator"),
+                      dsm_loss=dsm_loss, disc_loss=disc_loss)
 
 
-def train_step(state: TrainState, cfg: RunConfig,
-               teacher: IsotropicGaussianMixture, schedule: NoiseSchedule) -> StepReport:
+def train_step(state: TrainState, cfg: RunConfig) -> StepReport:
     """One Algorithm-style iteration; increments the counter afterwards.
 
     Any non-finite loss, gradient or parameter, and any value a step's
@@ -584,19 +586,18 @@ def train_step(state: TrainState, cfg: RunConfig,
     step's report, anything else with the iteration's empty one.
     """
     it = state.iteration
-    batch = draw_batch(cfg, schedule, it, teacher.dim)
+    batch = draw_batch(cfg, it)
     with _aborts_at(it, StepReport(iteration=it, updated=())):
         if it % cfg.tau == 0:
-            report = generator_step(state, cfg, teacher, schedule, batch)
+            report = generator_step(state, cfg, batch)
         else:
-            report = auxiliary_step(state, cfg, teacher, schedule, batch)
+            report = auxiliary_step(state, cfg, batch)
         _check_finite_params(state, report)
     state.iteration += 1
     return report
 
 
 def compute_metrics(state: TrainState, cfg: RunConfig,
-                    teacher: IsotropicGaussianMixture,
                     last: Optional[StepReport] = None) -> dict:
     """Monte-Carlo forward/reverse KL against the teacher at METRICS_SIGMA,
     mode coverage of clean samples, and the latest weighting statistics: one
@@ -604,6 +605,7 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     it = state.iteration
     s = METRICS_SIGMA
     n = cfg.metrics_samples
+    teacher = cfg.teacher_law
 
     xs_p = sample(teacher, n, rngmod.stream(cfg.seed, (it << 2) | 2, rngmod.TEACHER_SAMPLE))
     xs_p += s * rngmod.stream(cfg.seed, it, rngmod.METRICS, 1).standard_normal((n, teacher.dim))
@@ -616,12 +618,9 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
     forward_kl_se = float(np.std(fwd, ddof=1) / math.sqrt(n))
 
     z = rngmod.stream(cfg.seed, it, rngmod.METRICS, 3).standard_normal(
-        (n, state.generator.latent_dim)
-    )
+        (n, state.generator.latent_dim))
     y = _finite_output(state.generator.forward(z))
-    xs_q = y + s * rngmod.stream(cfg.seed, it, rngmod.METRICS, 4).standard_normal(
-        (n, teacher.dim)
-    )
+    xs_q = y + s * rngmod.stream(cfg.seed, it, rngmod.METRICS, 4).standard_normal(y.shape)
     log_q2 = _student_log_density(
         state, xs_q, s, rngmod.stream(cfg.seed, it, rngmod.METRICS, 5), cfg.metrics_centers
     )
@@ -662,35 +661,38 @@ def state_payloads(state: TrainState):
 
 
 def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
-    """Rebuild a TrainState from checkpoint payloads; exact inverse of
-    state_payloads given the same config. A record unlike the config's net (in
-    parameter count or widths), with a non-finite parameter, or with an Adam
-    record no run can hold (a NaN moment or a negative v) is a CheckpointError;
-    Adam's v may be inf in a valid run (Adam then moves that parameter by 0)."""
+    """Rebuild a TrainState from checkpoint payloads alone, drawing no initial
+    weights; exact inverse of state_payloads given the same config. A record
+    unlike the config's net (in parameter count or widths, `_net_shapes`),
+    with a non-finite parameter, or with an Adam record no run can hold (a NaN
+    moment or a negative v) is a CheckpointError; Adam's v may be inf in a
+    valid run (Adam then moves that parameter by 0)."""
     by_name = {p.name: p for p in payloads}
-    missing = {"generator", "denoiser", "discriminator"} - set(by_name)
+    shapes = _net_shapes(cfg)
+    missing = set(shapes) - set(by_name)
     if missing:
         raise CheckpointError(f"checkpoint missing networks: {sorted(missing)}")
-    teacher = make_teacher(cfg.teacher)
-    state = init_state(cfg, teacher)
-    for name, holder, _ in _trained_nets(state):
+    for name, (widths, count) in shapes.items():
         payload = by_name[name]
-        if payload.params.shape != holder.params.shape:
+        if payload.params.shape != (count,):
             raise CheckpointError(
-                f"checkpoint {name} has {payload.params.size} parameters, "
-                f"config implies {holder.params.size}"
-            )
-        if payload.widths != holder.widths:
+                f"checkpoint {name} has {payload.params.size} parameters, config implies {count}")
+        if payload.widths != widths:
             raise CheckpointError(
-                f"checkpoint {name} has widths {payload.widths}, config implies {holder.widths}")
+                f"checkpoint {name} has widths {payload.widths}, config implies {widths}")
         if not np.all(np.isfinite(payload.params)):
             raise CheckpointError(f"checkpoint {name} has a non-finite parameter")
         if np.isnan(payload.adam.m).any() or not np.all(payload.adam.v >= 0.0):
             raise CheckpointError(f"checkpoint {name} has a NaN Adam moment or a negative Adam v")
-        holder.params = payload.params.copy()
-        setattr(state, f"opt_{name}", replace(payload.adam))
-    state.iteration = int(iteration)
-    return state
+    g, d, c = (by_name[name] for name in shapes)
+    params = g.params.copy()
+    generator = (AffineGenerator(params[0], params[1:]) if cfg.generator_kind == "affine"
+                 else MLPGenerator(shapes["generator"][0], params))
+    sigma_data = float(cfg.teacher_law.per_coord_std())
+    return TrainState(generator,
+                      ConditionedNet(shapes["denoiser"][0], d.params.copy(), sigma_data),
+                      ConditionedNet(shapes["discriminator"][0], c.params.copy(), sigma_data),
+                      replace(g.adam), replace(d.adam), replace(c.adam), int(iteration))
 
 
 def train(cfg: RunConfig, checkpoint_callback=None):
@@ -702,13 +704,11 @@ def train(cfg: RunConfig, checkpoint_callback=None):
     (seed, total_iters, METRICS, 99) stream. A numerical failure of any
     generator evaluation ends the run in TrainingDiverged (see `_aborts_at`).
     """
-    teacher = make_teacher(cfg.teacher)
-    schedule = cfg.schedule()
-    state = init_state(cfg, teacher)
+    state = init_state(cfg)
     metrics = []
     merged = StepReport(iteration=0, updated=())
     for _ in range(cfg.total_iters):
-        report = train_step(state, cfg, teacher, schedule)
+        report = train_step(state, cfg)
         for key in REPORT_FIELDS:
             value = getattr(report, key)
             if value is not None:
@@ -718,7 +718,7 @@ def train(cfg: RunConfig, checkpoint_callback=None):
             done % cfg.metrics_interval == 0 or done == cfg.total_iters
         ):
             with _aborts_at(done, merged):
-                metrics.append(compute_metrics(state, cfg, teacher, merged))
+                metrics.append(compute_metrics(state, cfg, merged))
         if (
             checkpoint_callback is not None
             and cfg.checkpoint_interval > 0

@@ -53,6 +53,7 @@ __all__ = [
     "ADAM_BETA2",
     "ADAM_EPS",
     "sigma_embedding",
+    "conditioned_widths",
     "conditioned_init",
     "conditioned_input",
     "EMBED_DIM",
@@ -403,11 +404,17 @@ class ConditionedNet(FeedForwardNet):
         return self.widths[0] - EMBED_DIM
 
 
+def conditioned_widths(dim, out) -> tuple:
+    """Layer widths of a conditioned net on dim-wide points with an out-wide
+    head: the rows [c_in x, embedding], the hidden layers, the head."""
+    return (dim + EMBED_DIM, *HIDDEN_WIDTHS, out)
+
+
 def conditioned_init(dim, out, gen, sigma_data) -> ConditionedNet:
     """He-initialized hidden layers and a zero head: the initial denoiser's
     score is that of N(0, (sigma_data^2 + sigma^2) I), and the initial
     discriminator's ratio estimate is exactly 1."""
-    net = init_net((dim + EMBED_DIM, *HIDDEN_WIDTHS, out), gen, final="zero")
+    net = init_net(conditioned_widths(dim, out), gen, final="zero")
     return ConditionedNet(net.widths, net.params, float(sigma_data))
 
 

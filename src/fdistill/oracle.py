@@ -62,7 +62,7 @@ class GradCheckReport:
             abs(self.grad_analytic), abs(self.grad_fd), 1e-8
         )
 
-    def passes(self, rel_tol: float = 1e-4) -> bool:
+    def passes(self, rel_tol: float) -> bool:
         return self.rel_error <= rel_tol
 
 
@@ -90,7 +90,7 @@ def _expectation(weights: np.ndarray, values: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")
 def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
                         gen: AffineGenerator, sigma: float,
-                        fd_step: float = 1e-3) -> List[GradCheckReport]:
+                        fd_step: float) -> List[GradCheckReport]:
     """Check the analytic divergence gradient against finite differences.
 
     The student is affine, so its perturbed law q = N(b, (a^2 + sigma^2) I),

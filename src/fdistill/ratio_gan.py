@@ -56,7 +56,7 @@ def clipped_log_ratio(disc: ConditionedNet, x, sigma, lo, hi) -> np.ndarray:
 
 
 def disc_update(disc: ConditionedNet, opt: Adam, real, fake, sigma, noise_real,
-                noise_fake, r1_gamma: float = 0.0) -> float:
+                noise_fake, r1_gamma: float) -> float:
     """One Adam step on the noised logistic loss with R1 on real inputs.
 
     Loss: mean softplus(-l(real + sigma e1)) + mean softplus(l(fake + sigma e2))

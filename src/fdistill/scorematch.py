@@ -63,7 +63,7 @@ def fake_score(den, x, sigma) -> np.ndarray:
 
 
 def dsm_update(den: ConditionedNet, opt: Adam, x0, sigma, noise,
-               sigma_cap: float = 0.002) -> float:
+               sigma_cap: float) -> float:
     """One Adam step of denoising score matching on generator outputs.
 
     Loss: mean_i w_i ||x0_hat(x0_i + sigma_i eps_i, sigma_i) - x0_i||^2 with

@@ -1,4 +1,4 @@
-"""Exact teacher distributions and the training noise schedule.
+"""Exact teacher distributions, their noise perturbation, and the affine student.
 
 Teachers are isotropic Gaussian mixtures: density, score, sampling, and the
 noise perturbation p_sigma = p * N(0, sigma^2 I) are all closed form, so any
@@ -28,7 +28,6 @@ the gradient gate.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .errors import DomainError, NumericsError
 
 __all__ = [
     "IsotropicGaussianMixture",
-    "NoiseSchedule",
     "AffineGenerator",
     "log_density",
     "score",
@@ -183,41 +181,6 @@ def sample(gm: IsotropicGaussianMixture, n: int, gen: np.random.Generator) -> np
     idx = np.minimum(idx, gm.n_components - 1)
     eps = gen.standard_normal((n, gm.dim))
     return gm.means[idx] + np.sqrt(gm.variances[idx])[:, None] * eps
-
-
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Log-uniform sigma ladder with per-level time weights w_t = sigma^2."""
-
-    sigma_min: float = 0.002
-    sigma_max: float = 80.0
-    n_levels: int = 64
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma_min < self.sigma_max):
-            raise DomainError("schedule requires 0 < sigma_min < sigma_max")
-        if self.n_levels < 1:
-            raise DomainError("schedule requires n_levels >= 1")
-
-    @cached_property
-    def levels(self) -> np.ndarray:
-        """The sigma ladder, built once per schedule and read-only."""
-        ladder = np.geomspace(self.sigma_min, self.sigma_max, self.n_levels)
-        ladder.flags.writeable = False
-        return ladder
-
-    def time_weight(self, sigma):
-        return np.asarray(sigma, dtype=float) ** 2
-
-    def draw_levels(self, gen: np.random.Generator, size: int):
-        """Uniformly sampled level indices and their sigmas."""
-        idx = gen.integers(0, self.n_levels, size=size)
-        return idx, self.levels[idx]
-
-    def bin_ids(self, level_idx, n_bins: int):
-        """Map level indices to equal-width bins in log-sigma."""
-        idx = np.asarray(level_idx)
-        return np.minimum(idx * n_bins // self.n_levels, n_bins - 1)
 
 
 @dataclass

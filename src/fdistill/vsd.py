@@ -27,7 +27,7 @@ def vsd_generator_signal(teacher_score, fake_score, w_t) -> np.ndarray:
     return w[:, None] * (ts - fs)
 
 
-def vsd_generator_step(state, cfg, teacher, schedule, batch) -> None:
+def vsd_generator_step(state, cfg, batch) -> None:
     """One generator update along the plain score-difference direction.
 
     Mirrors the weighted generator step's plumbing (same forward, same
@@ -39,9 +39,8 @@ def vsd_generator_step(state, cfg, teacher, schedule, batch) -> None:
     n = cfg.batch_size
     y, ctx = state.generator.forward_cached(batch.z)
     x = y + batch.sigma[:, None] * batch.eps
-    ts = score(teacher, x, batch.sigma)
+    ts = score(cfg.teacher_law, x, batch.sigma)
     fs = _fake_score_batch(state, cfg, x, batch.sigma)
-    w = schedule.time_weight(batch.sigma)
-    g = vsd_generator_signal(ts, fs, w)
+    g = vsd_generator_signal(ts, fs, batch.sigma**2)
     pgrad = state.generator.backward(ctx, -g / n)
     state.generator.params = adam_step(state.opt_generator, state.generator.params, pgrad)

@@ -739,8 +739,8 @@ class TestStreamContract:
         """Every (seed, path) keys at most one stream over a `train` with
         metrics rows and checkpoints, and over the `modes` report on its final
         checkpoint, so no two draws share their random numbers. The report
-        opens no stream of the run but the init streams that `restore_state`
-        builds the nets from before it loads the saved parameters."""
+        opens no stream of the run: `restore_state` builds the nets from the
+        checkpoint's records, without drawing initial weights."""
         from fdistill import rng as rngmod
 
         if config == "affine-exact":
@@ -763,10 +763,7 @@ class TestStreamContract:
         assert len(opened["train"]) > 150
         for log in opened.values():
             assert sorted(key for key, count in Counter(log).items() if count > 1) == []
-        seed = data.get("seed", 0)
-        inits = {(seed, rngmod.INIT_GENERATOR), (seed, rngmod.INIT_DENOISER),
-                 (seed, rngmod.INIT_DISCRIMINATOR)}
-        assert set(opened["modes"]) & set(opened["train"]) <= inits
+        assert set(opened["modes"]) & set(opened["train"]) == set()
 
 
 class TestGradcheckCommand:
@@ -1384,6 +1381,25 @@ class TestPublicNames:
                    if not callable(getattr(importlib.import_module(f"fdistill.{module}"),
                                            name, None))]
         assert not missing
+
+    @pytest.mark.parametrize("command, config, module, name", [
+        ("train", "ring8_gan.json", "distill", "train_step"),
+        ("gradcheck", "default.json", "oracle", "theorem1_grad_check"),
+    ])
+    def test_benchmark_probe_points_are_reached(self, tmp_path, monkeypatch, command, config,
+                                                module, name):
+        """`bench/workload.py --probe` replaces each of these functions with a
+        stub that takes any arguments, and times the command up to the stub's
+        first call; the command must call it by that module attribute."""
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(importlib.import_module(f"fdistill.{module}"), name, reached)
+        with pytest.raises(Reached):
+            cli.main([command, "--config", str(CONFIGS / config), "--out", str(tmp_path)])
 
     def test_every_traced_function_is_one_object_in_every_module(self):
         """The tracer patches every `fdistill` module binding that is the

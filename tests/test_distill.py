@@ -1,7 +1,9 @@
 """Training loop: weighting path, normalizations, sign convention, schedule."""
 
 import copy
+import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -78,6 +80,26 @@ class TestRunConfig:
         cfg = gaussian_cfg(divergence="forward-kl")
         again = distill.RunConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    def test_derived_values_built_once(self):
+        cfg = distill.RunConfig(teacher=SINGLE_2D)
+        assert cfg.teacher_law is cfg.teacher_law and cfg.levels is cfg.levels
+        law = cfg.teacher_law
+        assert [law.weights.tolist(), law.means.tolist(), law.variances.tolist()] == [
+            SINGLE_2D["weights"], SINGLE_2D["means"], SINGLE_2D["variances"]]
+
+    def test_keys_are_frozen(self):
+        cfg = distill.RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+
+    def test_to_dict_holds_the_keys_only(self):
+        """Reading the derived values leaves the config echo as it was."""
+        cfg = gaussian_cfg()
+        assert cfg.teacher_law.dim == 2 and cfg.levels.size == 64   # both built
+        keys = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+        assert cfg.to_dict() == keys and len(keys) == 27
+        assert json.loads(json.dumps(cfg.to_dict())) == keys
 
 
 class TestOneFormPerArgument:
@@ -250,13 +272,11 @@ class TestSignConvention:
                 time_bins=1,
                 batch_size=64,
             )
-            teacher = tc.make_teacher(cfg.teacher)
-            schedule = cfg.schedule()
-            state = distill.init_state(cfg, teacher)
+            state = distill.init_state(cfg)
             state.generator.bias = np.array([0.4, -0.3])
             before = np.abs(state.generator.bias.copy())
-            batch = distill.draw_batch(cfg, schedule, 0, 2)
-            distill.generator_step(state, cfg, teacher, schedule, batch)
+            batch = distill.draw_batch(cfg, 0)
+            distill.generator_step(state, cfg, batch)
             after = np.abs(state.generator.bias)
             assert np.all(after < before), (kind, sigma, before, after)
 
@@ -298,8 +318,7 @@ def generator_step_deviations(monkeypatch, kind, normalize=False):
         r_max=1e150, tau=1, batch_size=1024, sigma_min=0.05, sigma_max=2.0, n_levels=8,
         time_bins=4, metrics_interval=0, seed=0,
     )
-    schedule = cfg.schedule()
-    state = distill.init_state(cfg, teacher)
+    state = distill.init_state(cfg)
     state.generator = tc.AffineGenerator(student.scale, student.bias)
     grads = []
 
@@ -309,15 +328,15 @@ def generator_step_deviations(monkeypatch, kind, normalize=False):
 
     monkeypatch.setattr(distill, "adam_step", recording_adam_step)
     for _ in range(EXPECTATION_BATCHES):
-        distill.train_step(state, cfg, teacher, schedule)
+        distill.train_step(state, cfg)
     bias = np.array(grads)[:, 1:]
     exact = np.mean([sigma**2 * np.array([rep.grad_analytic for rep in
                                           oracle.theorem1_grad_check(kind, teacher, student,
-                                                                     sigma)])
-                     for sigma in schedule.levels], axis=0)
+                                                                     sigma, fd_step=1e-3)])
+                     for sigma in cfg.levels], axis=0)
     if normalize:
         exact /= np.mean([mean_weighting(kind, teacher, student, sigma)
-                          for sigma in schedule.levels])
+                          for sigma in cfg.levels])
     se = bias.std(axis=0, ddof=1) / math.sqrt(EXPECTATION_BATCHES)
     return np.abs(bias.mean(axis=0) - exact) / se
 
@@ -334,8 +353,7 @@ def another_kinds_weighting(monkeypatch):
 
 
 def unit_time_weight(monkeypatch):
-    monkeypatch.setattr(tc.NoiseSchedule, "time_weight",
-                        lambda self, sigma: np.ones_like(np.asarray(sigma, dtype=float)))
+    monkeypatch.setattr(distill, "time_weight", np.ones_like)
 
 
 def flipped_output_gradient(monkeypatch):
@@ -403,14 +421,12 @@ class TestVsdEquivalence:
             batch_size=64,
             seed=3,
         )
-        teacher = tc.make_teacher(cfg.teacher)
-        schedule = cfg.schedule()
-        state_a = distill.init_state(cfg, teacher)
+        state_a = distill.init_state(cfg)
         state_b = copy.deepcopy(state_a)
-        batch = distill.draw_batch(cfg, schedule, 0, 2)
+        batch = distill.draw_batch(cfg, 0)
 
-        distill.generator_step(state_a, cfg, teacher, schedule, batch)
-        vsd.vsd_generator_step(state_b, cfg, teacher, schedule, batch)
+        distill.generator_step(state_a, cfg, batch)
+        vsd.vsd_generator_step(state_b, cfg, batch)
 
         np.testing.assert_array_equal(state_a.generator.params, state_b.generator.params)
         np.testing.assert_array_equal(state_a.opt_generator.m, state_b.opt_generator.m)
@@ -419,12 +435,10 @@ class TestVsdEquivalence:
 class TestTrainStep:
     def test_tau_pattern_over_ten_steps(self):
         cfg = gaussian_cfg(total_iters=10, tau=5)
-        teacher = tc.make_teacher(cfg.teacher)
-        schedule = cfg.schedule()
-        state = distill.init_state(cfg, teacher)
+        state = distill.init_state(cfg)
         updated = []
         for _ in range(10):
-            report = distill.train_step(state, cfg, teacher, schedule)
+            report = distill.train_step(state, cfg)
             updated.append(report.updated)
         generator_iters = [i for i, u in enumerate(updated) if u == ("generator",)]
         assert generator_iters == [0, 5]
@@ -435,13 +449,11 @@ class TestTrainStep:
 
     def test_divergence_abort_carries_report(self):
         cfg = gaussian_cfg(lr_generator=1e308)
-        teacher = tc.make_teacher(cfg.teacher)
-        schedule = cfg.schedule()
-        state = distill.init_state(cfg, teacher)
+        state = distill.init_state(cfg)
         state.generator.bias = np.array([0.4, -0.3])
         with pytest.raises(TrainingDiverged) as err:
             for _ in range(10):
-                distill.train_step(state, cfg, teacher, schedule)
+                distill.train_step(state, cfg)
         assert err.value.report is not None
 
     def test_domain_error_in_a_step_is_a_numerical_abort(self):
@@ -449,11 +461,10 @@ class TestTrainStep:
         the ratios are NaN and stage 1 rejects them; that is divergence
         (CLI exit 3), not a usage error (exit 2)."""
         cfg = gaussian_cfg(teacher="ring8", batch_size=32, time_bins=4, tau=1)
-        teacher = tc.make_teacher(cfg.teacher)
-        state = distill.init_state(cfg, teacher)
+        state = distill.init_state(cfg)
         state.generator.bias = np.array([1e160, 0.0])
         with pytest.raises(TrainingDiverged, match="^iteration 0: ratios must be finite") as err:
-            distill.train_step(state, cfg, teacher, cfg.schedule())
+            distill.train_step(state, cfg)
         assert isinstance(err.value.__cause__, DomainError)
         assert err.value.report is not None and err.value.report.iteration == 0
         assert state.iteration == 0
@@ -463,12 +474,11 @@ class TestTrainStep:
         makes the updated parameters non-finite; the abort names the
         iteration first and carries the report of the step that ran."""
         cfg = gaussian_cfg()
-        teacher = tc.make_teacher(cfg.teacher)
-        state = distill.init_state(cfg, teacher)
+        state = distill.init_state(cfg)
         state.opt_generator.lr = math.inf
         with pytest.raises(TrainingDiverged,
                            match="^iteration 0: non-finite generator parameters") as err:
-            distill.train_step(state, cfg, teacher, cfg.schedule())
+            distill.train_step(state, cfg)
         assert err.value.report.updated == ("generator",)
         assert err.value.report.fdistill_loss is not None
 
@@ -476,9 +486,8 @@ class TestTrainStep:
         """The auxiliary step never reads the output noise, so it is drawn
         only where iteration % tau == 0, from the same stream as before."""
         cfg = gaussian_cfg(tau=4, batch_size=16)
-        schedule = cfg.schedule()
         for it in range(9):
-            batch = distill.draw_batch(cfg, schedule, it, 2)
+            batch = distill.draw_batch(cfg, it)
             if it % 4:
                 assert batch.eps is None
             else:
@@ -565,12 +574,10 @@ class TestTrain:
             batch_size=1024,
             seed=13,
         )
-        teacher = tc.make_teacher(cfg.teacher)
-        schedule = cfg.schedule()
-        state = distill.init_state(cfg, teacher)
+        state = distill.init_state(cfg)
         best = np.inf
         for it in range(cfg.total_iters):
-            distill.train_step(state, cfg, teacher, schedule)
+            distill.train_step(state, cfg)
             if it % 25 == 24:
                 best = min(best, float(np.linalg.norm(state.generator.bias - mu)))
                 if best < 0.045:
@@ -604,7 +611,7 @@ def perfect_student_kl(preset, centers):
     for seed in range(20):
         cfg = distill.RunConfig(teacher=preset, seed=seed, metrics_centers=centers)
         state = distill.TrainState(PerfectStudent(teacher, seed), *[None] * 5)
-        row = distill.compute_metrics(state, cfg, teacher)
+        row = distill.compute_metrics(state, cfg)
         rows.append((row["forward_kl"], row["reverse_kl"]))
     return np.array(rows)
 
@@ -642,7 +649,7 @@ def perfect_student_log_ratio(sigma):
         sig = np.full(512, sigma)
         noise = rngmod.stream(seed, 0, rngmod.METRICS, 1).standard_normal((512, 2))
         x = state.generator.forward(np.zeros((512, 2))) + sig[:, None] * noise
-        log_r = np.log(distill._ratio_batch(state, cfg, teacher, x, sig, 0))
+        log_r = np.log(distill._ratio_batch(state, cfg, x, sig, 0))
         rows.append((log_r.mean(), np.mean(log_r >= np.log(cfg.r_max) - 1e-9)))
     return np.array(rows)
 
@@ -689,6 +696,16 @@ class TestCheckpointBridge:
         np.testing.assert_array_equal(restored.opt_discriminator.v, state.opt_discriminator.v)
         assert restored.iteration == state.iteration
 
+    @pytest.mark.parametrize("generator_kind", ["mlp", "affine"])
+    def test_init_state_builds_the_shapes_restore_state_expects(self, generator_kind):
+        """The networks of a fresh state have the widths and parameter counts
+        `restore_state` holds a checkpoint's records to."""
+        cfg = distill.RunConfig(teacher=SINGLE_2D, generator_kind=generator_kind)
+        state = distill.init_state(cfg)
+        built = {name: (tuple(holder.widths), holder.params.size)
+                 for name, holder, _ in distill._trained_nets(state)}
+        assert built == distill._net_shapes(cfg)
+
     def test_payloads_are_a_snapshot(self):
         """A later step leaves the payloads taken before it unchanged: the
         parameters, both Adam moments and the step count."""
@@ -696,11 +713,9 @@ class TestCheckpointBridge:
             divergence="jensen-shannon", batch_size=32, time_bins=4, tau=3,
             teacher=SINGLE_2D, metrics_interval=0, seed=23,
         )
-        teacher = tc.make_teacher(cfg.teacher)
-        schedule = cfg.schedule()
-        state = distill.init_state(cfg, teacher)
+        state = distill.init_state(cfg)
         for _ in range(4):
-            distill.train_step(state, cfg, teacher, schedule)
+            distill.train_step(state, cfg)
 
         def contents(payloads):
             return [(p.params.tobytes(), p.adam.m.tobytes(), p.adam.v.tobytes(), p.adam.step)
@@ -709,7 +724,7 @@ class TestCheckpointBridge:
         payloads = distill.state_payloads(state)
         before = contents(payloads)
         for _ in range(3):   # a generator and an auxiliary step both run
-            distill.train_step(state, cfg, teacher, schedule)
+            distill.train_step(state, cfg)
         assert contents(payloads) == before
         assert contents(distill.state_payloads(state)) != before
 
@@ -720,11 +735,9 @@ class TestCheckpointBridge:
             divergence="jensen-shannon", batch_size=32, time_bins=4, total_iters=10,
             tau=3, teacher=SINGLE_2D, metrics_interval=0, seed=19,
         )
-        teacher = tc.make_teacher(cfg.teacher)
-        schedule = cfg.schedule()
-        state = distill.init_state(cfg, teacher)
+        state = distill.init_state(cfg)
         for _ in range(6):
-            distill.train_step(state, cfg, teacher, schedule)
+            distill.train_step(state, cfg)
         path = tmp_path / "mid.fdst"
         save_checkpoint(path, cfg.to_dict(), state.iteration, distill.state_payloads(state))
 
@@ -733,8 +746,8 @@ class TestCheckpointBridge:
             distill.RunConfig.from_dict(config_echo), iteration, payloads
         )
         for _ in range(4):
-            distill.train_step(state, cfg, teacher, schedule)
-            distill.train_step(resumed, cfg, teacher, schedule)
+            distill.train_step(state, cfg)
+            distill.train_step(resumed, cfg)
         np.testing.assert_array_equal(state.generator.params, resumed.generator.params)
         np.testing.assert_array_equal(
             state.discriminator.params, resumed.discriminator.params

@@ -273,7 +273,8 @@ def _network_entries():
             disc, disc_opt, x, -x, s, noise, noise, r1_gamma=0.1)),
         "gan_generator_grad": (disc, None, lambda s: rg.gan_generator_grad(disc, x, s, noise)),
         "fake_score": (den, None, lambda s: sm.fake_score(den, x, s)),
-        "dsm_update": (den, den_opt, lambda s: sm.dsm_update(den, den_opt, x, s, noise)),
+        "dsm_update": (den, den_opt, lambda s: sm.dsm_update(den, den_opt, x, s, noise,
+                                                                 sigma_cap=0.002)),
     }
 
 

@@ -6,6 +6,7 @@ import pytest
 from fdistill import nets, ratio_gan as rg, scorematch as sm
 from fdistill import rng as rngmod
 from fdistill import teacher as tc
+from fdistill.distill import RunConfig
 from fdistill.errors import DomainError
 
 
@@ -86,7 +87,7 @@ class TestDsmUpdate:
         adam = nets.adam_init(den.params.size, lr=0.1)
         x0 = rngmod.stream(2, 1).standard_normal((16, 2))
         before = den.params.copy()
-        loss = sm.dsm_update(den, adam, x0, np.full(16, 0.3), np.zeros((16, 2)))
+        loss = sm.dsm_update(den, adam, x0, np.full(16, 0.3), np.zeros((16, 2)), sigma_cap=0.002)
         assert loss == 0.0
         np.testing.assert_array_equal(den.params, before)
 
@@ -97,7 +98,7 @@ class TestDsmUpdate:
             means=np.array([[-1.0, 0.0], [1.0, 0.5]]),
             variances=np.array([0.3, 0.5]),
         )
-        sched = tc.NoiseSchedule(0.01, 5.0, 32)
+        cfg = RunConfig(sigma_min=0.01, sigma_max=5.0, n_levels=32)
         drops = []
         for seed in range(5):
             gen = rngmod.stream(seed, 0xA)
@@ -106,10 +107,10 @@ class TestDsmUpdate:
             x0 = tc.sample(teacher, 256, rngmod.stream(seed, 99, rngmod.TEACHER_SAMPLE))
             losses = []
             for step in range(500):
-                _, sig = sched.draw_levels(gen, 256)
+                sig = cfg.levels[gen.integers(0, cfg.n_levels, size=256)]
                 noise = gen.standard_normal((256, 2))
                 losses.append(
-                    sm.dsm_update(den, adam, x0, sig, noise, sigma_cap=sched.sigma_min)
+                    sm.dsm_update(den, adam, x0, sig, noise, sigma_cap=cfg.sigma_min)
                 )
             drops.append(np.mean(losses[:50]) - np.mean(losses[-50:]))
         assert np.median(drops) > 0.0
@@ -118,7 +119,8 @@ class TestDsmUpdate:
         den = self._raw_identity_denoiser(2)
         adam = nets.adam_init(den.params.size, lr=0.1)
         with pytest.raises(DomainError):
-            sm.dsm_update(den, adam, np.zeros((4, 2)), np.full(4, 1.0), np.zeros((3, 2)))
+            sm.dsm_update(den, adam, np.zeros((4, 2)), np.full(4, 1.0), np.zeros((3, 2)),
+                          sigma_cap=0.002)
 
 
 class TestScoreRecovery:
@@ -126,7 +128,7 @@ class TestScoreRecovery:
         """2000 DSM steps on a frozen affine student: RMS score error <= 0.1
         over the middle half of the schedule, 4096 q_t samples per level."""
         student = tc.AffineGenerator(scale=1.2, bias=np.array([0.8, -0.4]))
-        sched = tc.NoiseSchedule()
+        cfg = RunConfig()
         gen = rngmod.stream(31, 0xB)
         den = nets.conditioned_init(2, 2, gen, 1.2)
         adam = nets.adam_init(den.params.size, lr=1e-2)
@@ -134,11 +136,11 @@ class TestScoreRecovery:
         for step in range(2000):
             z = gen.standard_normal((batch, 2))
             x0 = student.forward(z)
-            _, sig = sched.draw_levels(gen, batch)
+            sig = cfg.levels[gen.integers(0, cfg.n_levels, size=batch)]
             noise = gen.standard_normal((batch, 2))
-            sm.dsm_update(den, adam, x0, sig, noise, sigma_cap=sched.sigma_min)
+            sm.dsm_update(den, adam, x0, sig, noise, sigma_cap=cfg.sigma_min)
 
-        levels = sched.levels[16:48]  # middle half
+        levels = cfg.levels[16:48]  # middle half
         eval_gen = rngmod.stream(32, 0xC)
         worst = 0.0
         for sigma in levels[:: 4]:

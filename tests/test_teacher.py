@@ -1,4 +1,4 @@
-"""Teacher distributions: exact densities, scores, sampling, perturbation."""
+"""Teacher distributions (densities, scores, sampling, perturbation) and the noise schedule."""
 
 import tracemalloc
 import warnings
@@ -9,9 +9,10 @@ from scipy import integrate
 from scipy.stats import energy_distance
 
 from fdistill import _numerics as nm
+from fdistill import distill
 from fdistill import rng as rngmod
 from fdistill import teacher as tc
-from fdistill.errors import DomainError, NumericsError
+from fdistill.errors import ConfigError, DomainError, NumericsError
 
 STANDARD_1D = tc.IsotropicGaussianMixture(
     weights=np.array([1.0]), means=np.array([[0.0]]), variances=np.array([1.0])
@@ -365,9 +366,12 @@ class TestParticleDensity:
 
 
 class TestSchedule:
+    """The run's noise schedule: the sigma ladder `RunConfig.levels`, the
+    levels `draw_batch` draws from it, the time weight and the time bins of
+    stage 1."""
+
     def test_levels_log_uniform_and_increasing(self):
-        sched = tc.NoiseSchedule()
-        levels = sched.levels
+        levels = distill.RunConfig().levels
         assert len(levels) == 64
         assert levels[0] == pytest.approx(0.002)
         assert levels[-1] == pytest.approx(80.0)
@@ -375,32 +379,46 @@ class TestSchedule:
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_levels_built_once_read_only_and_bitwise_geomspace(self, monkeypatch):
-        sched = tc.NoiseSchedule(sigma_min=0.01, sigma_max=50.0, n_levels=40)
-        levels = sched.levels
+        cfg = distill.RunConfig(sigma_min=0.01, sigma_max=50.0, n_levels=40, batch_size=16)
+        levels = cfg.levels
         assert levels.tobytes() == np.geomspace(0.01, 50.0, 40).tobytes()
         assert not levels.flags.writeable
         calls = []
         real = np.geomspace
         monkeypatch.setattr(np, "geomspace", lambda *a, **k: calls.append(a) or real(*a, **k))
         for i in range(3):
-            idx, sig = sched.draw_levels(rngmod.stream(0, i), 16)
-            assert sig.tobytes() == levels[idx].tobytes()
-        assert calls == [] and sched.levels is levels
+            batch = distill.draw_batch(cfg, i)
+            want = rngmod.stream(cfg.seed, i, rngmod.STEP_TIME).integers(0, 40, size=16)
+            assert batch.t_idx.tobytes() == want.tobytes()
+            assert batch.sigma.tobytes() == levels[want].tobytes()
+        assert calls == [] and cfg.levels is levels
 
     def test_weights_positive_finite(self):
-        sched = tc.NoiseSchedule()
-        w = sched.time_weight(sched.levels)
+        w = distill.time_weight(distill.RunConfig().levels)
         assert np.all(w > 0) and np.all(np.isfinite(w))
 
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(DomainError):
-            tc.NoiseSchedule(sigma_min=1.0, sigma_max=0.5)
+        with pytest.raises(ConfigError, match="sigma_min"):
+            distill.RunConfig(sigma_min=1.0, sigma_max=0.5)
 
-    def test_bin_ids_cover_range(self):
-        sched = tc.NoiseSchedule(n_levels=64)
-        ids = sched.bin_ids(np.arange(64), 8)
+    def test_bin_ids_cover_range(self, monkeypatch):
+        """Stage 1 sees the 64 levels in 8 equal-width bins of log sigma."""
+        cfg = distill.RunConfig(
+            teacher={"weights": [1.0], "means": [[0.0, 0.0]], "variances": [1.0]},
+            generator_kind="affine", ratio_source="exact-oracle", score_source="exact-oracle",
+            gan_weight=0.0, batch_size=64)
+        seen = []
+        normalize = distill.normalize_stage1
+        monkeypatch.setattr(distill, "normalize_stage1",
+                            lambda r, ids: seen.append(ids) or normalize(r, ids))
+        batch = distill.draw_batch(cfg, 0)
+        batch.t_idx = np.arange(64)
+        batch.sigma = cfg.levels[batch.t_idx]
+        distill.generator_step(distill.init_state(cfg), cfg, batch)
+        ids = seen[0]
         assert ids.min() == 0 and ids.max() == 7
         assert np.all(np.diff(ids) >= 0)
+        assert np.bincount(ids).tolist() == [8] * 8
 
 
 class TestPresets:
