@@ -38,7 +38,7 @@ import zlib
 import numpy as np
 
 from .errors import CheckpointError
-from .nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam
+from .nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Adam, NetworkPayload
 
 __all__ = ["MAGIC", "VERSION", "NetworkPayload", "save_checkpoint", "load_checkpoint"]
 
@@ -48,16 +48,6 @@ VERSION = 2
 # written and accepted).
 _FIXED_ADAM_SLOTS = (("Adam beta1", ADAM_BETA1), ("Adam beta2", ADAM_BETA2),
                      ("Adam eps", ADAM_EPS), ("Adam weight decay", 0.0))
-
-
-class NetworkPayload:
-    """Name, layer widths, flat parameters, and optimizer state of one net."""
-
-    def __init__(self, name: str, widths, params: np.ndarray, adam: Adam):
-        self.name = name
-        self.widths = tuple(int(w) for w in widths)
-        self.params = np.asarray(params, dtype="<f8")
-        self.adam = adam
 
 
 def _header_and_arrays(config_dict: dict, iteration: int, networks):

@@ -220,19 +220,18 @@ def _cmd_weightmap(cfg, params, out_dir: Path) -> int:
 
     from .errors import ConfigError
     from .oracle import weight_score_map
-    from .teacher import AffineGenerator, make_teacher
+    from .teacher import AffineGenerator
 
     teacher = cfg.teacher_law
     if teacher.dim != 2:
         raise ConfigError("teacher", "weightmap requires a 2-D teacher")
-    if params["student"] is None:
+    student = params["student"]   # the mixture the section's rule built, or None
+    if student is None:
         # moment-matched single Gaussian: the canonical collapsed student
         student = AffineGenerator(
             teacher.per_coord_std(), teacher.weights @ teacher.means).exact_law()
-    else:
-        student = make_teacher(params["student"])
-        if student.dim != 2:
-            raise ConfigError("weightmap.student", "weightmap requires a 2-D student")
+    elif student.dim != 2:
+        raise ConfigError("weightmap.student", "weightmap requires a 2-D student")
     # a bound past half the float range overflows the axis span; the map then
     # refuses the non-finite points with one DomainError line
     with np.errstate(over="ignore", invalid="ignore"):

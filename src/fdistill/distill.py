@@ -38,14 +38,13 @@ from . import rng as rngmod
 from ._numerics import row_blocks
 from .divergence import KINDS, weight_h
 from .errors import CheckpointError, ConfigError, DomainError, NumericsError, TrainingDiverged
-from .nets import (HIDDEN_WIDTHS, Adam, ConditionedNet, FeedForwardNet, adam_init, adam_step,
-                   backward, conditioned_init, conditioned_widths, forward, init_net,
-                   param_count, predict)
+from .nets import (HIDDEN_WIDTHS, Adam, ConditionedNet, FeedForwardNet, NetworkPayload,
+                   adam_init, adam_step, backward, conditioned_init, conditioned_widths,
+                   forward, init_net, param_count, predict)
 from .ratio_gan import clipped_log_ratio, disc_update, gan_generator_grad
 from .scorematch import dsm_update, fake_score
 from .teacher import (
     AffineGenerator,
-    IsotropicGaussianMixture,
     log_density,
     make_teacher,
     mode_coverage,
@@ -125,24 +124,28 @@ def list_of(rule, nonempty=False):
 
 
 def teacher_spec(spec):
-    """A teacher preset name or {weights, means, variances} dict, never a mixture object."""
+    """A teacher preset name or {weights, means, variances} dict, never a
+    mixture object; returns the mixture `make_teacher` builds from it."""
     try:
-        make_teacher(spec)
+        return make_teacher(spec)
     except (TypeError, ValueError, OverflowError) as exc:  # also numpy's, on bad arrays
         raise DomainError(str(exc)) from exc
-    return spec
 
 
 BOOL = _rule("true or false", lambda v: isinstance(v, bool))
+
+
+def _reject_unknown(keys, given, prefix=""):
+    for key in given:
+        if key not in keys:
+            raise ConfigError(prefix + key, "unknown config key")
 
 
 def checked(keys, given, prefix=""):
     """Every key of the schema `keys`, {name: (default, rule)}, passed through
     its rule, the value in `given` in place of the default. An unknown key or
     a rejected value raises ConfigError naming '<prefix><key>'."""
-    for key in given:
-        if key not in keys:
-            raise ConfigError(prefix + key, "unknown config key")
+    _reject_unknown(keys, given, prefix)
     out = {}
     for name, (default, rule) in keys.items():
         try:
@@ -159,8 +162,8 @@ def _key(default, rule):
 @dataclass(frozen=True)
 class RunConfig:
     """Every hyperparameter of a training run, each declared with its default
-    and rule. JSON round-trippable and frozen: the run's teacher law and noise
-    ladder are derived from it once, on first use (`teacher_law`, `levels`)."""
+    and rule. JSON round-trippable and frozen: `teacher_law` is the mixture its
+    `teacher` rule built, and `levels` the noise ladder, derived on first use."""
 
     divergence: str = _key("jensen-shannon", one_of(KINDS))
     batch_size: int = _key(128, integer(ge=1))
@@ -194,10 +197,14 @@ class RunConfig:
     checkpoint_interval: int = _key(0, integer(ge=0))
 
     def __post_init__(self):
-        """Each key against its rule, then the checks that span keys. Values
-        are kept as given (an int stays an int on a number key), so the
-        config echo a checkpoint stores is the config's own."""
-        checked(_RUN_KEYS, self.to_dict())
+        """Each key against its rule, once, then the checks that span keys.
+        Values are kept as given (an int stays an int on a number key), so a
+        checkpoint's config echo is the config's own; `teacher_law` keeps the
+        teacher rule's mixture, whose std (the nets' data scale) must be finite."""
+        object.__setattr__(self, "teacher_law", checked(_RUN_KEYS, self.to_dict())["teacher"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(self.teacher_law.per_coord_std()):
+                raise ConfigError("teacher", "the mixture's per-coordinate std is not finite")
         if self.batch_size < 2 * self.time_bins:
             raise ConfigError(
                 "batch_size",
@@ -213,9 +220,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Strict construction: unknown keys are rejected, not ignored. A
-        retired key (see RETIRED_KEYS) is dropped when it holds its fixed
-        value and rejected otherwise."""
+        """Strict construction: unknown keys are rejected, not ignored; the key
+        rules run in `__post_init__`. A retired key (see RETIRED_KEYS) is
+        dropped when it holds its fixed value and rejected otherwise."""
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
         data = dict(data)
@@ -224,17 +231,12 @@ class RunConfig:
             value = data.pop(key, fixed)
             if value != fixed or isinstance(value, bool) != isinstance(fixed, bool):
                 raise ConfigError(key, f"retired; only {fixed!r} is accepted, got {value!r}")
-        checked(_RUN_KEYS, data)
+        _reject_unknown(_RUN_KEYS, data)
         return cls(**data)
 
     def to_dict(self) -> dict:
         """The keys and their values; never the derived values."""
         return {name: getattr(self, name) for name in _RUN_KEYS}
-
-    @cached_property
-    def teacher_law(self) -> IsotropicGaussianMixture:
-        """The mixture `teacher` names."""
-        return make_teacher(self.teacher)
 
     @cached_property
     def levels(self) -> np.ndarray:
@@ -395,8 +397,8 @@ def normalize_stage2(h) -> np.ndarray:
 
 def _net_shapes(cfg: RunConfig) -> dict:
     """(widths, parameter count) of each trained network of a `cfg` run, by
-    name: the shapes `init_state` builds and `restore_state` holds a
-    checkpoint's records to."""
+    name: the shapes `restore_state` holds every record to, `init_state`'s
+    and a checkpoint's alike."""
     dim = cfg.teacher_law.dim
     widths = {"generator": (dim, *HIDDEN_WIDTHS, dim), "denoiser": conditioned_widths(dim, dim),
               "discriminator": conditioned_widths(dim, 1)}
@@ -407,22 +409,22 @@ def _net_shapes(cfg: RunConfig) -> dict:
 
 
 def init_state(cfg: RunConfig) -> TrainState:
-    """A run's first state: an affine student at x = z or an MLP student from
-    its init stream, the denoiser and discriminator from `conditioned_init`,
-    and fresh Adam records at the config's rates."""
-    teacher = cfg.teacher_law
-    dim, sigma_data = teacher.dim, teacher.per_coord_std()
+    """`restore_state` of a run's initial records: an affine student at x = z or
+    an MLP student from its init stream, the denoiser and discriminator from
+    `conditioned_init`, and fresh Adam records at the config's rates."""
+    dim, sigma_data = cfg.teacher_law.dim, cfg.teacher_law.per_coord_std()
     if cfg.generator_kind == "affine":
         generator = AffineGenerator(scale=1.0, bias=np.zeros(dim))
     else:
-        net = init_net(_net_shapes(cfg)["generator"][0],
-                       rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR), final=0.1)
-        generator = MLPGenerator(net.widths, net.params)
+        generator = init_net(_net_shapes(cfg)["generator"][0],
+                             rngmod.stream(cfg.seed, rngmod.INIT_GENERATOR), final=0.1)
     den = conditioned_init(dim, dim, rngmod.stream(cfg.seed, rngmod.INIT_DENOISER), sigma_data)
     disc = conditioned_init(dim, 1, rngmod.stream(cfg.seed, rngmod.INIT_DISCRIMINATOR), sigma_data)
-    return TrainState(generator, den, disc, adam_init(generator.params.size, cfg.lr_generator),
-                      adam_init(den.params.size, cfg.lr_denoiser),
-                      adam_init(disc.params.size, cfg.lr_discriminator))
+    return restore_state(cfg, 0, [
+        NetworkPayload(name, net.widths, net.params, adam_init(net.params.size, lr))
+        for name, net, lr in (("generator", generator, cfg.lr_generator),
+                              ("denoiser", den, cfg.lr_denoiser),
+                              ("discriminator", disc, cfg.lr_discriminator))])
 
 
 def draw_batch(cfg: RunConfig, iteration: int) -> Batch:
@@ -654,19 +656,17 @@ def compute_metrics(state: TrainState, cfg: RunConfig,
 def state_payloads(state: TrainState):
     """Serializable (name, widths, params, adam) payloads for checkpointing: a
     snapshot that later steps leave unchanged (see `nets.Adam`)."""
-    from .checkpoint import NetworkPayload  # loaded at the first save, not before training
-
     return [NetworkPayload(name, holder.widths, holder.params, replace(opt))
             for name, holder, opt in _trained_nets(state)]
 
 
 def restore_state(cfg: RunConfig, iteration: int, payloads) -> TrainState:
-    """Rebuild a TrainState from checkpoint payloads alone, drawing no initial
-    weights; exact inverse of state_payloads given the same config. A record
-    unlike the config's net (in parameter count or widths, `_net_shapes`),
-    with a non-finite parameter, or with an Adam record no run can hold (a NaN
-    moment or a negative v) is a CheckpointError; Adam's v may be inf in a
-    valid run (Adam then moves that parameter by 0)."""
+    """The one builder of a TrainState, from network records alone (a
+    checkpoint's or `init_state`'s); exact inverse of state_payloads given the
+    same config. A record unlike the config's net (in parameter count or widths,
+    `_net_shapes`), with a non-finite parameter, or with an Adam record no run
+    can hold (a NaN moment or a negative v) is a CheckpointError; Adam's v may
+    be inf in a valid run (Adam then moves that parameter by 0)."""
     by_name = {p.name: p for p in payloads}
     shapes = _net_shapes(cfg)
     missing = set(shapes) - set(by_name)

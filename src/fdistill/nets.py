@@ -40,6 +40,7 @@ __all__ = [
     "ForwardCache",
     "ConditionedNet",
     "Adam",
+    "NetworkPayload",
     "param_count",
     "init_net",
     "forward",
@@ -447,6 +448,16 @@ class Adam:
     v: np.ndarray
     step: int
     lr: float
+
+
+class NetworkPayload:
+    """Name, layer widths, flat parameters, and optimizer state of one net."""
+
+    def __init__(self, name: str, widths, params: np.ndarray, adam: Adam):
+        self.name = name
+        self.widths = tuple(int(w) for w in widths)
+        self.params = np.asarray(params, dtype="<f8")
+        self.adam = adam
 
 
 def adam_init(n_params: int, lr: float) -> Adam:

@@ -67,8 +67,8 @@ class IsotropicGaussianMixture:
         w = np.asarray(self.weights, dtype=float)
         mu = np.asarray(self.means, dtype=float)
         v = np.asarray(self.variances, dtype=float)
-        if mu.ndim != 2:
-            raise DomainError("means must have shape (K, dim)")
+        if mu.ndim != 2 or mu.shape[1] == 0:
+            raise DomainError(f"means must have shape (K, dim) with dim >= 1, got {mu.shape}")
         if w.shape != (mu.shape[0],) or v.shape != (mu.shape[0],):
             raise DomainError("weights, means, variances must agree on component count")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):

@@ -32,6 +32,7 @@ from fdistill.distill import RETIRED_KEYS, RunConfig, checked
 from fdistill.divergence import KINDS
 from fdistill.errors import CheckpointError, ConfigError, DomainError
 from fdistill.nets import adam_init
+from fdistill.teacher import IsotropicGaussianMixture
 
 TINY_TRAIN = {
     "divergence": "jensen-shannon",
@@ -199,6 +200,26 @@ class TestConfigHandling:
                                       **overrides})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["train", "modes", "weightmap"])
+    @pytest.mark.parametrize("teacher, message", [
+        ({"weights": [1], "means": [[]], "variances": [1]},
+         "means must have shape (K, dim) with dim >= 1, got (1, 0)"),
+        ({"weights": [0.5, 0.5], "means": [[1e160, 0], [-1e160, 0]], "variances": [1, 1]},
+         "the mixture's per-coordinate std is not finite"),
+    ], ids=["zero-width", "overflowing-moments"])
+    def test_teacher_without_a_finite_data_scale_exits_2_with_one_line(
+            self, tmp_path, command, teacher, message):
+        """A teacher of no coordinates, or one whose per-coordinate std (the
+        nets' data scale) overflows, is refused with the config, before any
+        command runs: one line and no numpy warning, with warnings raised as
+        errors and with warnings shown."""
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": teacher})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        line = f"error: config field 'teacher': {message}\n"
+        assert main_outcome(argv) == (2, line)
+        proc = run_python(WARNINGS_SHOWN_MAIN, argv)
+        assert (proc.returncode, proc.stderr) == (2, line)
 
     def test_unknown_teacher_preset_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring9"})
@@ -387,8 +408,12 @@ class TestConfigFuzz:
         except ConfigError:
             return
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        # the student rule hands on the mixture it built; every other value is its own check
+        student = sections["weightmap"]["student"]
+        assert student is None or isinstance(student, IsotropicGaussianMixture)
         for name, keys in SECTION_KEYS.items():
-            assert checked(keys, sections[name], f"{name}.") == sections[name]
+            values = {**sections[name], "student": None} if name == "weightmap" else sections[name]
+            assert checked(keys, values, f"{name}.") == values
         assert all(math.isfinite(v) for v in all_floats([cfg.to_dict(), sections]))
 
     @settings(max_examples=400, deadline=None,
@@ -808,7 +833,33 @@ class TestVarianceCommand:
         assert all(float(l.split(",")[2]) == 0.0 for l in rkl_rows)
 
 
+def count_mixture_builds(monkeypatch):
+    """The specs of every `make_teacher` call the config rules make from now
+    on, in call order."""
+    from fdistill import distill
+
+    specs = []
+    make_teacher = distill.make_teacher
+
+    def counted(spec):
+        specs.append(spec)
+        return make_teacher(spec)
+
+    monkeypatch.setattr(distill, "make_teacher", counted)
+    return specs
+
+
 class TestWeightmapCommand:
+    def test_teacher_and_student_are_each_built_once(self, tmp_path, monkeypatch):
+        """The run config's `teacher` rule builds the teacher and the section's
+        `student` rule the student; the map reads both mixtures as built."""
+        student = {"weights": [1.0], "means": [[0.5, 0.0]], "variances": [2.0]}
+        cfg = write_config(tmp_path, {"teacher": "ring8",
+                                      "weightmap": {"resolution": 4, "student": student}})
+        specs = count_mixture_builds(monkeypatch)
+        assert cli.main(["weightmap", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert specs == ["ring8", student]
+
     def test_map_csv(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -862,6 +913,17 @@ class TestModesCommand:
         assert report["n_modes"] == 8
         assert 0 <= report["modes_covered"] <= 8
         assert len(report["per_mode_mass"]) == 8
+
+    def test_builds_two_mixtures(self, tmp_path, monkeypatch):
+        """One teacher for the --config file and one for the checkpoint's
+        config echo: each config builds its mixture once."""
+        cfg = write_config(tmp_path, {**TINY_TRAIN, "teacher": "ring8"})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out), "--iters", "1"]) == 0
+        specs = count_mixture_builds(monkeypatch)
+        assert cli.main(["modes", "--config", cfg, "--out", str(out),
+                         "--checkpoint", str(out / "checkpoint_final.fdst")]) == 0
+        assert specs == ["ring8", "ring8"]
 
     def test_modes_requires_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_TRAIN)
@@ -1334,6 +1396,18 @@ class TestStartupImports:
         its command line must not import numpy."""
         proc = run_python("import sys, fdistill, fdistill.cli\n"
                           "print('numpy' in sys.modules)\n", [])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_init_state_loads_no_checkpoint_module(self):
+        """A run's first state is built from its initial records without the
+        checkpoint format: `NetworkPayload` lives in `nets`, so the time to a
+        run's first step does not include loading `fdistill.checkpoint`."""
+        script = ("import sys\n"
+                  "from fdistill.distill import RunConfig, init_state\n"
+                  "init_state(RunConfig())\n"
+                  "print('fdistill.checkpoint' in sys.modules)\n")
+        proc = run_python(script, [])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 

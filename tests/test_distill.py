@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import inspect
 import json
 import math
 
@@ -87,6 +88,27 @@ class TestRunConfig:
         law = cfg.teacher_law
         assert [law.weights.tolist(), law.means.tolist(), law.variances.tolist()] == [
             SINGLE_2D["weights"], SINGLE_2D["means"], SINGLE_2D["variances"]]
+
+    def test_teacher_built_once_and_each_rule_run_once(self, monkeypatch):
+        """`from_dict` leaves the key rules to `__post_init__`, and the mixture
+        the `teacher` rule builds is the config's `teacher_law`: one run of a
+        counted rule and one `make_teacher` call per config, however often a
+        run reads the teacher."""
+        data = gaussian_cfg(tau=3).to_dict()
+        calls = []
+        make_teacher = distill.make_teacher
+        monkeypatch.setattr(distill, "make_teacher",
+                            lambda spec: calls.append("make_teacher") or make_teacher(spec))
+        default, rule = distill._RUN_KEYS["tau"]
+        monkeypatch.setitem(distill._RUN_KEYS, "tau",
+                            (default, lambda value: calls.append("tau") or rule(value)))
+        cfg = distill.RunConfig.from_dict(data)
+        assert calls == ["tau", "make_teacher"]
+        law = cfg.teacher_law
+        state = distill.init_state(cfg)
+        distill.train_step(state, cfg)
+        distill.compute_metrics(state, cfg)
+        assert cfg.teacher_law is law and calls == ["tau", "make_teacher"]
 
     def test_keys_are_frozen(self):
         cfg = distill.RunConfig()
@@ -705,6 +727,27 @@ class TestCheckpointBridge:
         built = {name: (tuple(holder.widths), holder.params.size)
                  for name, holder, _ in distill._trained_nets(state)}
         assert built == distill._net_shapes(cfg)
+
+    def test_init_state_is_restore_state_of_the_initial_records(self, monkeypatch):
+        """A fresh state is built where a checkpoint's is: `init_state` hands
+        its three initial records to `restore_state` at iteration 0."""
+        cfg = distill.RunConfig(teacher=SINGLE_2D)
+        seen = []
+        restore_state = distill.restore_state
+
+        def spy(cfg_, iteration, payloads):
+            seen.append((cfg_, iteration, [p.name for p in payloads]))
+            seen.append(restore_state(cfg_, iteration, payloads))
+            return seen[-1]
+
+        monkeypatch.setattr(distill, "restore_state", spy)
+        state = distill.init_state(cfg)
+        assert seen[0] == (cfg, 0, ["generator", "denoiser", "discriminator"])
+        assert len(seen) == 2 and seen[1] is state
+
+    def test_train_state_is_built_in_restore_state_only(self):
+        assert inspect.getsource(distill).count("TrainState(") == 1
+        assert "TrainState(" in inspect.getsource(distill.restore_state)
 
     def test_payloads_are_a_snapshot(self):
         """A later step leaves the payloads taken before it unchanged: the
