@@ -6,14 +6,14 @@ central finite differences of the divergence itself. The gate's students are
 isotropic affine maps x = a z + b, whose output laws are one-component
 mixtures, so teacher and student densities and scores both go through
 `teacher`'s mixture functions with the sigma argument the training loop passes.
-The student's noised law is Gaussian, so both sides of the gate and the
-weighting-variance curve are deterministic Gauss-Hermite expectations rather
-than Monte-Carlo averages.
+Every expectation here is `expect`'s deterministic Gauss-Hermite sum over a
+mixture law, not a Monte-Carlo average.
 
 `mode_coverage` is defined in `teacher`, next to the mixtures it measures,
 and re-exported here.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -33,6 +33,7 @@ from .teacher import (
 
 __all__ = [
     "GradCheckReport",
+    "expect",
     "theorem1_grad_check",
     "normalized_variance_curve",
     "weight_score_map",
@@ -59,31 +60,41 @@ class GradCheckReport:
     @property
     def rel_error(self) -> float:
         return abs(self.grad_analytic - self.grad_fd) / max(
-            abs(self.grad_analytic), abs(self.grad_fd), 1e-8
-        )
+            abs(self.grad_analytic), abs(self.grad_fd), 1e-8)
 
     def passes(self, rel_tol: float) -> bool:
         return self.rel_error <= rel_tol
 
 
-def _gauss_hermite(d: int):
-    """Tensor-grid nodes (n, d) and weights (n,) with sum_j w_j g(x_j)
-    approximating E[g(x)] for x ~ N(0, I_d)."""
-    if d > 2:
-        raise DomainError(f"the Gauss-Hermite grid has {_GH_NODES}**d nodes; d={d} exceeds 2")
+@functools.cache
+def _grid(d: int):
+    """Read-only nodes (n, d) and weights (n,) of the N(0, I_d) tensor grid."""
     x, w = np.polynomial.hermite_e.hermegauss(_GH_NODES)
     w = w / math.sqrt(2.0 * math.pi)
     nodes = np.stack([a.ravel() for a in np.meshgrid(*([x] * d), indexing="ij")], axis=1)
     weights = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _expectation(weights: np.ndarray, values: np.ndarray):
-    """sum_j w_j v_j / sum_j w_j over axis 0: the Gauss-Hermite expectation of
-    `values`. numpy's reductions sum in a fixed order; a BLAS product would
-    sum in one that depends on the BLAS thread count."""
-    w = weights.reshape(-1, *([1] * (values.ndim - 1)))
-    return np.sum(w * values, axis=0) / np.sum(weights)
+def expect(q: IsotropicGaussianMixture, sigma: float, fn):
+    """E[fn(x)] for x ~ q_sigma: sum_k w_k times the 160-node-per-axis Gauss-Hermite sum
+    of fn at mu_k + sqrt(v_k + sigma^2) xi, v_k + sigma^2 from `perturbed_variances`.
+    fn maps (n, d) points to (n, ...) values; sums run in numpy's fixed order, not BLAS's
+    thread-dependent one, and a weight-1 component's sum is returned as is (no 0.0 added).
+    d > 2 is a DomainError. Detail much finer than a component's spread is missed: for
+    1-D p = 0.5 N(+-1, 0.05^2), q = N(0, 4), sigma 0, E_q[f(p/q)] reads forward-KL -0.0004
+    (exact 2.621), JS 0.693 (1.081), squared Hellinger 0.996 (0.703); reverse-KL is 0.46% off."""
+    if q.dim > 2:
+        raise DomainError(f"the Gauss-Hermite grid has {_GH_NODES}**d nodes; d={q.dim} exceeds 2")
+    nodes, weights = _grid(q.dim)
+    total = None
+    for w_k, mu_k, v_k in zip(q.weights, q.means, perturbed_variances(q.variances, sigma, 1)[0]):
+        values = np.asarray(fn(mu_k + math.sqrt(v_k) * nodes))
+        w = weights.reshape(-1, *([1] * (values.ndim - 1)))
+        term = w_k * (np.sum(w * values, axis=0) / np.sum(weights))
+        total = term if total is None else total + term
+    return total
 
 
 # non-finite values at the nodes end in NumericsError, not in numpy warnings
@@ -103,14 +114,7 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
     d = teacher.dim
     if gen.dim != d:
         raise DomainError("teacher and generator dimensions differ")
-    nodes, weights = _gauss_hermite(d)
     s = float(sigma)
-
-    def q_at(bias):
-        return AffineGenerator(gen.scale, bias).exact_law()
-
-    q_law = q_at(gen.bias)
-    spread = math.sqrt(perturbed_variances(q_law.variances, s, nodes.shape[0])[0, 0]) * nodes
 
     def finite(values, side):
         if not np.all(np.isfinite(values)):
@@ -119,32 +123,26 @@ def theorem1_grad_check(kind, teacher: IsotropicGaussianMixture,
         return values
 
     # Analytic side (the gradient the training loop follows).
-    x = gen.bias + spread
-    log_r = finite(log_density(teacher, x, s) - log_density(q_law, x, s), "analytic")
-    values = weight_h_log(kind, log_r)[:, None] * (score(teacher, x, s) - score(q_law, x, s))
-    grad_analytic = -_expectation(weights, finite(values, "analytic"))
+    q_law = gen.exact_law()
+
+    def signal(x):
+        log_r = finite(log_density(teacher, x, s) - log_density(q_law, x, s), "analytic")
+        return finite(weight_h_log(kind, log_r)[:, None] * (
+            score(teacher, x, s) - score(q_law, x, s)), "analytic")
+
+    grad_analytic = -expect(q_law, s, signal)
 
     def divergence_at(bias):
-        pts = bias + spread
-        f = spec.f_log(log_density(teacher, pts, s) - log_density(q_at(bias), pts, s))
-        return float(_expectation(weights, finite(f, "finite-difference")))
+        q = AffineGenerator(gen.scale, bias).exact_law()
+        return float(expect(q, s, lambda x: finite(spec.f_log(
+            log_density(teacher, x, s) - log_density(q, x, s)), "finite-difference")))
 
-    reports = []
-    for k in range(d):
+    def grad_fd(k):
         shift = np.zeros(d)
         shift[k] = fd_step
-        grad_fd = (divergence_at(gen.bias + shift) - divergence_at(gen.bias - shift)) / (
-            2.0 * fd_step)
-        reports.append(
-            GradCheckReport(
-                kind=spec.kind,
-                sigma=s,
-                param_index=k,
-                grad_analytic=float(grad_analytic[k]),
-                grad_fd=grad_fd,
-            )
-        )
-    return reports
+        return (divergence_at(gen.bias + shift) - divergence_at(gen.bias - shift)) / (2.0 * fd_step)
+
+    return [GradCheckReport(spec.kind, s, k, float(grad_analytic[k]), grad_fd(k)) for k in range(d)]
 
 
 def normalized_variance_curve(kind, mean_gaps: Sequence[float]) -> List[float]:
@@ -156,19 +154,18 @@ def normalized_variance_curve(kind, mean_gaps: Sequence[float]) -> List[float]:
     DomainError.
     """
     spec = catalog(kind)
-    nodes, weights = _gauss_hermite(1)
     out = []
     for d in mean_gaps:
         if not abs(d) <= MAX_VARIANCE_GAP:
             raise DomainError(f"mean gap must be within +-{MAX_VARIANCE_GAP:g}, got {d!r}")
-        x = float(d) + nodes[:, 0]
-        # log r for N(0,1) vs N(d,1): quadratic difference, exact
-        log_r = 0.5 * (np.square(x - float(d)) - np.square(x))
-        h = weight_h_log(kind, log_r)
-        m1 = _expectation(weights, h)
+        q = IsotropicGaussianMixture(np.ones(1), np.full((1, 1), float(d)), np.ones(1))
+
+        def h(x):  # log r for N(0,1) vs N(d,1): quadratic difference, exact
+            return weight_h_log(kind, 0.5 * (np.square(x[:, 0] - float(d)) - np.square(x[:, 0])))
+        m1 = expect(q, 0.0, h)
         if m1 <= 0.0:
             raise NumericsError(f"degenerate weighting for {spec.kind}")
-        out.append(float(_expectation(weights, np.square(h - m1)) / m1**2))
+        out.append(float(expect(q, 0.0, lambda x: np.square(h(x) - m1)) / m1**2))
     return out
 
 

@@ -154,14 +154,16 @@ def _component_logs(gm: IsotropicGaussianMixture, x: np.ndarray, var) -> np.ndar
 
 
 def log_density(gm: IsotropicGaussianMixture, x, sigma=0.0) -> np.ndarray:
-    """log p_sigma(x) of an (n, d) batch x; `sigma` may be a scalar or per-point array."""
+    """log p_sigma(x) of an (n, d) batch x; `sigma` may be a scalar or per-point array.
+    |x| past about 1.3e154 overflows the square: -inf, warning outside `errstate`."""
     pts = _check_points(gm.dim, x)
     comp = _component_logs(gm, pts, perturbed_variances(gm.variances, sigma, pts.shape[0]))
     return logsumexp(comp, overwrite_a=True)
 
 
 def score(gm: IsotropicGaussianMixture, x, sigma=0.0) -> np.ndarray:
-    """grad_x log p_sigma(x) of an (n, d) batch: pull towards the means by responsibility."""
+    """grad_x log p_sigma(x) of an (n, d) batch: pull towards the means by responsibility.
+    A NaN row for |x| past ~1.3e154 or a subnormal variance (5e-324); warns outside `errstate`."""
     pts = _check_points(gm.dim, x)
     var = perturbed_variances(gm.variances, sigma, pts.shape[0])
     comp = _component_logs(gm, pts, var)
@@ -267,7 +269,8 @@ def particle_log_density(centers: np.ndarray, x: np.ndarray, sigma) -> np.ndarra
     The (points x centers) kernel matrix is built and reduced one row block
     at a time (`row_blocks` with about 2^17 entries and a multiple of 64
     rows per block), so memory stays bounded for any number of points and
-    centers; the result equals the one-pass reduction bit for bit.
+    centers; the result equals the one-pass reduction bit for bit. |x| past about
+    1.3e154 overflows the square: -inf, with a warning outside `errstate`.
     """
     centers = np.asarray(centers, dtype=float)
     m, d = centers.shape

@@ -313,10 +313,8 @@ EXPECTATION_K = float(student_t.ppf(1.0 - 1e-6 / (2 * 12), EXPECTATION_BATCHES -
 def mean_weighting(kind, teacher, student, sigma):
     """E_q[h(r_sigma)] on the gate's Gauss-Hermite nodes."""
     q = student.exact_law()
-    nodes, weights = oracle._gauss_hermite(teacher.dim)
-    x = student.bias + math.sqrt(tc.perturbed_variances(q.variances, sigma, 1)[0, 0]) * nodes
-    log_r = tc.log_density(teacher, x, sigma) - tc.log_density(q, x, sigma)
-    return float(oracle._expectation(weights, dv.weight_h_log(kind, log_r)))
+    return float(oracle.expect(q, sigma, lambda x: dv.weight_h_log(
+        kind, tc.log_density(teacher, x, sigma) - tc.log_density(q, x, sigma))))
 
 
 def generator_step_deviations(monkeypatch, kind, normalize=False):

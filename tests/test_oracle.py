@@ -158,9 +158,25 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             quadrature_f_divergence_1d("forward-kl", p2, p2)
 
+    def test_expect_gives_mixture_moments(self):
+        """E[x] = sum_k w_k mu_k and E|x|^2 = sum_k w_k (|mu_k|^2 + 2 (v_k + sigma^2))
+        for a 2-D two-component q at sigma 0.5."""
+        q = tc.IsotropicGaussianMixture(
+            weights=np.array([0.3, 0.7]), means=np.array([[-1.0, 0.5], [2.0, -1.0]]),
+            variances=np.array([0.4, 1.5]),
+        )
+        mean = oracle.expect(q, 0.5, lambda x: x)
+        second = oracle.expect(q, 0.5, lambda x: np.sum(np.square(x), axis=1))
+        assert mean == pytest.approx(q.weights @ q.means, rel=1e-12, abs=0.0)
+        assert second == pytest.approx(
+            q.weights @ (np.sum(q.means**2, axis=1) + 2.0 * (q.variances + 0.25)),
+            rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_cross_oracle_agreement(self, kind):
-        """MC and quadrature agree within 3 SE on random 1-D mixture pairs."""
+        """MC and quadrature agree within 3 SE on random 1-D mixture pairs, and
+        `oracle.expect` over the 1-3 components of q agrees with quadrature
+        within 1e-10."""
         gen = rngmod.stream(5, 0xAB)
         for trial in range(10):
             k_p, k_q = int(gen.integers(1, 4)), int(gen.integers(1, 4))
@@ -177,6 +193,9 @@ class TestQuadrature:
             assert abs(est.value - exact) <= max(3.0 * est.se, 1e-9), (
                 kind, trial, est.value, exact
             )
+            gh = oracle.expect(q, 0.0, lambda x: catalog(kind).f_log(
+                tc.log_density(p, x) - tc.log_density(q, x)))
+            assert abs(gh - exact) <= 1e-10, (kind, trial, gh, exact)
 
 
 class TestTheorem1:
@@ -212,6 +231,8 @@ class TestTheorem1:
         gen = tc.AffineGenerator(scale=1.0, bias=np.ones(3))
         with pytest.raises(DomainError, match="exceeds 2"):
             oracle.theorem1_grad_check("forward-kl", teacher, gen, 0.5, fd_step=FD_STEP)
+        with pytest.raises(DomainError, match="exceeds 2"):
+            oracle.expect(teacher, 0.5, lambda x: x)
 
     def test_non_finite_node_raises(self):
         """A bias so far out that the log ratio overflows at the nodes."""
@@ -229,11 +250,13 @@ class TestTheorem1:
         teacher, gen = oracle.gradcheck_cases()["single"]
         s = 4.536
         q = gen.exact_law()
-        nodes, weights = oracle._gauss_hermite(teacher.dim)
-        x = gen.bias + math.sqrt(tc.perturbed_variances(q.variances, s, 1)[0, 0]) * nodes
-        log_r = tc.log_density(teacher, x, s) - tc.log_density(q, x, s)
-        want = -oracle._expectation(weights, weight_h_log(kind, log_r)[:, None] * (
-            tc.score(teacher, x, s) - tc.score(q, x, s)))
+
+        def signal(x):
+            log_r = tc.log_density(teacher, x, s) - tc.log_density(q, x, s)
+            return weight_h_log(kind, log_r)[:, None] * (
+                tc.score(teacher, x, s) - tc.score(q, x, s))
+
+        want = -oracle.expect(q, s, signal)
         got = [rep.grad_analytic
                for rep in oracle.theorem1_grad_check(kind, teacher, gen, s, fd_step=FD_STEP)]
         assert got == want.tolist()
